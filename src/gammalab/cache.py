@@ -1,9 +1,9 @@
 """Checksummed on-disk cache for recomputable values.
 
-One JSON-lines file per kind (``d_n``, ``stirling_row``, ``log_factorial``,
-``constant``) under the cache directory; every line carries a sha256 over
-its canonical payload.  Corrupt or truncated lines are silently skipped so
-a damaged cache degrades to recomputation, never to wrong answers.  The
+One JSON-lines file per kind (``d_n``, ``stirling_row``, ``constant``)
+under the cache directory; every line carries a sha256 over its canonical
+payload.  Corrupt or truncated lines are silently skipped so a damaged
+cache degrades to recomputation, never to wrong answers.  The
 cache is inert until :func:`activate` is called (the CLI does this when
 ``--cache-dir`` or ``GAMMALAB_CACHE`` is set).
 """
@@ -16,7 +16,7 @@ import os
 import threading
 from typing import Any, Dict, Optional
 
-KINDS = ("d_n", "stirling_row", "log_factorial", "constant")
+KINDS = ("d_n", "stirling_row", "constant")
 
 _lock = threading.Lock()
 _active_dir: Optional[str] = None

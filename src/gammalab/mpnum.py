@@ -8,21 +8,28 @@ bound arithmetic is done at coarse precision with *upward* rounding, so
 for each :class:`Bounded` the true real number lies in
 ``[value - err, value + err]``.
 
-Transcendental primitives (log, sqrt, pi, ln 2) are evaluated with 10
-guard bits and claimed accurate to ``2^(1-p) * max(1, |result|)``; the
-backend is accurate to a couple of ulp, so the claim has orders of
-magnitude of slack.  Independent series oracles in the test suite check
-this on samples.
+Logarithms of integers (``ln_int``, ``log_factorial``, ``ln2_const`` and
+every log inside the per-n quantities) have proven bounds: each is an
+exact vector over the primes dotted with a fixed-point table of ``ln q``
+built from ``ln q = ln(q-1) + 2 atanh(1/(2q-1))`` with an explicit
+truncation bound per entry (:class:`PrimeLogTable`).  Only ``pi`` and
+``b_ln``/``b_sqrt`` of non-integer arguments remain trusted: they are
+evaluated with 10 guard bits and claimed accurate to
+``2^(1-p) * max(1, |result|)``; the backend is accurate to a couple of
+ulp, so the claim has orders of magnitude of slack.  Independent series
+oracles in the test suite check this on samples.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -36,7 +43,6 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_div,
     mpf_log,
-    mpf_ln2,
     mpf_mul,
     mpf_neg,
     mpf_pi,
@@ -305,15 +311,278 @@ def b_sum(items, p: int) -> Bounded:
     return acc
 
 
-@lru_cache(maxsize=1 << 16)
+# --- prime-log table -----------------------------------------------------
+#
+# Every logarithm gammalab takes is the log of an integer, so it is an
+# exact vector {q: c_q} over the primes, and its value is sum_q c_q ln q.
+# One table per process holds x_q ~ 2^P ln q as fixed-point integers with
+# a proven error e_q in ulps, |2^P ln q - x_q| <= e_q, built from
+#
+#     ln q = ln(q-1) + 2 atanh(1/(2q-1))      (q = 2 gives 2 atanh(1/3)),
+#
+# where ln(q-1) is the exact dot product of the factorisation of q-1 with
+# smaller entries, so e_q = sum_r v_r(q-1) e_r + (atanh error).  A dot
+# product at working precision w reads each entry as floor(2^w ln q),
+# certified from x_q +- e_q (Johansson's multi-prime reduction with a
+# certified table, arXiv:2207.02501).  Its result therefore depends on w
+# alone, never on how far the table has grown, which keeps data files
+# byte-identical however the work is split across processes.
+
+_DOT_GUARD = 16     # working bits of a dot product beyond those asked for
+_FLOOR_MARGIN = 32  # table bits beyond a dot's working bits
+_SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
+
+
+def _two_atanh_recip(m: int, p: int) -> Tuple[int, int]:
+    """(t, e) with |2^p * 2 atanh(1/m) - t| <= e, for an integer m >= 3.
+
+    With W = p + g and T_j = 2^W / m^(2j+1), the loop adds
+    floor(T_j / (2j+1)) for j < J, where J is the first index with
+    floor(T_J) = 0 (nested floor divisions are exact: floor(floor(x)/k) =
+    floor(x/k)).  Each of the J floors loses less than 1, and the omitted
+    tail is at most T_J / (2J+1) * m^2/(m^2-1), which is below 1 (T_J < 1,
+    and T_0 <= 1 - 1/m when J = 0), so the sum s satisfies
+    0 <= 2^W atanh(1/m) - s < J + 1.  Shifting 2s down by g bits adds less
+    than one more ulp: the error of t is below 1 + (2J+2) / 2^g.
+    """
+    g = p.bit_length() + 2
+    m2 = m * m
+    term = (1 << (p + g)) // m
+    s = 0
+    j = 0
+    while term:
+        s += term // (2 * j + 1)
+        term //= m2
+        j += 1
+    return (2 * s) >> g, 1 + (-(-(2 * j + 2) >> g))
+
+
+def _spf_sieve(limit: int) -> Tuple[array, List[int]]:
+    """Smallest prime factor of each of 0..limit, and the primes <= limit."""
+    spf = array("l", range(limit + 1))
+    # Descending i: the last write to spf[j] comes from the smallest i >= 2
+    # with i | j and i^2 <= j, which is the smallest prime factor of j.
+    for i in range(math.isqrt(limit), 1, -1):
+        spf[i * i::i] = array("l", [i]) * len(range(i * i, limit + 1, i))
+    return spf, [q for q in range(2, limit + 1) if spf[q] == q]
+
+
+class PrimeLogTable:
+    """Certified fixed-point logs of the primes seen so far, and a sieve.
+
+    Both grow geometrically: the table precision doubles (or jumps to
+    what a dot product needs) only when a dot asks for more bits than it
+    holds, and the sieve doubles only when a larger integer must be
+    factored (integers from ``_SIEVE_CAP`` on need it only up to their
+    square root).  A process therefore rebuilds each O(log) times however
+    many logs it takes; ``builds`` and ``sieves`` count the rebuilds.
+    Entries are added one prime at a time, each from entries already
+    present.
+    """
+
+    def __init__(self) -> None:
+        self.prec = 0
+        self.builds = 0
+        self.sieves = 0
+        self._logs: Dict[int, Tuple[int, int]] = {}  # q -> (x_q, e_q)
+        self._sieve: Tuple[array, List[int]] = (array("l", [0, 1]), [])
+        self._lock = threading.RLock()
+
+    def _sieve_upto(self, k: int) -> Tuple[array, List[int]]:
+        sieve = self._sieve
+        if k >= len(sieve[0]):
+            with self._lock:
+                sieve = self._sieve
+                if k >= len(sieve[0]):
+                    grown = min(2 * (len(sieve[0]) - 1), _SIEVE_CAP)
+                    sieve = _spf_sieve(max(k, grown, 64))
+                    self._sieve = sieve
+                    self.sieves += 1
+        return sieve
+
+    def factor(self, k: int) -> List[Tuple[int, int]]:
+        """Prime factorisation [(q, v_q(k)), ...] of an integer k >= 1."""
+        out = []
+        if k >= _SIEVE_CAP:
+            # trial division; a cofactor with no prime factor up to its
+            # square root is 1 or a prime
+            for q in self._sieve_upto(min(math.isqrt(k), _SIEVE_CAP))[1]:
+                if q * q > k:
+                    break
+                e = 0
+                while k % q == 0:
+                    k //= q
+                    e += 1
+                if e:
+                    out.append((q, e))
+            if q * q <= k:
+                raise ValueError(f"{k} has no prime factor up to {q}; "
+                                 "it is too large to factor by trial division")
+            return out + [(k, 1)] if k > 1 else out
+        spf = self._sieve_upto(k)[0]
+        while k > 1:
+            q = spf[k]
+            e = 0
+            while k % q == 0:
+                k //= q
+                e += 1
+            out.append((q, e))
+        return out
+
+    def primes_upto(self, m: int) -> List[int]:
+        primes = self._sieve_upto(m)[1]
+        return primes[:bisect_right(primes, m)]
+
+    def _add(self, q: int) -> None:
+        x, e = _two_atanh_recip(2 * q - 1, self.prec)
+        for r, k in self.factor(q - 1):
+            if r not in self._logs:
+                self._add(r)
+            xr, er = self._logs[r]
+            x += k * xr
+            e += k * er
+        self._logs[q] = (x, e)
+
+    def _rebuild(self, prec: int) -> None:
+        known = sorted(self._logs)
+        self.prec = prec
+        self.builds += 1
+        self._logs = {}
+        for q in known:
+            if q not in self._logs:
+                self._add(q)
+
+    def floor_logs(self, primes: Iterable[int], w: int) -> Dict[int, int]:
+        """{q: floor(2^w ln q)} for primes q, exactly."""
+        with self._lock:
+            if self.prec < w + _FLOOR_MARGIN:
+                self._rebuild(max(w + _FLOOR_MARGIN, 2 * self.prec))
+            while True:
+                shift = self.prec - w
+                out = {}
+                for q in primes:
+                    if q not in self._logs:
+                        self._add(q)
+                    x, e = self._logs[q]
+                    lo = (x - e) >> shift
+                    if lo != (x + e) >> shift:
+                        break  # x_q +- e_q straddles a multiple of 2^shift
+                    out[q] = lo
+                else:
+                    return out
+                self._rebuild(2 * self.prec)
+
+
+_TABLE = PrimeLogTable()
+
+Coeff = Union[int, Fraction]
+
+
+def _integer_weights(weights: Mapping[int, Coeff]) -> Tuple[int, Dict[int, int]]:
+    # (D, {x: D * w_x}) with D the least common denominator
+    den = 1
+    for w in weights.values():
+        den = math.lcm(den, w.denominator)
+    return den, {x: w.numerator * (den // w.denominator)
+                 for x, w in weights.items() if w}
+
+
+def _scaled_vec(acc: Dict[int, int], den: int) -> Dict[int, Coeff]:
+    if den == 1:
+        return {q: c for q, c in acc.items() if c}
+    return {q: Fraction(c, den) for q, c in acc.items() if c}
+
+
+def _legendre(m: int, q: int) -> int:
+    """v_q(m!) = sum_i floor(m / q^i)."""
+    v = 0
+    while m:
+        m //= q
+        v += m
+    return v
+
+
+def _int_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
+    """Prime vector of sum_x w_x ln x over integers x >= 1."""
+    den, ints = _integer_weights(weights)
+    acc: Dict[int, int] = {}
+    for x, a in ints.items():
+        for q, e in _TABLE.factor(x):
+            acc[q] = acc.get(q, 0) + a * e
+    return _scaled_vec(acc, den)
+
+
+def _factorial_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
+    """Prime vector of sum_m w_m ln(m!) over integers m >= 0.
+
+    With m0 the smallest m, ln(m!) = ln(m0!) + sum_{m0 < x <= m} ln x, so
+    the total weight goes to Legendre's vector of m0! and each x in
+    (m0, max m] carries the weight of every m >= x.
+    """
+    den, ints = _integer_weights(weights)
+    ms = sorted(ints)
+    acc: Dict[int, int] = {}
+    if not ms:
+        return acc
+    suffix = sum(ints.values())
+    if suffix:
+        for q in _TABLE.primes_upto(ms[0]):
+            acc[q] = suffix * _legendre(ms[0], q)
+    i = 0
+    for x in range(ms[0] + 1, ms[-1] + 1):
+        while ms[i] < x:
+            suffix -= ints[ms[i]]
+            i += 1
+        if suffix:
+            for q, e in _TABLE.factor(x):
+                acc[q] = acc.get(q, 0) + suffix * e
+    return _scaled_vec(acc, den)
+
+
+def _prime_dot(vec: Mapping[int, Coeff], p: int) -> Bounded:
+    """sum_q c_q ln q for an exact vector {q: c_q}, rounded to p bits.
+
+    With D the common denominator, a_q = D c_q and f_q = floor(2^w ln q),
+    each 2^w ln q - f_q lies in [0, 1), so s = sum_q a_q f_q is within
+    sum_q |a_q| of D 2^w sum_q c_q ln q.  The bound is that, over D 2^w,
+    plus the rounding of s / (D 2^w) to p bits.
+    """
+    den, ints = _integer_weights(vec)
+    w = p + _DOT_GUARD
+    logs = _TABLE.floor_logs(ints, w) if ints else {}
+    s = sum(a * logs[q] for q, a in ints.items())
+    e = sum(abs(a) for a in ints.values())
+    v = from_rational(s, den << w, p, "n")
+    err = _up_add(from_rational(e, den << w, _EPREC, "u"), _rnd_bound(v, p))
+    return Bounded(v, err)
+
+
 def ln_int(k: int, p: int) -> Bounded:
-    """ln k for an exact integer k >= 1 (memoised)."""
+    """ln k for an exact integer k >= 1.
+
+    k must factor by trial division up to 2^20: at most one prime factor
+    of k may exceed 2^20, and it must be below 2^40.
+    """
     if k < 1:
         raise ValueError("ln_int needs k >= 1")
-    if k == 1:
-        return Bounded(fzero, fzero)
-    v = mpf_log(from_int(k), p + 10, "n")
-    return Bounded(v, _fn_err(v, p))
+    return _prime_dot(_int_log_vec({k: 1}), p)
+
+
+def log_factorial(m: int, p: int) -> Bounded:
+    """ln(m!) from Legendre's vector, rounded to p + 8 bits.
+
+    The bound stays below the documented m * 2^(2-p) envelope: rounding
+    costs ln(m!) 2^-(p+8) <= m ln m 2^-(p+8), and the dot runs at p + 24
+    bits, costing sum_q v_q(m!) 2^-(p+24) <= m log2 m 2^-(p+24).
+    """
+    if m < 0:
+        raise ValueError("log_factorial needs m >= 0")
+    return _prime_dot(_factorial_log_vec({m: 1}), p + 8)
+
+
+def ln2_const(p: int) -> Bounded:
+    """ln 2, the table's first entry."""
+    return _prime_dot({2: 1}, p)
 
 
 def _const_cached(name: str, p: int, compute):
@@ -324,14 +593,6 @@ def _const_cached(name: str, p: int, compute):
     cache.put("constant", [name, p],
               {"val": cache.encode_raw(b.val), "err": cache.encode_raw(b.err)})
     return b
-
-
-@lru_cache(maxsize=256)
-def ln2_const(p: int) -> Bounded:
-    def compute():
-        v = mpf_ln2(p + 10)
-        return Bounded(v, _fn_err(v, p))
-    return _const_cached("ln2", p, compute)
 
 
 @lru_cache(maxsize=256)
@@ -421,37 +682,6 @@ def euler_gamma_pair(p: int) -> Tuple[Bounded, Bounded, int]:
     else:
         bits = -(diff.numerator.bit_length() - diff.denominator.bit_length())
     return g1, g2, bits
-
-
-# --- cumulative log-factorial table -------------------------------------
-
-_lf_tables: Dict[int, Tuple[List[tuple], List[tuple]]] = {}
-_lf_lock = threading.Lock()
-
-
-def log_factorial(m: int, p: int) -> Bounded:
-    """ln(m!) by cumulative summation, cached per requested precision.
-
-    The certified bound stays below the documented m * 2^(2-p) envelope
-    because the table is built with 24 extra working bits.
-    """
-    if m < 0:
-        raise ValueError("log_factorial needs m >= 0")
-    wp = p + 24
-    with _lf_lock:
-        tab = _lf_tables.get(p)
-        if tab is None:
-            tab = ([fzero, fzero], [fzero, fzero])  # ln 0! = ln 1! = 0
-            _lf_tables[p] = tab
-        vals, errs = tab
-        while len(vals) <= m:
-            k = len(vals)
-            lnk = mpf_log(from_int(k), wp + 10, "n")
-            v = mpf_add(vals[-1], lnk, wp, "n")
-            e = _up_add(_up_add(errs[-1], _fn_err(lnk, wp)), _rnd_bound(v, wp))
-            vals.append(v)
-            errs.append(e)
-        return Bounded(vals[m], errs[m])
 
 
 def digamma_int(k: int, p: int) -> Bounded:

@@ -39,18 +39,18 @@ from .mpnum import (
     b_abs,
     b_add,
     b_div,
-    b_mul,
     b_mul_int,
     b_scale,
     b_sub,
     b_sum,
     euler_gamma,
     frac_part_certified,
-    ln_int,
-    log_factorial,
     pi_const,
     ln2_const,
+    _factorial_log_vec,
     _fraction_to_raw_up,
+    _int_log_vec,
+    _prime_dot,
     _up_add,
 )
 
@@ -60,8 +60,11 @@ __all__ = [
     "CriterionPoint",
     "sondow_threshold",
     "L_from_factorial_logs",
+    "L_vector",
     "log_S_exponents",
+    "log_S_vector",
     "log_S",
+    "check_L_identity",
     "L_from_power_product",
     "L_consistency",
     "I_closed_form",
@@ -91,21 +94,21 @@ def _d2n(n: int) -> int:
     return d
 
 
-def L_from_factorial_logs(n: int, p: int) -> Bounded:
-    """L_n = sum_j 2 C(n,j)^2 (H_j - H_{n-j}) ln((n+j)!).
+def L_vector(n: int) -> Dict[int, Fraction]:
+    """Exact prime vector of L_n = sum_j 2 C(n,j)^2 (H_j - H_{n-j}) ln((n+j)!).
 
     The weights are exactly the scaled simple-pole residues of the
-    partial-fraction decomposition.
+    partial-fraction decomposition; the factorials go through Legendre.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     weights = exact.scaled_residue_weights(n)
-    terms = []
-    for j, w in enumerate(weights):
-        if w == 0:
-            continue
-        terms.append(b_scale(log_factorial(n + j, p), w, p))
-    return b_sum(terms, p)
+    return _factorial_log_vec({n + j: w for j, w in enumerate(weights)})
+
+
+def L_from_factorial_logs(n: int, p: int) -> Bounded:
+    """L_n from the explicit log-factorial sum (see :func:`L_vector`)."""
+    return _prime_dot(L_vector(n), p)
 
 
 def log_S_exponents(n: int) -> List[int]:
@@ -139,11 +142,27 @@ def log_S_exponents(n: int) -> List[int]:
     return [half[min(k - 1, n - k, n // 2)] for k in range(1, n + 1)]
 
 
+def log_S_vector(n: int) -> Dict[int, int]:
+    """Exact prime vector of log S_n: c_q = sum_k E_k v_q(n+k)."""
+    expo = log_S_exponents(n)
+    return _int_log_vec({n + k: e for k, e in enumerate(expo, 1)})
+
+
 def log_S(n: int, p: int) -> Bounded:
     """log S_n as a certified float (S_n itself is astronomically large)."""
-    expo = log_S_exponents(n)
-    terms = [b_mul_int(ln_int(n + k, p), expo[k - 1], p) for k in range(1, n + 1)]
-    return b_sum(terms, p)
+    return _prime_dot(log_S_vector(n), p)
+
+
+def check_L_identity(n: int) -> None:
+    """Raise IdentityViolation unless d_2n * vec(L_n) == vec(log S_n).
+
+    Both sides are exact prime vectors, so the two L_n routes are compared
+    with zero tolerance; the numeric ``l_agree`` check remains beside it.
+    """
+    d2n = _d2n(n)
+    lhs = {q: d2n * c for q, c in L_vector(n).items()}
+    if lhs != log_S_vector(n):
+        raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
 
 
 def L_from_power_product(n: int, p: int) -> Bounded:
@@ -168,8 +187,11 @@ def closed_form_floor(n: int) -> int:
     return 6 * n + 64
 
 
-def I_closed_form(n: int, p: int) -> Bounded:
-    """I_n = C(2n,n) gamma + L_n - A_n (closed form; the cross-check route)."""
+def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None) -> Bounded:
+    """I_n = C(2n,n) gamma + L_n - A_n (closed form; the cross-check route).
+
+    ``l_n`` is L_n at precision p when the caller already has it.
+    """
     if n < 1:
         raise ValueError("n >= 1 required")
     if p < closed_form_floor(n):
@@ -178,9 +200,10 @@ def I_closed_form(n: int, p: int) -> Bounded:
             closed_form_floor(n) - p,
         )
     g = b_mul_int(euler_gamma(p), math.comb(2 * n, n), p)
-    l = L_from_factorial_logs(n, p)
+    if l_n is None:
+        l_n = L_from_factorial_logs(n, p)
     a = Bounded.from_fraction(exact.A_exact(n), p)
-    return b_sub(b_add(g, l, p), a, p)
+    return b_sub(b_add(g, l_n, p), a, p)
 
 
 # --- series route --------------------------------------------------------
@@ -205,12 +228,8 @@ def series_term(n: int, v: int, p: int) -> Bounded:
     cs = exact.scaled_square_weights(n)
     asw = exact.scaled_residue_weights(n)
     rat = sum((Fraction(c, v + k) for k, c in enumerate(cs)), Fraction(0))
-    out = Bounded.from_fraction(rat, p)
-    for k, w in enumerate(asw):
-        if w == 0:
-            continue
-        out = b_sub(out, b_scale(ln_int(v + k, p), w, p), p)
-    return out
+    logs = _int_log_vec({v + k: w for k, w in enumerate(asw)})
+    return b_sub(Bounded.from_fraction(rat, p), _prime_dot(logs, p), p)
 
 
 def _g_derivative(n: int, m: int, a: int, asw, cs) -> Fraction:
@@ -219,14 +238,23 @@ def _g_derivative(n: int, m: int, a: int, asw, cs) -> Fraction:
     g(x) = sum_k As_k/(x+k) + Cs_k/(x+k)^2, so the derivative is an exact
     rational once a is an integer.
     """
-    s = Fraction(0)
+    terms = []
     for k in range(n + 1):
         base = a + k
         pw = base ** (m + 1)
-        s += asw[k] / pw + Fraction((m + 1) * cs[k], pw * base)
+        terms.append(asw[k] / pw + Fraction((m + 1) * cs[k], pw * base))
+    s = _pairwise_sum(terms)
     if m % 2:
         s = -s
     return exact.factorial(m) * s
+
+
+def _pairwise_sum(terms: List[Fraction]) -> Fraction:
+    # summing in a balanced tree keeps most additions between small
+    # denominators; a running sum pays for the full one at every step
+    while len(terms) > 1:
+        terms = [sum(terms[i:i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0] if terms else Fraction(0)
 
 
 def _em_remainder(n: int, a: int, K: int, asw, cs) -> Fraction:
@@ -237,6 +265,11 @@ def _em_remainder(n: int, a: int, K: int, asw, cs) -> Fraction:
 def _log2_fraction(q: Fraction) -> int:
     # upper estimate of log2 of a positive rational (within 1)
     return q.numerator.bit_length() - q.denominator.bit_length() + 1
+
+
+def _log2_str(q: Fraction) -> str:
+    # "2^-2093": a float would print 0.000e+00 below 1e-308
+    return f"2^{math.log2(q.numerator) - math.log2(q.denominator):.4g}"
 
 
 _EM_PADS = (32, 48, 64, 96, 128, 192, 256, 384, 512)
@@ -252,7 +285,7 @@ def _choose_cutoff(n: int, eps: Fraction, asw, cs) -> Tuple[int, int, Fraction]:
             if rem <= target:
                 return v_cut, K, rem
     raise PrecisionExhausted(
-        f"no Euler-Maclaurin configuration reaches eps={float(eps):.3e} at n={n}")
+        f"no Euler-Maclaurin configuration reaches eps={_log2_str(eps)} at n={n}")
 
 
 def default_series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
@@ -273,9 +306,9 @@ def I_series(
 
     Terms v = n+1 .. V are summed in closed form (their rational parts
     folded into a single exact harmonic-number sum, the log parts into
-    log-factorial differences); the tail past V is summed by
-    Euler-Maclaurin with exact rational correction terms and a certified
-    remainder.
+    one exact prime vector of log-factorial differences); the tail past V
+    is summed by Euler-Maclaurin with exact rational correction terms and
+    a certified remainder.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -311,30 +344,28 @@ def I_series(
          for j in range(1, em_terms + 1)),
         Fraction(0),
     )
+    # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum
+    fact_w: Dict[int, Fraction] = {}
+    for k, w in enumerate(asw):
+        fact_w[v_cut + k] = fact_w.get(v_cut + k, 0) + w
+        fact_w[n + k] = fact_w.get(n + k, 0) - w
+    main_logs = _factorial_log_vec(fact_w)
+    int_logs = _int_log_vec({a + k: w for k, w in enumerate(wlog)})
 
     p = max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
     if p > policy.max_bits:
         raise PrecisionExhausted(
             f"series at n={n} needs {p} working bits, ceiling is {policy.max_bits}")
     while True:
-        asb = [Bounded.from_fraction(w, p + 8) for w in asw]
-        # sum_{v=n+1..V} f(v), log parts folded through log-factorials
-        main = Bounded.from_fraction(main_rat, p)
-        for k in range(n + 1):
-            if asw[k] == 0:
-                continue
-            dlf = b_sub(log_factorial(v_cut + k, p), log_factorial(n + k, p), p)
-            main = b_sub(main, b_mul(asb[k], dlf, p), p)
+        # sum_{v=n+1..V} f(v)
+        main = b_sub(Bounded.from_fraction(main_rat, p), _prime_dot(main_logs, p), p)
 
         # f(a); reused by the boundary and integral pieces
         f_a = series_term(n, a, p)
         # integral_a^infty f = -a f(a) - sum_k wlog_k ln(a+k) + int_rat
         integral = b_add(b_mul_int(f_a, -a, p),
                          Bounded.from_fraction(int_rat, p), p)
-        for k in range(n + 1):
-            if wlog[k] == 0:
-                continue
-            integral = b_sub(integral, b_scale(ln_int(a + k, p), wlog[k], p), p)
+        integral = b_sub(integral, _prime_dot(int_logs, p), p)
 
         tail = b_add(integral, b_scale(f_a, Fraction(1, 2), p), p)
         tail = b_add(tail, Bounded.from_fraction(em_corr, p), p)
@@ -346,7 +377,7 @@ def I_series(
                                     remainder=remainder)
         if not policy.auto_escalate or 2 * p > policy.max_bits:
             raise PrecisionExhausted(
-                f"series at n={n} cannot reach eps={float(eps):.3e} "
+                f"series at n={n} cannot reach eps={_log2_str(eps)} "
                 f"within {policy.max_bits} bits")
         p *= 2
 
@@ -456,14 +487,10 @@ def tail_probe(n: int, r: int, p: int) -> Bounded:
         suffix[j] += suffix[j + 1]
     if suffix[0] != 0:
         raise exact.IdentityViolation("probe weights do not cancel")
-    out = Bounded(fzero, fzero)
-    for i in range(1, n + 1):
-        if suffix[i] == 0:
-            continue
-        out = b_add(out, b_scale(ln_int(n + r + i, wp), suffix[i], wp), wp)
+    weights = {n + r + i: suffix[i] for i in range(1, n + 1)}
     for j, c in enumerate(exact.scaled_square_weights(n)):
-        out = b_add(out, b_mul_int(ln_int(n + j + r, wp), c, wp), wp)
-    return out
+        weights[n + j + r] = weights.get(n + j + r, 0) + c
+    return _prime_dot(_int_log_vec(weights), wp)
 
 
 def A_approx(n: int, p: int) -> Bounded:
@@ -529,6 +556,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["exact"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    check_L_identity(n)
     l_log = L_from_factorial_logs(n, p)
     ls = log_S(n, p)
     l_prod = b_div(ls, Bounded.exact_int(d2n), p)
@@ -536,7 +564,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["L"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    i_closed = I_closed_form(n, p)
+    i_closed = I_closed_form(n, p, l_log)
     i_ser, tail = I_series(n, policy=policy)
     i_agree = agrees(i_closed, i_ser)
     i_positive = i_ser.value_fraction() - i_ser.err_fraction() > 0

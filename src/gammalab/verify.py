@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from . import cache, exact
+from . import cache, exact, sequences
 
 __all__ = ["SuiteResult", "run_exact_suite", "random_rational_points"]
 
@@ -152,6 +152,18 @@ def _suite_scaled_coherence(n_max: int) -> SuiteResult:
     return r
 
 
+def _suite_L_prime_vectors(n_max: int) -> SuiteResult:
+    r = SuiteResult("L_prime_vector_identity")
+    for n in range(1, n_max + 1):
+        try:
+            sequences.check_L_identity(n)
+        except exact.IdentityViolation as e:
+            r.failure = str(e)
+            return r
+        r.checked += 1
+    return r
+
+
 def run_exact_suite(n_max: int, seed: int = 0) -> List[SuiteResult]:
     """Run every exact suite up to n_max (structure suites are capped at
     their acceptance bounds since their cost grows quadratically)."""
@@ -165,4 +177,5 @@ def run_exact_suite(n_max: int, seed: int = 0) -> List[SuiteResult]:
         _suite_pf_structure(min(n_max, 60)),
         _suite_pf_sampled(min(n_max, 50), seed),
         _suite_scaled_coherence(min(n_max, 40)),
+        _suite_L_prime_vectors(n_max),
     ]

@@ -40,6 +40,7 @@ def test_verify_small(capsys, tmp_path):
     assert "PASS" in text and "FAIL" not in text
     report = json.loads(out.read_text())
     assert report["suites"]["integrality_d2n_A"]["checked"] == 5
+    assert report["suites"]["L_prime_vector_identity"]["checked"] == 5
     assert os.path.exists(str(out) + ".manifest.json")
 
 
@@ -59,6 +60,23 @@ def test_verify_fault_injection(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in text
     assert "stirling" in text.lower()
+
+
+def test_verify_L_identity_fault_injection(monkeypatch, capsys):
+    from gammalab import sequences
+
+    real = sequences.L_vector
+
+    def corrupted(n):
+        vec = dict(real(n))
+        if n == 3:
+            vec[5] += 1
+        return vec
+
+    monkeypatch.setattr(sequences, "L_vector", corrupted)
+    assert run(["verify", "--n-max", "5"]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL L_prime_vector_identity" in text and "n=3" in text
 
 
 # --- table ---------------------------------------------------------------------

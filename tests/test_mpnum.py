@@ -266,18 +266,140 @@ def test_policy_validation():
     assert pol.guard_bits >= 32 and pol.auto_escalate
 
 
-def test_log_factorial_concurrent_fill():
+def test_log_factorial_concurrent_fill(monkeypatch):
+    # threads grow one fresh table concurrently (sieve, primes, precision);
+    # a lost update or a torn read would change some value or bound
+    import sys
     import threading
 
-    ref = mn.log_factorial(600, 96)
-    results = []
+    cases = [(100 * (i + 1), 96 + 200 * i) for i in range(8)]
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    ref = {c: mn.log_factorial(*c) for c in cases}
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    results = {}
 
-    def worker():
-        results.append(mn.log_factorial(600, 96))
+    def worker(c):
+        results[c] = mn.log_factorial(*c)
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r.val == ref.val and r.err == ref.err for r in results)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(c,)) for c in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[c].val == ref[c].val and results[c].err == ref[c].err
+               for c in cases)
+
+
+# --- prime-log table -------------------------------------------------------------
+
+def _sample_primes(count, limit, seed):
+    primes = [q for q in range(2, limit) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+    return sorted({2, 3} | set(random.Random(seed).sample(primes, count)))
+
+
+def _mpmath_ln(k, bits):
+    from mpmath.libmp import from_int, mpf_log
+
+    return mn.raw_to_fraction(mpf_log(from_int(k), bits, "n"))
+
+
+@pytest.mark.parametrize("p", [192, 2400, 6200])
+def test_prime_table_entries_contain_mpmath(p):
+    # mpmath switches from Taylor series to AGM at 2,500 bits; test both sides
+    table = mn.PrimeLogTable()
+    primes = _sample_primes(12, 3000, seed=p)
+    floors = table.floor_logs(primes, p)
+    big = table.prec
+    assert big >= p
+    for q in primes:
+        ref = _mpmath_ln(q, big + 64)
+        slack = Fraction(1, 2 ** (big + 60))  # mpmath's own rounding
+        x, e = table._logs[q]
+        assert abs(Fraction(x, 2 ** big) - ref) <= Fraction(e, 2 ** big) + slack, q
+        assert floors[q] <= ref * 2 ** p < floors[q] + 1, q
+
+
+def test_two_atanh_recip_against_fraction_oracle():
+    for m, p in [(3, 64), (5, 200), (101, 333), (4001, 150)]:
+        t, e = mn._two_atanh_recip(m, p)
+        ref = 2 * oracles.atanh_oracle(Fraction(1, m), p + 40)
+        assert abs(Fraction(t, 2 ** p) - ref) <= Fraction(e, 2 ** p) + Fraction(1, 2 ** (p + 38))
+        assert e <= 2
+
+
+@given(st.integers(1, 10 ** 5), st.sampled_from([64, 192, 700, 2600]))
+@settings(max_examples=40, deadline=None)
+def test_ln_int_contains_mpmath(k, p):
+    got = mn.ln_int(k, p)
+    ref = _mpmath_ln(k, p + 64)
+    assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(1, 2 ** (p + 50))
+
+
+@given(st.integers(0, 3000), st.sampled_from([64, 192, 700, 2600]))
+@settings(max_examples=30, deadline=None)
+def test_log_factorial_contains_mpmath(m, p):
+    import mpmath
+
+    got = mn.log_factorial(m, p)
+    with mpmath.workprec(p + 64):
+        ref = mn.raw_to_fraction(mpmath.loggamma(m + 1)._mpf_)
+    assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(m + 1, 2 ** (p + 50))
+
+
+def test_ln_int_beyond_the_sieve(monkeypatch):
+    # integers from _SIEVE_CAP on are factored by trial division, so the
+    # sieve only reaches their square root
+    table = mn.PrimeLogTable()
+    monkeypatch.setattr(mn, "_TABLE", table)
+    assert table.factor(2 ** 40 * 3 ** 5) == [(2, 40), (3, 5)]
+    assert table.factor(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+    for k in (mn._SIEVE_CAP, 10 ** 12 + 39, 6 * (10 ** 6 + 3) ** 2):
+        got = mn.ln_int(k, 200)
+        assert abs(frac(got) - _mpmath_ln(k, 264)) <= got.err_fraction() + Fraction(1, 2 ** 250)
+    assert len(table._sieve[0]) <= mn._SIEVE_CAP + 1
+    for k in (2 ** 61 - 1, 6 * (10 ** 9 + 7) ** 2):
+        with pytest.raises(ValueError):
+            mn.ln_int(k, 200)
+
+
+def test_prime_table_grows_geometrically(monkeypatch):
+    table = mn.PrimeLogTable()
+    monkeypatch.setattr(mn, "_TABLE", table)
+    calls = 0
+    for i in range(1, 121):
+        mn.ln_int(7 * i + 3, 64 + 50 * i)
+        mn.log_factorial(20 * i, 64 + 50 * i)
+        calls += 2
+    # precision 80 .. 6000 and integers up to 2400: a handful of rebuilds
+    assert table.builds <= 8
+    assert table.sieves <= 8
+    assert calls == 240
+
+
+def test_prime_dot_independent_of_table_history(monkeypatch):
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    a = mn.ln_int(9991, 300)
+    b = mn.log_factorial(500, 300)
+    mn.ln_int(10 ** 4 + 7, 5000)  # grow both precision and prime range
+    assert mn._TABLE.prec > 5000
+    a2 = mn.ln_int(9991, 300)
+    b2 = mn.log_factorial(500, 300)
+    assert (a.val, a.err) == (a2.val, a2.err)
+    assert (b.val, b.err) == (b2.val, b2.err)
+
+
+def test_prime_vectors_exact():
+    assert mn._int_log_vec({12: 1}) == {2: 2, 3: 1}
+    assert mn._int_log_vec({1: 5}) == {}
+    assert mn._int_log_vec({6: Fraction(1, 2), 2: -1}) == {3: Fraction(1, 2), 2: Fraction(-1, 2)}
+    # 10! = 2^8 3^4 5^2 7, and 10!/7! = 8 * 9 * 10
+    assert mn._factorial_log_vec({10: 1}) == {2: 8, 3: 4, 5: 2, 7: 1}
+    assert mn._factorial_log_vec({10: 1, 7: -1}) == {2: 4, 3: 2, 5: 1}
+    assert mn._factorial_log_vec({0: 3, 1: 2}) == {}
+    assert mn._legendre(100, 5) == 24

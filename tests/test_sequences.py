@@ -62,6 +62,33 @@ def test_log_S_exponent_integrality(n):
     assert all(isinstance(e, int) and e > 0 for e in expo)
 
 
+def test_prime_vectors_small():
+    assert sq.L_vector(1) == {2: 2}              # L_1 = 2 ln 2
+    assert sq.L_vector(2) == {2: 6, 3: 3}        # L_2 = 3 ln 12
+    assert sq.log_S_vector(1) == {2: 4}          # S_1 = 2^4
+    assert sq.log_S_vector(2) == {2: 72, 3: 36}  # S_2 = 12^36
+
+
+def test_L_identity_exact():
+    for n in range(1, 41):
+        sq.check_L_identity(n)
+
+
+def test_L_identity_violation_raises(monkeypatch):
+    real = sq.L_vector
+
+    def corrupted(n):
+        vec = dict(real(n))
+        vec[2] += Fraction(1, 3)
+        return vec
+
+    monkeypatch.setattr(sq, "L_vector", corrupted)
+    with pytest.raises(exact.IdentityViolation):
+        sq.check_L_identity(4)
+    with pytest.raises(exact.IdentityViolation):
+        sq.build_record(4)
+
+
 @given(st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_L_cross_method(n):
@@ -149,6 +176,12 @@ def test_I_series_eps_contract():
     for n, eps in [(1, Fraction(1, 10 ** 15)), (4, Fraction(1, 10 ** 30))]:
         val, _ = sq.I_series(n, eps)
         assert val.err_fraction() <= eps
+
+
+def test_I_series_exhaustion_message_prints_log2_eps():
+    # a float would print 0.000e+00 for an eps below 1e-308
+    with pytest.raises(mn.PrecisionExhausted, match=r"eps=2\^-4000 at n=1"):
+        sq.I_series(1, Fraction(1, 2 ** 4000))
 
 
 def test_I_series_rejects_bad_eps():
@@ -254,6 +287,22 @@ def test_build_record_content_and_flags():
     assert 0 <= frac(rec.frac_log_s) < 1
     assert abs(float(rec.I_series.mpf) - 0.0013472721) < 1e-9
     assert abs(float(rec.L_logfact.mpf) - 7.4547199494) < 1e-9
+
+
+def test_build_record_computes_L_once(monkeypatch):
+    calls = []
+    real = sq.L_from_factorial_logs
+
+    def counted(n, p):
+        calls.append(n)
+        return real(n, p)
+
+    monkeypatch.setattr(sq, "L_from_factorial_logs", counted)
+    rec = sq.build_record(3)
+    assert calls == [3]
+    p = rec.precision_bits
+    direct = sq.I_closed_form(3, p)
+    assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
 
 
 def test_build_record_deterministic():
