@@ -353,6 +353,18 @@ def _cmd_asym(args) -> int:
     return EXIT_OK
 
 
+def _decimal_digits(x: int, width: int) -> str:
+    """0 <= x < 10^width as exactly `width` decimal digits.
+
+    str() refuses integers longer than sys.get_int_max_str_digits() (4300
+    by default), so long ones are split in halves first.
+    """
+    if width <= 1000:
+        return str(x).rjust(width, "0")
+    hi, lo = divmod(x, 10 ** (width // 2))
+    return _decimal_digits(hi, width - width // 2) + _decimal_digits(lo, width // 2)
+
+
 def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
     """Euler's constant truncated (not rounded) to `digits` decimals,
     certified: the enclosing interval must agree on every printed digit."""
@@ -365,7 +377,7 @@ def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
         lo = (g.value_fraction() - g.err_fraction()) * scale
         hi = (g.value_fraction() + g.err_fraction()) * scale
         if math.floor(lo) == math.floor(hi):
-            return "0." + str(math.floor(lo)).rjust(digits, "0")
+            return "0." + _decimal_digits(math.floor(lo), digits)
         if 2 * p > max_bits:
             raise PrecisionExhausted(f"gamma digits need more than {max_bits} bits")
         p *= 2

@@ -213,12 +213,14 @@ def scaled_residue_weights(n: int) -> List[Fraction]:
 
     These are exactly the weights multiplying log((n+j)!) in the explicit
     formula for L_n, and the log coefficients in the term-by-term series
-    for I_n.
+    for I_n.  Swapping k and n-k negates the weight, so only k <= n/2 is
+    computed.
     """
-    return [
+    half = [
         2 * binomial(n, k) ** 2 * (harmonic(k) - harmonic(n - k))
-        for k in range(n + 1)
+        for k in range(n // 2 + 1)
     ]
+    return half + [-w for w in reversed(half[:(n + 1) // 2])]
 
 
 def scaled_square_weights(n: int) -> List[int]:

@@ -603,14 +603,114 @@ def pi_const(p: int) -> Bounded:
     return _const_cached("pi", p, compute)
 
 
-# --- Euler's constant via Euler-Maclaurin -------------------------------
+# --- Euler's constant by Brent-McMillan ----------------------------------
+#
+# Algorithm B1 of Brent & McMillan (Math. Comp. 34, 1980): with
+# t_k = (n^k / k!)^2, V = sum_{k>=0} t_k = I_0(2n) and
+# S = sum_{k>=1} t_k H_k,
+#
+#     gamma = S/V - ln n - K_0(2n)/I_0(2n),
+#     0 < K_0(2n)/I_0(2n) < pi e^{-4n}       (Brent & Johansson,
+#                                              Math. Comp. 84, 2015).
+#
+# Binary splitting.  With t_k = t_{k-1} n^2 / k^2, a node for k in [a, b)
+# carries exact integers with
+#
+#     P = n^(2(b-a)),  Q = prod k^2,  D = prod k,  C/D = sum 1/k,
+#     T/Q = sum_k t_k / t_{a-1},  W/(QD) = sum_k (t_k / t_{a-1}) (H_k - H_{a-1}).
+#
+# For k in the right half [m, b) of a split, t_k / t_{a-1} =
+# (P1/Q1) (t_k / t_{m-1}) and H_k - H_{a-1} = C1/D1 + (H_k - H_{m-1}), so
+#
+#     C = C1 D2 + C2 D1,  T = T1 Q2 + P1 T2,
+#     W = W1 Q2 D2 + P1 (C1 T2 D2 + W2 D1),
+#
+# and a leaf k is (n^2, k^2, k, 1, n^2, n^2).  Over [1, K+1), V_K = 1 + T/Q
+# and S_K = W/(QD), so S_K/V_K = W / (D (Q + T)): one floor division at w
+# bits, which loses less than 2^-w.  Nothing else is rounded.
+#
+# Tails.  For k >= K+1, with K >= 3n, t_{k+1}/t_k = n^2/(k+1)^2 <= 1/4 and
+# H_{k+1}/H_k <= 1 + 1/(k+1) <= 4/3, so the omitted parts are
+# eps_V <= (4/3) t_{K+1} and eps_S <= (3/2) t_{K+1} H_{K+1}.  Then
+# S/V - S_K/V_K = (eps_S - (S_K/V_K) eps_V) / V is a difference of two
+# nonnegative terms, and S_K/V_K <= H_K (a weighted mean of H_0..H_K), so
+# its size is at most (3/2) H_{K+1} t_{K+1} / V_K.  With
+# H_m <= 1 + ln m <= (4/3) bitlen(m) for m >= 2, Q = (K!)^2 and
+# P = n^(2K), that is at most
+#
+#     2 bitlen(K+1) n^2 P / ((K+1)^2 (Q + T)),
+#
+# bounded from the bit lengths of the factors (bitlen(xy) <= bitlen(x) +
+# bitlen(y) <= bitlen(xy) + 1).
+#
+# Bessel term.  pi e^{-4n} < 4 * 2^-(4n log2 e) <= 2^(2 - floor(5.7704 n)),
+# as 5.7704 < 4 log2 e = 5.77078...
+
+_BM_GUARD = 32  # working bits beyond those asked for
+
+
+def _bm_split(n2: int, a: int, b: int) -> Tuple[int, int, int, int, int, int]:
+    """(P, Q, D, C, T, W) of the terms k in [a, b), for n2 = n^2."""
+    if b - a == 1:
+        return n2, a * a, a, 1, n2, n2
+    m = (a + b) // 2
+    P1, Q1, D1, C1, T1, W1 = _bm_split(n2, a, m)
+    P2, Q2, D2, C2, T2, W2 = _bm_split(n2, m, b)
+    return (P1 * P2, Q1 * Q2, D1 * D2, C1 * D2 + C2 * D1, T1 * Q2 + P1 * T2,
+            W1 * Q2 * D2 + P1 * (C1 * T2 * D2 + W2 * D1))
+
+
+def _bm_params(w: int) -> Tuple[int, int]:
+    """(n, K) with the Bessel term below 2^-w and the tails near 2^-(w+8).
+
+    n is the least with floor(5.7704 n) >= w + 2.  K is the least from 3n
+    whose tail bound is estimated below 2^-(w+8), with V_K >= t_n and
+    log2 t_k from lgamma; the tail bound actually used is recomputed
+    exactly from the sums.  K comes out near 3.59 n, the root of
+    a (ln a - 1) = 1 that balances the tails against e^{-4n}.
+    """
+    n = -(-(w + 2) * 10000 // 57704)
+    ln_n = math.log(n)
+
+    def log2_t(k: int) -> float:
+        return 2 * (k * ln_n - math.lgamma(k + 1)) / math.log(2)
+
+    floor_v = log2_t(n)
+    K = 3 * n
+    while (log2_t(K + 1) - floor_v + math.log2(2 * (K + 1).bit_length())
+           > -(w + 8)):
+        K += 1
+    return n, K
+
+
+def euler_gamma(p: int) -> Bounded:
+    """Euler's constant by Brent-McMillan, with a certified bound below
+    2^-(p+4) (see the derivation above)."""
+    w = p + _BM_GUARD
+    n, K = _bm_params(w)
+    P, Q, D, _, T, W = _bm_split(n * n, 1, K + 1)
+    s_over_v = Bounded(from_man_exp((W << w) // (D * (Q + T)), -w),
+                       from_man_exp(1, -w))
+    g = b_sub(s_over_v, ln_int(n, w), w)
+    tail = ((2 * (K + 1).bit_length() * n * n).bit_length() + P.bit_length()
+            - ((K + 1) ** 2).bit_length() - (Q + T).bit_length() + 2)
+    bessel = 2 - 57704 * n // 10000
+    err = _up_add(g.err, _up_add(from_man_exp(1, tail), from_man_exp(1, bessel)))
+    return Bounded(g.val, err)
+
+
+# --- Euler-Maclaurin, the independent cross-check ------------------------
 #
 #   gamma = H_N - ln N - 1/(2N) + sum_{k=1..K} B_{2k} / (2k N^{2k}) + R,
 #   |R| <= first omitted term.
 #
 # H_N and the correction sum are exact rationals; with N a power of two,
-# ln N = m * ln 2 costs a single cached constant.  The error bound is the
-# remainder plus conversion/rounding dust.
+# ln N = m * ln 2.  The error bound is the remainder plus conversion and
+# rounding dust.  The exact H_N costs more than O(N), so N is capped at
+# 2^18, which reaches p = 5,384 bits (N = 2^18 takes about 5 s and 2^20
+# about 40 s with CPython 3.11 on a 2-vCPU x86 guest).
+
+_EM_MAX_LOG2_N = 18
 
 
 def _em_gamma_params(p: int) -> Tuple[int, int]:
@@ -618,7 +718,8 @@ def _em_gamma_params(p: int) -> Tuple[int, int]:
 
     The scan sizes |B_{2K+2}| from Stirling's formula (2 bits of slack
     covers the zeta factor); only the chosen K ever computes an exact
-    Bernoulli number.
+    Bernoulli number.  Raises :class:`PrecisionExhausted` when the
+    cheapest choice needs N > 2^18.
     """
     target = p + 8
     best = None
@@ -631,6 +732,10 @@ def _em_gamma_params(p: int) -> Tuple[int, int]:
         cost = (1 << m) + 48 * K
         if best is None or cost < best[0]:
             best = (cost, m, K)
+    if best[1] > _EM_MAX_LOG2_N:
+        raise PrecisionExhausted(
+            f"Euler-Maclaurin gamma at {p} bits needs N = 2^{best[1]}, "
+            f"above the budget 2^{_EM_MAX_LOG2_N}")
     return best[1], best[2]
 
 
@@ -649,33 +754,17 @@ def _euler_gamma_at(p: int, m: int, K: int) -> Bounded:
     return Bounded(g.val, _up_add(g.err, _fraction_to_raw_up(remainder)))
 
 
-_gamma_memo: Dict[int, Bounded] = {}
-_gamma_lock = threading.Lock()
-
-
-def euler_gamma(p: int) -> Bounded:
-    """Euler's constant with a certified bound below 2^-(p+4)."""
-    hit = _gamma_memo.get(p)
-    if hit is not None:
-        return hit
-    def compute():
-        m, K = _em_gamma_params(p)
-        return _euler_gamma_at(p, m, K)
-    g = _const_cached("gamma", p, compute)
-    with _gamma_lock:
-        _gamma_memo.setdefault(p, g)
-    return _gamma_memo[p]
-
-
 def euler_gamma_pair(p: int) -> Tuple[Bounded, Bounded, int]:
-    """Cross-check evaluation with (N, K) and (4N, K+2).
+    """gamma by Brent-McMillan and by Euler-Maclaurin, and their agreement.
 
     Returns both values and the number of agreeing bits of the difference
-    (absolute: agreement to ``b`` bits means |g1 - g2| <= 2^-b).
+    (absolute: agreement to ``b`` bits means |g1 - g2| <= 2^-b).  Raises
+    :class:`PrecisionExhausted`, before any summing, when p is beyond the
+    Euler-Maclaurin budget.
     """
     m, K = _em_gamma_params(p)
-    g1 = _euler_gamma_at(p, m, K)
-    g2 = _euler_gamma_at(p, m + 2, K + 2)
+    g1 = euler_gamma(p)
+    g2 = _euler_gamma_at(p, m, K)
     diff = abs(g1.value_fraction() - g2.value_fraction())
     if diff == 0:
         bits = p + 64

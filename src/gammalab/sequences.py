@@ -153,15 +153,21 @@ def log_S(n: int, p: int) -> Bounded:
     return _prime_dot(log_S_vector(n), p)
 
 
-def check_L_identity(n: int) -> None:
+def check_L_identity(n: int, l_vec: Optional[Dict[int, Fraction]] = None,
+                     s_vec: Optional[Dict[int, int]] = None) -> None:
     """Raise IdentityViolation unless d_2n * vec(L_n) == vec(log S_n).
 
     Both sides are exact prime vectors, so the two L_n routes are compared
     with zero tolerance; the numeric ``l_agree`` check remains beside it.
+    ``l_vec`` and ``s_vec`` are the two vectors when the caller has them.
     """
+    if l_vec is None:
+        l_vec = L_vector(n)
+    if s_vec is None:
+        s_vec = log_S_vector(n)
     d2n = _d2n(n)
-    lhs = {q: d2n * c for q, c in L_vector(n).items()}
-    if lhs != log_S_vector(n):
+    lhs = {q: d2n * c for q, c in l_vec.items()}
+    if lhs != s_vec:
         raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
 
 
@@ -556,9 +562,11 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["exact"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    check_L_identity(n)
-    l_log = L_from_factorial_logs(n, p)
-    ls = log_S(n, p)
+    l_vec = L_vector(n)
+    s_vec = log_S_vector(n)
+    check_L_identity(n, l_vec, s_vec)
+    l_log = _prime_dot(l_vec, p)
+    ls = _prime_dot(s_vec, p)
     l_prod = b_div(ls, Bounded.exact_int(d2n), p)
     l_agree = agrees(l_log, l_prod)
     timings["L"] = time.perf_counter() - t0

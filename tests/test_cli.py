@@ -199,6 +199,24 @@ def test_gamma_digits(capsys, tmp_path):
     assert os.path.exists(str(out) + ".manifest.json")
 
 
+def test_gamma_3000_digits_match_mpmath(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    assert run(["gamma", "--digits", "3000"]) == 0
+    out = capsys.readouterr().out.strip()
+    with mpmath.workdps(3040):
+        ref = mpmath.nstr(mpmath.mp.euler, 3030, strip_zeros=False)
+    assert len(out) == 3002
+    assert out == ref[:3002]
+
+
+def test_decimal_digits_beyond_str_limit():
+    # str() of an int with more than 4300 digits raises by default
+    assert cli._decimal_digits(10 ** 4999 + 12345, 5000) \
+        == "1" + "0" * 4994 + "12345"
+    assert cli._decimal_digits(7, 5000) == "0" * 4999 + "7"
+    assert cli._decimal_digits(577, 5) == "00577"
+
+
 # --- cache ---------------------------------------------------------------------------
 
 def test_cache_cold_warm_identical(tmp_path):
@@ -214,17 +232,19 @@ def test_cache_cold_warm_identical(tmp_path):
 
 def test_cache_corruption_is_recomputed(tmp_path):
     cdir = tmp_path / "cache"
-    o1 = tmp_path / "a.txt"
-    o2 = tmp_path / "b.txt"
-    assert run(["gamma", "--digits", "40", "--cache-dir", str(cdir),
-                "--out", str(o1)]) == 0
-    # flip digits inside every cached constant payload
-    for f in cdir.iterdir():
+    o1 = tmp_path / "a.csv"
+    o2 = tmp_path / "b.csv"
+    base = ["table", "--n", "1..2", "--jobs", "1", "--cache-dir", str(cdir)]
+    assert run(base + ["--out", str(o1)]) == 0
+    files = list(cdir.iterdir())
+    # d_n entries always; pi's only if this process has not computed it yet
+    assert "d_n.jsonl" in {f.name for f in files}
+    # flip digits inside every cached payload
+    for f in files:
         text = f.read_text()
         f.write_text(text.replace("1", "2"))
-    assert run(["gamma", "--digits", "40", "--cache-dir", str(cdir),
-                "--out", str(o2)]) == 0
-    assert o1.read_text() == o2.read_text()
+    assert run(base + ["--out", str(o2)]) == 0
+    assert read_bytes(o1) == read_bytes(o2)
 
 
 def test_cache_roundtrip_unit(tmp_path):

@@ -226,6 +226,17 @@ def test_scaled_coefficient_coherence(n):
     assert [f2 * bk for bk in c.b] == exact.scaled_square_weights(n)
 
 
+def test_scaled_residue_weights_direct_formula():
+    # the mirrored half equals 2 C(n,k)^2 (H_k - H_{n-k}) at every k
+    for n in range(61):
+        direct = [
+            2 * exact.binomial(n, k) ** 2
+            * (exact.harmonic(k) - exact.harmonic(n - k))
+            for k in range(n + 1)
+        ]
+        assert exact.scaled_residue_weights(n) == direct, n
+
+
 # --- zero-sum identities ----------------------------------------------------
 
 def test_zero_sum_terms_small():

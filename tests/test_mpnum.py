@@ -140,6 +140,54 @@ def test_gamma_dual_parameter_agreement():
         assert mn.agrees(g1, g2)
 
 
+def _assert_gamma_contains_mpmath(p):
+    mpmath = pytest.importorskip("mpmath")
+    g = mn.euler_gamma(p)
+    with mpmath.workprec(p + 64):
+        ref = mn.raw_to_fraction(mpmath.mp.euler._mpf_)
+    # ref is within 2^-(p+63) of gamma, so the interval must hold that
+    # whole neighbourhood of ref
+    assert abs(frac(g) - ref) + Fraction(1, 2 ** (p + 63)) <= g.err_fraction()
+    assert g.err_fraction() < Fraction(1, 2 ** (p + 4))
+
+
+@pytest.mark.parametrize("p", [64, 1000, 3400, 5047, 16674])
+def test_gamma_contains_mpmath_euler(p, monkeypatch):
+    # a fresh table, as in a `gamma` process: the shared one holds every
+    # prime earlier tests used, and rebuilding them all at 16.7k bits
+    # takes seconds
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    _assert_gamma_contains_mpmath(p)
+
+
+@given(st.integers(32, 4000))
+@settings(max_examples=30, deadline=None)
+def test_gamma_containment_property(p):
+    _assert_gamma_contains_mpmath(p)
+
+
+def test_gamma_bessel_term_bound():
+    # 0 < K_0(2n)/I_0(2n) < pi e^{-4n}, the bound euler_gamma adds; for
+    # these n the ratio is at most 0.996 of the bound, a gap far wider
+    # than 53-bit rounding
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(53):
+        for n in range(1, 31):
+            ratio = mpmath.besselk(0, 2 * n) / mpmath.besseli(0, 2 * n)
+            assert 0 < ratio < mpmath.pi * mpmath.exp(-4 * n), n
+
+
+def test_gamma_pair_beyond_em_budget_raises_promptly():
+    import time
+
+    t0 = time.perf_counter()
+    with pytest.raises(mn.PrecisionExhausted):
+        mn.euler_gamma_pair(20000)
+    with pytest.raises(mn.PrecisionExhausted):
+        mn.euler_gamma_pair(5400)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_gamma_reference_is_consistent_with_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.prec = 256

@@ -290,16 +290,23 @@ def test_build_record_content_and_flags():
 
 
 def test_build_record_computes_L_once(monkeypatch):
+    # each prime vector is built once and serves both the exact identity
+    # check and its dot product; criterion_point builds log S_n's again
+    # for its own precision escalation
     calls = []
-    real = sq.L_from_factorial_logs
 
-    def counted(n, p):
-        calls.append(n)
-        return real(n, p)
+    def counted(name):
+        real = getattr(sq, name)
 
-    monkeypatch.setattr(sq, "L_from_factorial_logs", counted)
+        def wrapper(n):
+            calls.append((name, n))
+            return real(n)
+        return wrapper
+
+    for name in ("L_vector", "log_S_vector"):
+        monkeypatch.setattr(sq, name, counted(name))
     rec = sq.build_record(3)
-    assert calls == [3]
+    assert calls == [("L_vector", 3), ("log_S_vector", 3), ("log_S_vector", 3)]
     p = rec.precision_bits
     direct = sq.I_closed_form(3, p)
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
