@@ -82,7 +82,6 @@ def _policy(args) -> PrecisionPolicy:
     return PrecisionPolicy(
         base_bits=args.bits,
         frac_bits=args.frac_bits,
-        guard_bits=args.guard_bits,
         max_bits=args.max_bits,
         tail_eps=getattr(args, "tail_eps", None),
     )
@@ -235,7 +234,6 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
         "policy": {
             "base_bits": args.bits,
             "frac_bits": args.frac_bits,
-            "guard_bits": args.guard_bits,
             "max_bits": args.max_bits,
         },
         "seed": getattr(args, "seed", None),
@@ -371,6 +369,9 @@ def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
     if digits < 1:
         raise ValueError("--digits must be at least 1")
     p = int(digits * 3.322) + 64
+    if p > max_bits:
+        raise PrecisionExhausted(
+            f"gamma --digits {digits} needs {p} bits, ceiling is {max_bits}")
     while True:
         g = euler_gamma(p)
         scale = 10 ** digits
@@ -403,8 +404,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="base working precision in bits (default 192)")
     p.add_argument("--frac-bits", type=int, default=64,
                    help="certified fractional-part bits (default 64)")
-    p.add_argument("--guard-bits", type=int, default=64,
-                   help="guard bits for derived precisions (default 64)")
     p.add_argument("--max-bits", type=int, default=1 << 16,
                    help="escalation ceiling in bits (default 65536)")
     p.add_argument("--seed", type=int, default=0,

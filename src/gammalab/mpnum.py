@@ -824,13 +824,10 @@ class PrecisionPolicy:
 
     base_bits: int = 192
     frac_bits: int = 64
-    guard_bits: int = 64
     max_bits: int = 1 << 16
     auto_escalate: bool = True
     tail_eps: Optional[Fraction] = None  # override for the series cutoff
 
     def __post_init__(self):
-        if self.guard_bits < 32:
-            raise ValueError("guard_bits must be at least 32")
         if self.base_bits < 64:
             raise ValueError("base_bits must be at least 64")

@@ -229,43 +229,98 @@ class TailBound:
     remainder: Fraction
 
 
-def series_term(n: int, v: int, p: int) -> Bounded:
-    """f(v) = integral_v^infty (n!/(x...(x+n)))^2 dx, in closed form."""
-    cs = exact.scaled_square_weights(n)
-    asw = exact.scaled_residue_weights(n)
-    rat = sum((Fraction(c, v + k) for k, c in enumerate(cs)), Fraction(0))
+def series_term(n: int, v: int, p: int, asw: Optional[List[Fraction]] = None,
+                cs: Optional[List[int]] = None) -> Bounded:
+    """f(v) = integral_v^infty (n!/(x...(x+n)))^2 dx, in closed form.
+
+    ``asw`` and ``cs`` are the scaled residue and square weights of n when
+    the caller already has them.
+    """
+    if cs is None:
+        cs = exact.scaled_square_weights(n)
+    if asw is None:
+        asw = exact.scaled_residue_weights(n)
+    rat = Fraction(*_tree_sum([(c, v + k) for k, c in enumerate(cs)]))
     logs = _int_log_vec({v + k: w for k, w in enumerate(asw)})
     return b_sub(Bounded.from_fraction(rat, p), _prime_dot(logs, p), p)
 
 
-def _g_derivative(n: int, m: int, a: int, asw, cs) -> Fraction:
-    """m-th derivative at integer a of the scaled squared-product kernel.
+def _tree_sum(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """sum of num/den over integer pairs, as one unreduced (num, den).
 
-    g(x) = sum_k As_k/(x+k) + Cs_k/(x+k)^2, so the derivative is an exact
-    rational once a is an integer.
+    Summed in a balanced tree without any gcd, so operands of similar size
+    meet at every level; the caller reduces once, if at all.
     """
-    terms = []
-    for k in range(n + 1):
-        base = a + k
-        pw = base ** (m + 1)
-        terms.append(asw[k] / pw + Fraction((m + 1) * cs[k], pw * base))
-    s = _pairwise_sum(terms)
-    if m % 2:
-        s = -s
-    return exact.factorial(m) * s
+    while len(pairs) > 1:
+        nxt = [(n1 * d2 + n2 * d1, d1 * d2)
+               for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2])]
+        if len(pairs) % 2:
+            nxt.append(pairs[-1])
+        pairs = nxt
+    return pairs[0]
 
 
-def _pairwise_sum(terms: List[Fraction]) -> Fraction:
-    # summing in a balanced tree keeps most additions between small
-    # denominators; a running sum pays for the full one at every step
-    while len(terms) > 1:
-        terms = [sum(terms[i:i + 2]) for i in range(0, len(terms), 2)]
-    return terms[0] if terms else Fraction(0)
+class _EMKernel:
+    """Exact sums over the kernel g(x) = sum_k As_k/(x+k) + Cs_k/(x+k)^2.
 
+    g is the scaled integrand (n!/(x(x+1)...(x+n)))^2.  The residue weights
+    As_k are brought to one denominator ``den`` once, as the integers
+    ``num[k] = As_k den``, so every sum over k runs in integers and is
+    reduced once at the end (Haible & Papanikolaou 1998).
+    """
 
-def _em_remainder(n: int, a: int, K: int, asw, cs) -> Fraction:
-    b = abs(exact.bernoulli(2 * K + 2))
-    return b / exact.factorial(2 * K + 2) * abs(_g_derivative(n, 2 * K, a, asw, cs))
+    def __init__(self, asw: List[Fraction], cs: List[int]):
+        self.den = math.lcm(*(w.denominator for w in asw))
+        self.num = [w.numerator * (self.den // w.denominator) for w in asw]
+        self.cs = cs
+
+    def derivative_sum(self, m: int, a: int) -> Tuple[int, int]:
+        """(-1)^m g^(m)(a) / m! as an unreduced (num, den).
+
+        With b = a + k it is sum_k (A_k b + (m+1) den Cs_k) / (den b^(m+2)).
+        """
+        d, e = self.den, m + 2
+        num, den = _tree_sum([(A * (a + k) + (m + 1) * d * c, (a + k) ** e)
+                              for k, (A, c) in enumerate(zip(self.num, self.cs))])
+        return num, den * d
+
+    def em_remainder(self, a: int, K: int) -> Tuple[int, int]:
+        """|B_{2K+2}| / (2K+2)! |g^(2K)(a)| as an unreduced (num, den).
+
+        It bounds what an Euler-Maclaurin sum from a with K correction
+        terms leaves out.
+        """
+        bern = exact.bernoulli(2 * K + 2)
+        num, den = self.derivative_sum(2 * K, a)
+        return (abs(bern.numerator * num),
+                bern.denominator * (2 * K + 2) * (2 * K + 1) * den)
+
+    def em_corr(self, a: int, K: int) -> Fraction:
+        """sum_{j=1..K} B_2j / (2j)! g^(2j-2)(a), in one pass over k.
+
+        With x = 1/(a+k) it is sum_k As_k P(x) + Cs_k Q(x), where
+        P(x) = sum_j B_2j/(2j(2j-1)) x^(2j-1) and Q(x) = sum_j B_2j/(2j) x^(2j);
+        both are evaluated by Horner in b^2 = (a+k)^2 over the lcm of
+        their coefficients' denominators.
+        """
+        bern = [exact.bernoulli(2 * j) for j in range(1, K + 1)]
+        pc = [b / (2 * j * (2 * j - 1)) for j, b in enumerate(bern, 1)]
+        qc = [b / (2 * j) for j, b in enumerate(bern, 1)]
+        dq = math.lcm(*(c.denominator for c in pc + qc))
+        pc = [c.numerator * (dq // c.denominator) for c in pc]
+        qc = [c.numerator * (dq // c.denominator) for c in qc]
+        d = self.den
+        pairs = []
+        for k, (A, c) in enumerate(zip(self.num, self.cs)):
+            b = a + k
+            s = b * b
+            pn = qn = 0
+            for pj, qj in zip(pc, qc):
+                pn = pn * s + pj
+                qn = qn * s + qj
+            pairs.append((A * b * pn + d * c * qn, s ** K))
+        num, den = _tree_sum(pairs)
+        return Fraction(num, den * d * dq)
 
 
 def _log2_fraction(q: Fraction) -> int:
@@ -282,14 +337,15 @@ _EM_PADS = (32, 48, 64, 96, 128, 192, 256, 384, 512)
 _EM_TERMS = (6, 8, 10, 12, 16, 20, 24, 32)
 
 
-def _choose_cutoff(n: int, eps: Fraction, asw, cs) -> Tuple[int, int, Fraction]:
+def _choose_cutoff(n: int, eps: Fraction,
+                   kern: _EMKernel) -> Tuple[int, int, Fraction]:
     target = eps / 4
     for pad in _EM_PADS:
         v_cut = n + pad
         for K in _EM_TERMS:
-            rem = _em_remainder(n, v_cut + 1, K, asw, cs)
-            if rem <= target:
-                return v_cut, K, rem
+            num, den = kern.em_remainder(v_cut + 1, K)
+            if num * target.denominator <= target.numerator * den:
+                return v_cut, K, Fraction(num, den)
     raise PrecisionExhausted(
         f"no Euler-Maclaurin configuration reaches eps={_log2_str(eps)} at n={n}")
 
@@ -326,15 +382,16 @@ def I_series(
 
     asw = exact.scaled_residue_weights(n)
     cs = exact.scaled_square_weights(n)
-    if sum(asw, Fraction(0)) != 0:
+    kern = _EMKernel(asw, cs)
+    if sum(kern.num) != 0:
         raise exact.IdentityViolation(f"residue weights do not cancel at n={n}")
     # weights of ln(a+k) in integral_a^infty x*g(x) dx; their sum must
     # vanish for the integral to converge (g decays like x^-(2n+2))
-    wlog = [Fraction(cs[k]) - k * asw[k] for k in range(n + 1)]
-    if sum(wlog, Fraction(0)) != 0:
+    if sum(kern.den * c - k * A for k, (A, c) in enumerate(zip(kern.num, cs))):
         raise exact.IdentityViolation(f"integral log weights do not cancel at n={n}")
+    wlog = [cs[k] - k * asw[k] for k in range(n + 1)]
 
-    v_cut, em_terms, remainder = _choose_cutoff(n, eps, asw, cs)
+    v_cut, em_terms, remainder = _choose_cutoff(n, eps, kern)
     a = v_cut + 1
 
     # exact pieces, independent of working precision
@@ -343,13 +400,8 @@ def I_series(
          for k in range(n + 1)),
         Fraction(0),
     )
-    int_rat = -sum((Fraction(k * cs[k], a + k) for k in range(n + 1)), Fraction(0))
-    em_corr = sum(
-        (exact.bernoulli(2 * j) / exact.factorial(2 * j)
-         * _g_derivative(n, 2 * j - 2, a, asw, cs)
-         for j in range(1, em_terms + 1)),
-        Fraction(0),
-    )
+    int_rat = -Fraction(*_tree_sum([(k * c, a + k) for k, c in enumerate(cs)]))
+    em_corr = kern.em_corr(a, em_terms)
     # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum
     fact_w: Dict[int, Fraction] = {}
     for k, w in enumerate(asw):
@@ -367,7 +419,7 @@ def I_series(
         main = b_sub(Bounded.from_fraction(main_rat, p), _prime_dot(main_logs, p), p)
 
         # f(a); reused by the boundary and integral pieces
-        f_a = series_term(n, a, p)
+        f_a = series_term(n, a, p, asw, cs)
         # integral_a^infty f = -a f(a) - sum_k wlog_k ln(a+k) + int_rat
         integral = b_add(b_mul_int(f_a, -a, p),
                          Bounded.from_fraction(int_rat, p), p)
@@ -429,10 +481,12 @@ def _criterion_precision(n: int, d2n: int, frac_bits: int) -> int:
 
 
 def criterion_point(n: int, frac_bits: Optional[int] = None,
-                    policy: PrecisionPolicy = PrecisionPolicy()) -> CriterionPoint:
+                    policy: PrecisionPolicy = PrecisionPolicy(),
+                    s_vec: Optional[Dict[int, int]] = None) -> CriterionPoint:
     """Certified {log S_n} and Q_n, with distances to 0 and pi/(6 ln 2).
 
     The probe reports both distances and asserts neither limit.
+    ``s_vec`` is the prime vector of log S_n when the caller has it.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -445,8 +499,10 @@ def criterion_point(n: int, frac_bits: Optional[int] = None,
             f"criterion at n={n} needs {p} working bits, ceiling is "
             f"{policy.max_bits}")
     frac_target = Fraction(1, 1 << frac_bits)
+    if s_vec is None:
+        s_vec = log_S_vector(n)
     while True:
-        ls = log_S(n, p)
+        ls = _prime_dot(s_vec, p)
         try:
             floor_part, frac = frac_part_certified(ls)
             if frac.err_fraction() <= frac_target:
@@ -579,7 +635,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["I"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cp = criterion_point(n, policy.frac_bits, policy)
+    cp = criterion_point(n, policy.frac_bits, policy, s_vec)
     timings["criterion"] = time.perf_counter() - t0
 
     return SeqRecord(

@@ -3,12 +3,17 @@
 Everything here is computed in pure Fraction arithmetic with explicit
 truncation bounds, so these values owe nothing to the mpmath backend the
 package uses: ln via argument reduction plus the atanh series, pi via the
-Machin formula with alternating-series remainders.
+Machin formula with alternating-series remainders.  The Euler-Maclaurin
+kernel sums are the per-term Fraction formulas, one term and one order at
+a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from gammalab import exact
 
 
 def atanh_oracle(t: Fraction, bits: int) -> Fraction:
@@ -78,3 +83,26 @@ def pi_oracle(bits: int) -> Fraction:
 
 def close_to(value: Fraction, target: Fraction, bits: int) -> bool:
     return abs(Fraction(value) - Fraction(target)) <= Fraction(1, 2 ** bits)
+
+
+def g_derivative(m: int, a: int, asw, cs) -> Fraction:
+    """m-th derivative at integer a of g(x) = sum_k As_k/(x+k) + Cs_k/(x+k)^2."""
+    s = Fraction(0)
+    for k in range(len(cs)):
+        base = a + k
+        pw = base ** (m + 1)
+        s += asw[k] / pw + Fraction((m + 1) * cs[k], pw * base)
+    return math.factorial(m) * (-s if m % 2 else s)
+
+
+def em_remainder(a: int, K: int, asw, cs) -> Fraction:
+    """|B_{2K+2}| / (2K+2)! |g^(2K)(a)|."""
+    b = abs(exact.bernoulli(2 * K + 2))
+    return b / math.factorial(2 * K + 2) * abs(g_derivative(2 * K, a, asw, cs))
+
+
+def em_corr(a: int, K: int, asw, cs) -> Fraction:
+    """sum_{j=1..K} B_2j / (2j)! g^(2j-2)(a), one order at a time."""
+    return sum((exact.bernoulli(2 * j) / math.factorial(2 * j)
+                * g_derivative(2 * j - 2, a, asw, cs)
+                for j in range(1, K + 1)), Fraction(0))

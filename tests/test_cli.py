@@ -8,6 +8,7 @@ import os
 import pytest
 
 from gammalab import cache, cli, exact
+from gammalab import mpnum as mn
 
 
 @pytest.fixture(autouse=True)
@@ -207,6 +208,22 @@ def test_gamma_3000_digits_match_mpmath(capsys):
         ref = mpmath.nstr(mpmath.mp.euler, 3030, strip_zeros=False)
     assert len(out) == 3002
     assert out == ref[:3002]
+
+
+def test_gamma_digits_honour_max_bits(capsys, monkeypatch):
+    # 20000 digits start at 66,504 bits, past the 65,536-bit default
+    mpmath = pytest.importorskip("mpmath")
+    # a fresh table, as in a `gamma` process: the shared one holds every
+    # prime earlier tests used, and rebuilds them all at the new precision
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    assert run(["gamma", "--digits", "20000"]) == 2
+    assert "needs 66504 bits" in capsys.readouterr().err
+    assert run(["gamma", "--digits", "20000", "--max-bits", "131072"]) == 0
+    out = capsys.readouterr().out.strip()
+    with mpmath.workdps(20040):
+        ref = mpmath.nstr(mpmath.mp.euler, 20030, strip_zeros=False)
+    assert len(out) == 20002
+    assert out == ref[:20002]
 
 
 def test_decimal_digits_beyond_str_limit():

@@ -307,11 +307,8 @@ def test_escalation_soundness_gamma_and_lf():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        mn.PrecisionPolicy(guard_bits=16)
-    with pytest.raises(ValueError):
         mn.PrecisionPolicy(base_bits=32)
-    pol = mn.PrecisionPolicy()
-    assert pol.guard_bits >= 32 and pol.auto_escalate
+    assert mn.PrecisionPolicy().auto_escalate
 
 
 def test_log_factorial_concurrent_fill(monkeypatch):

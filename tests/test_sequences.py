@@ -1,6 +1,7 @@
 """Per-n quantity tests: cross-method agreement, series-vs-quadrature
 oracles, criterion probes, and record determinism."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,90 @@ def test_I_series_rejects_bad_eps():
         sq.I_series(0)
 
 
+# --- Euler-Maclaurin kernel -------------------------------------------------------
+
+def _weights(n):
+    return exact.scaled_residue_weights(n), exact.scaled_square_weights(n)
+
+
+def _kernel_derivative(kern, m, a):
+    num, den = kern.derivative_sum(m, a)
+    return (-1) ** m * math.factorial(m) * Fraction(num, den)
+
+
+def test_em_kernel_equals_fraction_oracle():
+    for n in range(61):
+        asw, cs = _weights(n)
+        kern = sq._EMKernel(asw, cs)
+        for a, m in ((n + 1, 0), (n + 33, 1), (n + 49, 12), (n + 97, 40)):
+            assert _kernel_derivative(kern, m, a) \
+                == oracles.g_derivative(m, a, asw, cs), (n, a, m)
+        for a, K in ((n + 33, 0), (n + 33, 6), (n + 65, 16), (n + 513, 24)):
+            assert kern.em_corr(a, K) == oracles.em_corr(a, K, asw, cs), (n, a, K)
+            assert Fraction(*kern.em_remainder(a, K)) \
+                == oracles.em_remainder(a, K, asw, cs), (n, a, K)
+
+
+@given(st.integers(0, 80), st.sampled_from(sq._EM_PADS), st.integers(1, 32))
+@settings(max_examples=25, deadline=None)
+def test_em_kernel_equals_fraction_oracle_property(n, pad, K):
+    asw, cs = _weights(n)
+    kern = sq._EMKernel(asw, cs)
+    a = n + pad + 1
+    assert kern.em_corr(a, K) == oracles.em_corr(a, K, asw, cs)
+    assert Fraction(*kern.em_remainder(a, K)) == oracles.em_remainder(a, K, asw, cs)
+
+
+def _oracle_cutoff(n, eps):
+    asw, cs = _weights(n)
+    for pad in sq._EM_PADS:
+        for K in sq._EM_TERMS:
+            rem = oracles.em_remainder(n + pad + 1, K, asw, cs)
+            if rem <= eps / 4:
+                return n + pad, K, rem
+    return None
+
+
+def test_choose_cutoff_equals_oracle_search():
+    pol = PrecisionPolicy()
+    cases = [(n, sq.default_series_eps(n, pol)) for n in range(1, 201)]
+    cases += [(n, eps) for n in (1, 2, 9, 30)
+              for eps in (Fraction(1, 10 ** 20), Fraction(1, 10 ** 120))]
+    for n, eps in cases:
+        kern = sq._EMKernel(*_weights(n))
+        want = _oracle_cutoff(n, eps)
+        if want is None:
+            with pytest.raises(mn.PrecisionExhausted):
+                sq._choose_cutoff(n, eps, kern)
+        else:
+            assert sq._choose_cutoff(n, eps, kern) == want, (n, eps)
+
+
+class _OracleKernel(sq._EMKernel):
+    """The kernel's interface, answered by the per-term Fraction formulas."""
+
+    def __init__(self, asw, cs):
+        super().__init__(asw, cs)
+        self.asw = asw
+
+    def em_remainder(self, a, K):
+        rem = oracles.em_remainder(a, K, self.asw, self.cs)
+        return rem.numerator, rem.denominator
+
+    def em_corr(self, a, K):
+        return oracles.em_corr(a, K, self.asw, self.cs)
+
+
+def test_I_series_equals_oracle_kernel(monkeypatch):
+    ns = (1, 7, 40, 120)
+    got = {n: sq.I_series(n) for n in ns}
+    monkeypatch.setattr(sq, "_EMKernel", _OracleKernel)
+    for n in ns:
+        (val, tb), (oval, otb) = got[n], sq.I_series(n)
+        assert (val.val, val.err) == (oval.val, oval.err), n
+        assert tb == otb, n
+
+
 # --- gamma round trip ------------------------------------------------------------
 
 def test_gamma_roundtrip_small():
@@ -290,9 +375,8 @@ def test_build_record_content_and_flags():
 
 
 def test_build_record_computes_L_once(monkeypatch):
-    # each prime vector is built once and serves both the exact identity
-    # check and its dot product; criterion_point builds log S_n's again
-    # for its own precision escalation
+    # each prime vector is built once and serves the exact identity check,
+    # its dot product and criterion_point's precision escalation
     calls = []
 
     def counted(name):
@@ -306,7 +390,7 @@ def test_build_record_computes_L_once(monkeypatch):
     for name in ("L_vector", "log_S_vector"):
         monkeypatch.setattr(sq, name, counted(name))
     rec = sq.build_record(3)
-    assert calls == [("L_vector", 3), ("log_S_vector", 3), ("log_S_vector", 3)]
+    assert calls == [("L_vector", 3), ("log_S_vector", 3)]
     p = rec.precision_bits
     direct = sq.I_closed_form(3, p)
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
