@@ -6,6 +6,13 @@ the first kind, the partial-fraction decomposition of 1/(x(x+1)...(x+n))^2,
 and the combinatorial zero-sum identities behind the Sondow decomposition
 I_n = C(2n,n)*gamma + L_n - A_n.  All functions are pure; the memo tables
 are append-only and idempotent, so concurrent use is safe.
+
+The per-n rationals are all sums c_j H_m with m <= M, so each is an exact
+integer over d_M = lcm(1..M).  :func:`scaled_harmonics` gives d_M H_j for
+j <= M in one integer pass; :func:`residue_numerators` and :func:`A_exact`
+sum over that one denominator and reduce at most once (Haible &
+Papanikolaou 1998).  :func:`harmonic` keeps the independent Fraction table
+that :func:`integrality_witness` and the identity suites check against.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ __all__ = [
     "IdentityViolation",
     "factorial",
     "binomial",
+    "binomial_row",
     "harmonic",
+    "scaled_harmonics",
     "lcm_upto",
     "bernoulli",
     "stirling1_row",
@@ -32,6 +41,7 @@ __all__ = [
     "PartialFractionCoeffs",
     "partial_fraction_coeffs",
     "partial_fraction_residual",
+    "residue_numerators",
     "scaled_residue_weights",
     "scaled_square_weights",
     "tail_log_coefficient",
@@ -59,6 +69,16 @@ def binomial(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"binomial domain error: k={k} > n={n}")
     return math.comb(n, k)
+
+
+def binomial_row(n: int) -> List[int]:
+    """[C(n,0), ..., C(n,n)] by the exact recurrence C(n,k+1) = C(n,k)(n-k)/(k+1)."""
+    if n < 0:
+        raise ValueError("binomial_row needs n >= 0")
+    row = [1] * (n + 1)
+    for k in range(n // 2):
+        row[k + 1] = row[n - k - 1] = row[k] * (n - k) // (k + 1)
+    return row
 
 
 # Memoised incrementally up to this index; larger arguments fall back to a
@@ -104,6 +124,21 @@ def lcm_upto(n: int) -> int:
                 k = len(_lcm_cache) + 1
                 _lcm_cache.append(math.lcm(_lcm_cache[-1], k))
     return _lcm_cache[n - 1]
+
+
+def scaled_harmonics(m: int) -> Tuple[int, List[int]]:
+    """(d_m, [d_m H_0, ..., d_m H_m]), exact integers in one O(m) pass.
+
+    d_m = lcm(1..m) (d_0 = 1); every j <= m divides it, so
+    d_m H_j = d_m H_{j-1} + d_m / j is an integer.
+    """
+    if m < 0:
+        raise ValueError("scaled_harmonics needs m >= 0")
+    d = lcm_upto(m) if m else 1
+    h = [0] * (m + 1)
+    for j in range(1, m + 1):
+        h[j] = h[j - 1] + d // j
+    return d, h
 
 
 _bern_even: List[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
@@ -208,24 +243,35 @@ def partial_fraction_coeffs(n: int) -> PartialFractionCoeffs:
     return PartialFractionCoeffs(n=n, a=tuple(a), b=tuple(b))
 
 
-def scaled_residue_weights(n: int) -> List[Fraction]:
-    """(n!)^2 * a_k = 2 C(n,k)^2 (H_k - H_{n-k}); integer-friendly residues.
+def residue_numerators(n: int) -> Tuple[int, List[int]]:
+    """(d_n, [d_n * 2 C(n,k)^2 (H_k - H_{n-k}) for k = 0..n]), all integers.
 
-    These are exactly the weights multiplying log((n+j)!) in the explicit
+    These are the scaled simple-pole residues (n!)^2 a_k over the one
+    denominator d_n: the weights multiplying log((n+j)!) in the explicit
     formula for L_n, and the log coefficients in the term-by-term series
     for I_n.  Swapping k and n-k negates the weight, so only k <= n/2 is
     computed.
     """
-    half = [
-        2 * binomial(n, k) ** 2 * (harmonic(k) - harmonic(n - k))
-        for k in range(n // 2 + 1)
-    ]
-    return half + [-w for w in reversed(half[:(n + 1) // 2])]
+    if n < 0:
+        raise ValueError("residue_numerators needs n >= 0")
+    d, h = scaled_harmonics(n)
+    row = binomial_row(n)
+    half = [2 * row[k] ** 2 * (h[k] - h[n - k]) for k in range(n // 2 + 1)]
+    return d, half + [-w for w in reversed(half[:(n + 1) // 2])]
+
+
+def scaled_residue_weights(n: int) -> List[Fraction]:
+    """(n!)^2 * a_k = 2 C(n,k)^2 (H_k - H_{n-k}), as Fractions.
+
+    A view of :func:`residue_numerators`.
+    """
+    d, nums = residue_numerators(n)
+    return [Fraction(a, d) for a in nums]
 
 
 def scaled_square_weights(n: int) -> List[int]:
     """(n!)^2 * b_k = C(n,k)^2."""
-    return [binomial(n, k) ** 2 for k in range(n + 1)]
+    return [c * c for c in binomial_row(n)]
 
 
 def partial_fraction_residual(n: int, x: Fraction) -> Fraction:
@@ -275,20 +321,30 @@ def tail_log_coefficient_reduced(n: int) -> Fraction:
 
 
 def A_exact(n: int) -> Fraction:
-    """A_n = sum_j C(n,j)^2 H_{n+j}, the rational part of the decomposition."""
+    """A_n = sum_j C(n,j)^2 H_{n+j}, the rational part of the decomposition.
+
+    Summed as integers over d_{2n} and reduced once.
+    """
     if n < 0:
         raise ValueError("A_exact needs n >= 0")
-    return sum(
-        (binomial(n, j) ** 2 * harmonic(n + j) for j in range(n + 1)),
-        Fraction(0),
-    )
+    d, h = scaled_harmonics(2 * n)
+    return Fraction(sum(c * c * h[n + j] for j, c in enumerate(binomial_row(n))), d)
 
 
 def integrality_witness(n: int) -> int:
-    """d_{2n} * A_n, which is always an exact integer; raises if not."""
+    """d_{2n} * A_n, which is always an exact integer; raises if not.
+
+    The sum is taken from the Fraction harmonic table, independently of
+    :func:`A_exact` (which is an integer over d_{2n} by construction), and
+    must also equal d_{2n} * A_exact(n).
+    """
     if n < 1:
         raise ValueError("integrality_witness needs n >= 1")
-    v = lcm_upto(2 * n) * A_exact(n)
+    d = lcm_upto(2 * n)
+    v = d * sum((binomial(n, j) ** 2 * harmonic(n + j) for j in range(n + 1)),
+                Fraction(0))
     if v.denominator != 1:
         raise IdentityViolation(f"d_{{2n}} * A_n not an integer at n={n}: {v}")
+    if v != d * A_exact(n):
+        raise IdentityViolation(f"A_exact disagrees with the harmonic sum at n={n}")
     return v.numerator

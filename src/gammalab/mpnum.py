@@ -28,7 +28,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from mpmath import mp
@@ -377,7 +376,8 @@ class PrimeLogTable:
     square root).  A process therefore rebuilds each O(log) times however
     many logs it takes; ``builds`` and ``sieves`` count the rebuilds.
     Entries are added one prime at a time, each from entries already
-    present.
+    present.  A rebuild drops every entry, so it costs only the primes
+    (and their q-1 chains) asked for after it.
     """
 
     def __init__(self) -> None:
@@ -444,13 +444,10 @@ class PrimeLogTable:
         self._logs[q] = (x, e)
 
     def _rebuild(self, prec: int) -> None:
-        known = sorted(self._logs)
+        # entries come back on demand, from the primes asked for next
         self.prec = prec
         self.builds += 1
         self._logs = {}
-        for q in known:
-            if q not in self._logs:
-                self._add(q)
 
     def floor_logs(self, primes: Iterable[int], w: int) -> Dict[int, int]:
         """{q: floor(2^w ln q)} for primes q, exactly."""
@@ -476,9 +473,12 @@ class PrimeLogTable:
 _TABLE = PrimeLogTable()
 
 Coeff = Union[int, Fraction]
+# (D, {key: a}): the rational vector {key: a / D} as integers over one
+# denominator D, not necessarily the least; zero entries are left out
+IntVec = Tuple[int, Dict[int, int]]
 
 
-def _integer_weights(weights: Mapping[int, Coeff]) -> Tuple[int, Dict[int, int]]:
+def _integer_weights(weights: Mapping[int, Coeff]) -> IntVec:
     # (D, {x: D * w_x}) with D the least common denominator
     den = 1
     for w in weights.values():
@@ -487,10 +487,11 @@ def _integer_weights(weights: Mapping[int, Coeff]) -> Tuple[int, Dict[int, int]]
                  for x, w in weights.items() if w}
 
 
-def _scaled_vec(acc: Dict[int, int], den: int) -> Dict[int, Coeff]:
+def _scaled_vec(den: int, acc: Dict[int, int]) -> Dict[int, Coeff]:
+    # the mapping view of a pair
     if den == 1:
-        return {q: c for q, c in acc.items() if c}
-    return {q: Fraction(c, den) for q, c in acc.items() if c}
+        return acc
+    return {q: Fraction(c, den) for q, c in acc.items()}
 
 
 def _legendre(m: int, q: int) -> int:
@@ -502,28 +503,33 @@ def _legendre(m: int, q: int) -> int:
     return v
 
 
-def _int_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
-    """Prime vector of sum_x w_x ln x over integers x >= 1."""
-    den, ints = _integer_weights(weights)
+def _int_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
+    """Prime vector of sum_x (a_x / den) ln x over integers x >= 1."""
     acc: Dict[int, int] = {}
     for x, a in ints.items():
-        for q, e in _TABLE.factor(x):
-            acc[q] = acc.get(q, 0) + a * e
-    return _scaled_vec(acc, den)
+        if a:
+            for q, e in _TABLE.factor(x):
+                acc[q] = acc.get(q, 0) + a * e
+    return den, {q: c for q, c in acc.items() if c}
 
 
-def _factorial_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
-    """Prime vector of sum_m w_m ln(m!) over integers m >= 0.
+def _int_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
+    """Prime vector of sum_x w_x ln x over integers x >= 1."""
+    return _scaled_vec(*_int_log_pair(*_integer_weights(weights)))
+
+
+def _factorial_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
+    """Prime vector of sum_m (a_m / den) ln(m!) over integers m >= 0.
 
     With m0 the smallest m, ln(m!) = ln(m0!) + sum_{m0 < x <= m} ln x, so
     the total weight goes to Legendre's vector of m0! and each x in
     (m0, max m] carries the weight of every m >= x.
     """
-    den, ints = _integer_weights(weights)
+    ints = {m: a for m, a in ints.items() if a}
     ms = sorted(ints)
     acc: Dict[int, int] = {}
     if not ms:
-        return acc
+        return den, acc
     suffix = sum(ints.values())
     if suffix:
         for q in _TABLE.primes_upto(ms[0]):
@@ -536,18 +542,25 @@ def _factorial_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
         if suffix:
             for q, e in _TABLE.factor(x):
                 acc[q] = acc.get(q, 0) + suffix * e
-    return _scaled_vec(acc, den)
+    return den, {q: c for q, c in acc.items() if c}
 
 
-def _prime_dot(vec: Mapping[int, Coeff], p: int) -> Bounded:
+def _factorial_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
+    """Prime vector of sum_m w_m ln(m!) over integers m >= 0."""
+    return _scaled_vec(*_factorial_log_pair(*_integer_weights(weights)))
+
+
+def _prime_dot(vec: Union[Mapping[int, Coeff], IntVec], p: int) -> Bounded:
     """sum_q c_q ln q for an exact vector {q: c_q}, rounded to p bits.
 
-    With D the common denominator, a_q = D c_q and f_q = floor(2^w ln q),
-    each 2^w ln q - f_q lies in [0, 1), so s = sum_q a_q f_q is within
-    sum_q |a_q| of D 2^w sum_q c_q ln q.  The bound is that, over D 2^w,
-    plus the rounding of s / (D 2^w) to p bits.
+    ``vec`` is a mapping {q: c_q} or a pair (D, {q: a_q}) with c_q = a_q / D.
+    With a_q = D c_q and f_q = floor(2^w ln q), each 2^w ln q - f_q lies in
+    [0, 1), so s = sum_q a_q f_q is within sum_q |a_q| of D 2^w sum_q c_q ln q.
+    The bound is that, over D 2^w, plus the rounding of s / (D 2^w) to p
+    bits.  Scaling D and every a_q by one integer leaves both rationals, and
+    so the result, unchanged.
     """
-    den, ints = _integer_weights(vec)
+    den, ints = vec if isinstance(vec, tuple) else _integer_weights(vec)
     w = p + _DOT_GUARD
     logs = _TABLE.floor_logs(ints, w) if ints else {}
     s = sum(a * logs[q] for q, a in ints.items())
@@ -595,7 +608,6 @@ def _const_cached(name: str, p: int, compute):
     return b
 
 
-@lru_cache(maxsize=256)
 def pi_const(p: int) -> Bounded:
     def compute():
         v = mpf_pi(p + 10)

@@ -47,10 +47,12 @@ from .mpnum import (
     frac_part_certified,
     pi_const,
     ln2_const,
-    _factorial_log_vec,
+    IntVec,
+    _factorial_log_pair,
     _fraction_to_raw_up,
-    _int_log_vec,
+    _int_log_pair,
     _prime_dot,
+    _scaled_vec,
     _up_add,
 )
 
@@ -94,21 +96,26 @@ def _d2n(n: int) -> int:
     return d
 
 
+def _L_pair(n: int) -> IntVec:
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    d, nums = exact.residue_numerators(n)
+    return _factorial_log_pair(d, {n + j: a for j, a in enumerate(nums)})
+
+
 def L_vector(n: int) -> Dict[int, Fraction]:
     """Exact prime vector of L_n = sum_j 2 C(n,j)^2 (H_j - H_{n-j}) ln((n+j)!).
 
     The weights are exactly the scaled simple-pole residues of the
-    partial-fraction decomposition; the factorials go through Legendre.
+    partial-fraction decomposition, as integers over d_n; the factorials
+    go through Legendre.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    weights = exact.scaled_residue_weights(n)
-    return _factorial_log_vec({n + j: w for j, w in enumerate(weights)})
+    return _scaled_vec(*_L_pair(n))
 
 
 def L_from_factorial_logs(n: int, p: int) -> Bounded:
     """L_n from the explicit log-factorial sum (see :func:`L_vector`)."""
-    return _prime_dot(L_vector(n), p)
+    return _prime_dot(_L_pair(n), p)
 
 
 def log_S_exponents(n: int) -> List[int]:
@@ -135,9 +142,10 @@ def log_S_exponents(n: int) -> List[int]:
     # weight of ln(n+k) for a given i: sum_{j=i+1..n-i} quot[j]
     half = [0] * (n // 2 + 1)
     acc = 0
+    row = exact.binomial_row(n)
     for i in range(n // 2 + 1):
         if i + 1 <= n - i:
-            acc += exact.binomial(n, i) ** 2 * (prefix[n - i] - prefix[i])
+            acc += row[i] ** 2 * (prefix[n - i] - prefix[i])
         half[i] = acc
     return [half[min(k - 1, n - k, n // 2)] for k in range(1, n + 1)]
 
@@ -145,12 +153,12 @@ def log_S_exponents(n: int) -> List[int]:
 def log_S_vector(n: int) -> Dict[int, int]:
     """Exact prime vector of log S_n: c_q = sum_k E_k v_q(n+k)."""
     expo = log_S_exponents(n)
-    return _int_log_vec({n + k: e for k, e in enumerate(expo, 1)})
+    return _int_log_pair(1, {n + k: e for k, e in enumerate(expo, 1)})[1]
 
 
 def log_S(n: int, p: int) -> Bounded:
     """log S_n as a certified float (S_n itself is astronomically large)."""
-    return _prime_dot(log_S_vector(n), p)
+    return _prime_dot((1, log_S_vector(n)), p)
 
 
 def check_L_identity(n: int, l_vec: Optional[Dict[int, Fraction]] = None,
@@ -166,8 +174,9 @@ def check_L_identity(n: int, l_vec: Optional[Dict[int, Fraction]] = None,
     if s_vec is None:
         s_vec = log_S_vector(n)
     d2n = _d2n(n)
-    lhs = {q: d2n * c for q, c in l_vec.items()}
-    if lhs != s_vec:
+    if l_vec.keys() != s_vec.keys() or any(
+            d2n * c.numerator != s_vec[q] * c.denominator
+            for q, c in l_vec.items()):
         raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
 
 
@@ -193,10 +202,12 @@ def closed_form_floor(n: int) -> int:
     return 6 * n + 64
 
 
-def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None) -> Bounded:
+def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None,
+                  a_n: Optional[Fraction] = None) -> Bounded:
     """I_n = C(2n,n) gamma + L_n - A_n (closed form; the cross-check route).
 
-    ``l_n`` is L_n at precision p when the caller already has it.
+    ``l_n`` is L_n at precision p and ``a_n`` is A_n when the caller
+    already has them.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -208,8 +219,9 @@ def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None) -> Bounded:
     g = b_mul_int(euler_gamma(p), math.comb(2 * n, n), p)
     if l_n is None:
         l_n = L_from_factorial_logs(n, p)
-    a = Bounded.from_fraction(exact.A_exact(n), p)
-    return b_sub(b_add(g, l_n, p), a, p)
+    if a_n is None:
+        a_n = exact.A_exact(n)
+    return b_sub(b_add(g, l_n, p), Bounded.from_fraction(a_n, p), p)
 
 
 # --- series route --------------------------------------------------------
@@ -229,19 +241,19 @@ class TailBound:
     remainder: Fraction
 
 
-def series_term(n: int, v: int, p: int, asw: Optional[List[Fraction]] = None,
+def series_term(n: int, v: int, p: int,
+                res: Optional[Tuple[int, List[int]]] = None,
                 cs: Optional[List[int]] = None) -> Bounded:
     """f(v) = integral_v^infty (n!/(x...(x+n)))^2 dx, in closed form.
 
-    ``asw`` and ``cs`` are the scaled residue and square weights of n when
-    the caller already has them.
+    ``res`` (:func:`exact.residue_numerators`) and ``cs`` are the scaled
+    residue and square weights of n when the caller already has them.
     """
     if cs is None:
         cs = exact.scaled_square_weights(n)
-    if asw is None:
-        asw = exact.scaled_residue_weights(n)
+    d, nums = res if res is not None else exact.residue_numerators(n)
     rat = Fraction(*_tree_sum([(c, v + k) for k, c in enumerate(cs)]))
-    logs = _int_log_vec({v + k: w for k, w in enumerate(asw)})
+    logs = _int_log_pair(d, {v + k: a for k, a in enumerate(nums)})
     return b_sub(Bounded.from_fraction(rat, p), _prime_dot(logs, p), p)
 
 
@@ -264,14 +276,15 @@ class _EMKernel:
     """Exact sums over the kernel g(x) = sum_k As_k/(x+k) + Cs_k/(x+k)^2.
 
     g is the scaled integrand (n!/(x(x+1)...(x+n)))^2.  The residue weights
-    As_k are brought to one denominator ``den`` once, as the integers
-    ``num[k] = As_k den``, so every sum over k runs in integers and is
-    reduced once at the end (Haible & Papanikolaou 1998).
+    As_k arrive over one denominator ``den``, as the integers
+    ``num[k] = As_k den`` of :func:`exact.residue_numerators`, so every sum
+    over k runs in integers and is reduced once at the end (Haible &
+    Papanikolaou 1998).
     """
 
-    def __init__(self, asw: List[Fraction], cs: List[int]):
-        self.den = math.lcm(*(w.denominator for w in asw))
-        self.num = [w.numerator * (self.den // w.denominator) for w in asw]
+    def __init__(self, den: int, num: List[int], cs: List[int]):
+        self.den = den
+        self.num = num
         self.cs = cs
 
     def derivative_sum(self, m: int, a: int) -> Tuple[int, int]:
@@ -367,10 +380,10 @@ def I_series(
     """Certified series evaluation of I_n with total error below eps.
 
     Terms v = n+1 .. V are summed in closed form (their rational parts
-    folded into a single exact harmonic-number sum, the log parts into
-    one exact prime vector of log-factorial differences); the tail past V
-    is summed by Euler-Maclaurin with exact rational correction terms and
-    a certified remainder.
+    folded into a single exact harmonic-number sum over d_{V+n}, the log
+    parts into one exact prime vector of log-factorial differences); the
+    tail past V is summed by Euler-Maclaurin with exact rational
+    correction terms and a certified remainder.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -380,35 +393,34 @@ def I_series(
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    asw = exact.scaled_residue_weights(n)
+    res = exact.residue_numerators(n)
+    d, nums = res
     cs = exact.scaled_square_weights(n)
-    kern = _EMKernel(asw, cs)
-    if sum(kern.num) != 0:
+    kern = _EMKernel(d, nums, cs)
+    if sum(nums) != 0:
         raise exact.IdentityViolation(f"residue weights do not cancel at n={n}")
-    # weights of ln(a+k) in integral_a^infty x*g(x) dx; their sum must
+    # d * (weights of ln(a+k) in integral_a^infty x*g(x) dx); their sum must
     # vanish for the integral to converge (g decays like x^-(2n+2))
-    if sum(kern.den * c - k * A for k, (A, c) in enumerate(zip(kern.num, cs))):
+    wlog = [d * c - k * A for k, (A, c) in enumerate(zip(nums, cs))]
+    if sum(wlog):
         raise exact.IdentityViolation(f"integral log weights do not cancel at n={n}")
-    wlog = [cs[k] - k * asw[k] for k in range(n + 1)]
 
     v_cut, em_terms, remainder = _choose_cutoff(n, eps, kern)
     a = v_cut + 1
 
     # exact pieces, independent of working precision
-    main_rat = sum(
-        (cs[k] * (exact.harmonic(v_cut + k) - exact.harmonic(n + k))
-         for k in range(n + 1)),
-        Fraction(0),
-    )
+    hd, h = exact.scaled_harmonics(v_cut + n)
+    main_rat = Fraction(sum(c * (h[v_cut + k] - h[n + k]) for k, c in enumerate(cs)),
+                        hd)
     int_rat = -Fraction(*_tree_sum([(k * c, a + k) for k, c in enumerate(cs)]))
     em_corr = kern.em_corr(a, em_terms)
     # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum
-    fact_w: Dict[int, Fraction] = {}
-    for k, w in enumerate(asw):
-        fact_w[v_cut + k] = fact_w.get(v_cut + k, 0) + w
-        fact_w[n + k] = fact_w.get(n + k, 0) - w
-    main_logs = _factorial_log_vec(fact_w)
-    int_logs = _int_log_vec({a + k: w for k, w in enumerate(wlog)})
+    fact_w: Dict[int, int] = {}
+    for k, A in enumerate(nums):
+        fact_w[v_cut + k] = fact_w.get(v_cut + k, 0) + A
+        fact_w[n + k] = fact_w.get(n + k, 0) - A
+    main_logs = _factorial_log_pair(d, fact_w)
+    int_logs = _int_log_pair(d, {a + k: w for k, w in enumerate(wlog)})
 
     p = max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
     if p > policy.max_bits:
@@ -419,7 +431,7 @@ def I_series(
         main = b_sub(Bounded.from_fraction(main_rat, p), _prime_dot(main_logs, p), p)
 
         # f(a); reused by the boundary and integral pieces
-        f_a = series_term(n, a, p, asw, cs)
+        f_a = series_term(n, a, p, res, cs)
         # integral_a^infty f = -a f(a) - sum_k wlog_k ln(a+k) + int_rat
         integral = b_add(b_mul_int(f_a, -a, p),
                          Bounded.from_fraction(int_rat, p), p)
@@ -502,7 +514,7 @@ def criterion_point(n: int, frac_bits: Optional[int] = None,
     if s_vec is None:
         s_vec = log_S_vector(n)
     while True:
-        ls = _prime_dot(s_vec, p)
+        ls = _prime_dot((1, s_vec), p)
         try:
             floor_part, frac = frac_part_certified(ls)
             if frac.err_fraction() <= frac_target:
@@ -543,16 +555,16 @@ def tail_probe(n: int, r: int, p: int) -> Bounded:
     if n < 1 or r < 1:
         raise ValueError("n >= 1 and r >= 1 required")
     wp = p + 2 * n + r.bit_length() + 32
-    neg_as = [-w for w in exact.scaled_residue_weights(n)]  # 2C^2(H_{n-j}-H_j)
-    suffix = list(neg_as)
+    d, nums = exact.residue_numerators(n)
+    suffix = [-a for a in nums]  # d * 2C^2(H_{n-j}-H_j)
     for j in range(n - 1, -1, -1):
         suffix[j] += suffix[j + 1]
     if suffix[0] != 0:
         raise exact.IdentityViolation("probe weights do not cancel")
     weights = {n + r + i: suffix[i] for i in range(1, n + 1)}
     for j, c in enumerate(exact.scaled_square_weights(n)):
-        weights[n + j + r] = weights.get(n + j + r, 0) + c
-    return _prime_dot(_int_log_vec(weights), wp)
+        weights[n + j + r] = weights.get(n + j + r, 0) + d * c
+    return _prime_dot(_int_log_pair(d, weights), wp)
 
 
 def A_approx(n: int, p: int) -> Bounded:
@@ -622,13 +634,13 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     s_vec = log_S_vector(n)
     check_L_identity(n, l_vec, s_vec)
     l_log = _prime_dot(l_vec, p)
-    ls = _prime_dot(s_vec, p)
+    ls = _prime_dot((1, s_vec), p)
     l_prod = b_div(ls, Bounded.exact_int(d2n), p)
     l_agree = agrees(l_log, l_prod)
     timings["L"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    i_closed = I_closed_form(n, p, l_log)
+    i_closed = I_closed_form(n, p, l_log, a_ex)
     i_ser, tail = I_series(n, policy=policy)
     i_agree = agrees(i_closed, i_ser)
     i_positive = i_ser.value_fraction() - i_ser.err_fraction() > 0

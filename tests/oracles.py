@@ -4,8 +4,8 @@ Everything here is computed in pure Fraction arithmetic with explicit
 truncation bounds, so these values owe nothing to the mpmath backend the
 package uses: ln via argument reduction plus the atanh series, pi via the
 Machin formula with alternating-series remainders.  The Euler-Maclaurin
-kernel sums are the per-term Fraction formulas, one term and one order at
-a time.
+kernel sums, the residue weights and A_n are the per-term Fraction
+formulas over the harmonic table, one term (and one order) at a time.
 """
 
 from __future__ import annotations
@@ -106,3 +106,15 @@ def em_corr(a: int, K: int, asw, cs) -> Fraction:
     return sum((exact.bernoulli(2 * j) / math.factorial(2 * j)
                 * g_derivative(2 * j - 2, a, asw, cs)
                 for j in range(1, K + 1)), Fraction(0))
+
+
+def residue_weights(n: int):
+    """[2 C(n,k)^2 (H_k - H_{n-k}) for k = 0..n], term by term."""
+    return [2 * math.comb(n, k) ** 2 * (exact.harmonic(k) - exact.harmonic(n - k))
+            for k in range(n + 1)]
+
+
+def A_sum(n: int) -> Fraction:
+    """A_n = sum_j C(n,j)^2 H_{n+j}, a running Fraction sum."""
+    return sum((math.comb(n, j) ** 2 * exact.harmonic(n + j) for j in range(n + 1)),
+               Fraction(0))

@@ -4,6 +4,7 @@ fault injection, exit codes, and manifests."""
 import csv
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,19 @@ def test_verify_L_identity_fault_injection(monkeypatch, capsys):
     assert run(["verify", "--n-max", "5"]) == 1
     text = capsys.readouterr().out
     assert "FAIL L_prime_vector_identity" in text and "n=3" in text
+
+
+def test_verify_integrality_fault_injection(monkeypatch, capsys):
+    real = exact.A_exact
+
+    def corrupted(n):
+        a = real(n)
+        return a + Fraction(1, exact.lcm_upto(2 * n)) if n == 4 else a
+
+    monkeypatch.setattr(exact, "A_exact", corrupted)
+    assert run(["verify", "--n-max", "6"]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL integrality_d2n_A" in text and "n=4" in text
 
 
 # --- table ---------------------------------------------------------------------
@@ -254,14 +268,21 @@ def test_cache_corruption_is_recomputed(tmp_path):
     base = ["table", "--n", "1..2", "--jobs", "1", "--cache-dir", str(cdir)]
     assert run(base + ["--out", str(o1)]) == 0
     files = list(cdir.iterdir())
-    # d_n entries always; pi's only if this process has not computed it yet
-    assert "d_n.jsonl" in {f.name for f in files}
+    assert {"d_n.jsonl", "constant.jsonl"} <= {f.name for f in files}
     # flip digits inside every cached payload
     for f in files:
         text = f.read_text()
         f.write_text(text.replace("1", "2"))
     assert run(base + ["--out", str(o2)]) == 0
     assert read_bytes(o1) == read_bytes(o2)
+
+
+def test_pi_held_in_process_is_still_cached(tmp_path):
+    mn.pi_const(192)  # the criterion threshold of every table row needs it
+    cdir = tmp_path / "cache"
+    assert run(["table", "--n", "1..2", "--jobs", "1", "--cache-dir", str(cdir),
+                "--out", str(tmp_path / "t.csv")]) == 0
+    assert (cdir / "constant.jsonl").exists()
 
 
 def test_cache_roundtrip_unit(tmp_path):

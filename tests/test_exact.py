@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gammalab import exact
 
 
@@ -227,14 +228,22 @@ def test_scaled_coefficient_coherence(n):
 
 
 def test_scaled_residue_weights_direct_formula():
-    # the mirrored half equals 2 C(n,k)^2 (H_k - H_{n-k}) at every k
-    for n in range(61):
-        direct = [
-            2 * exact.binomial(n, k) ** 2
-            * (exact.harmonic(k) - exact.harmonic(n - k))
-            for k in range(n + 1)
-        ]
-        assert exact.scaled_residue_weights(n) == direct, n
+    # the mirrored half over d_n equals 2 C(n,k)^2 (H_k - H_{n-k}) at every k
+    for n in range(201):
+        assert exact.residue_numerators(n)[0] == (exact.lcm_upto(n) if n else 1)
+        assert exact.scaled_residue_weights(n) == oracles.residue_weights(n), n
+
+
+def test_binomial_row_recurrence():
+    for n in range(201):
+        assert exact.binomial_row(n) == [exact.binomial(n, k) for k in range(n + 1)], n
+
+
+def test_scaled_harmonics_equal_fraction_table():
+    for m in range(601):
+        d, h = exact.scaled_harmonics(m)
+        assert d == (exact.lcm_upto(m) if m else 1)
+        assert h == [d * exact.harmonic(j) for j in range(m + 1)], m
 
 
 # --- zero-sum identities ----------------------------------------------------
@@ -279,6 +288,11 @@ def test_A_values():
     assert exact.A_exact(1) == Fraction(5, 2)
     assert exact.A_exact(1) == exact.harmonic(1) + exact.harmonic(2)
     assert exact.A_exact(2) == Fraction(131, 12)
+
+
+def test_A_exact_equals_fraction_sum():
+    for n in range(201):
+        assert exact.A_exact(n) == oracles.A_sum(n), n
 
 
 def test_integrality_witness_values():

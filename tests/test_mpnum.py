@@ -427,6 +427,46 @@ def test_prime_table_grows_geometrically(monkeypatch):
     assert calls == 240
 
 
+def _prime_factors(k):
+    return {d for d in range(2, k + 1) if k % d == 0
+            and all(d % e for e in range(2, int(d ** 0.5) + 1))}
+
+
+def test_prime_table_rebuild_is_lazy():
+    table = mn.PrimeLogTable()
+    table.floor_logs(_sample_primes(40, 2000, seed=1), 100)
+    table._rebuild(2 * table.prec)
+    assert table._logs == {} and table.builds == 2
+    asked = [13, 101, 499, 1999]
+    got = table.floor_logs(asked, 200)
+    # only the primes asked for since, and the primes of each q-1 chain
+    chain, todo = set(), list(asked)
+    while todo:
+        q = todo.pop()
+        if q not in chain:
+            chain.add(q)
+            todo += _prime_factors(q - 1)
+    assert set(table._logs) == chain
+    fresh = mn.PrimeLogTable()
+    assert got == fresh.floor_logs(asked, 200)
+    assert table.floor_logs(sorted(chain), 150) == fresh.floor_logs(sorted(chain), 150)
+
+
+_SMALL_PRIMES = [q for q in range(2, 400) if _prime_factors(q) == {q}]
+
+
+@given(st.dictionaries(st.sampled_from(_SMALL_PRIMES),
+                       st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)
+                       .filter(bool), max_size=12),
+       st.integers(1, 10 ** 12), st.sampled_from([64, 192, 700]))
+@settings(max_examples=40, deadline=None)
+def test_prime_dot_of_scaled_pair_equals_fraction_dict(vec, k, p):
+    den, ints = mn._integer_weights(vec)
+    got = mn._prime_dot((k * den, {q: k * a for q, a in ints.items()}), p)
+    want = mn._prime_dot(vec, p)
+    assert (got.val, got.err) == (want.val, want.err)
+
+
 def test_prime_dot_independent_of_table_history(monkeypatch):
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     a = mn.ln_int(9991, 300)

@@ -195,7 +195,11 @@ def test_I_series_rejects_bad_eps():
 # --- Euler-Maclaurin kernel -------------------------------------------------------
 
 def _weights(n):
-    return exact.scaled_residue_weights(n), exact.scaled_square_weights(n)
+    return oracles.residue_weights(n), exact.scaled_square_weights(n)
+
+
+def _kernel(n):
+    return sq._EMKernel(*exact.residue_numerators(n), exact.scaled_square_weights(n))
 
 
 def _kernel_derivative(kern, m, a):
@@ -206,7 +210,7 @@ def _kernel_derivative(kern, m, a):
 def test_em_kernel_equals_fraction_oracle():
     for n in range(61):
         asw, cs = _weights(n)
-        kern = sq._EMKernel(asw, cs)
+        kern = _kernel(n)
         for a, m in ((n + 1, 0), (n + 33, 1), (n + 49, 12), (n + 97, 40)):
             assert _kernel_derivative(kern, m, a) \
                 == oracles.g_derivative(m, a, asw, cs), (n, a, m)
@@ -220,7 +224,7 @@ def test_em_kernel_equals_fraction_oracle():
 @settings(max_examples=25, deadline=None)
 def test_em_kernel_equals_fraction_oracle_property(n, pad, K):
     asw, cs = _weights(n)
-    kern = sq._EMKernel(asw, cs)
+    kern = _kernel(n)
     a = n + pad + 1
     assert kern.em_corr(a, K) == oracles.em_corr(a, K, asw, cs)
     assert Fraction(*kern.em_remainder(a, K)) == oracles.em_remainder(a, K, asw, cs)
@@ -242,7 +246,7 @@ def test_choose_cutoff_equals_oracle_search():
     cases += [(n, eps) for n in (1, 2, 9, 30)
               for eps in (Fraction(1, 10 ** 20), Fraction(1, 10 ** 120))]
     for n, eps in cases:
-        kern = sq._EMKernel(*_weights(n))
+        kern = _kernel(n)
         want = _oracle_cutoff(n, eps)
         if want is None:
             with pytest.raises(mn.PrecisionExhausted):
@@ -254,9 +258,9 @@ def test_choose_cutoff_equals_oracle_search():
 class _OracleKernel(sq._EMKernel):
     """The kernel's interface, answered by the per-term Fraction formulas."""
 
-    def __init__(self, asw, cs):
-        super().__init__(asw, cs)
-        self.asw = asw
+    def __init__(self, den, num, cs):
+        super().__init__(den, num, cs)
+        self.asw = [Fraction(a, den) for a in num]
 
     def em_remainder(self, a, K):
         rem = oracles.em_remainder(a, K, self.asw, self.cs)
@@ -389,8 +393,15 @@ def test_build_record_computes_L_once(monkeypatch):
 
     for name in ("L_vector", "log_S_vector"):
         monkeypatch.setattr(sq, name, counted(name))
+    real_a = exact.A_exact
+
+    def counted_a(n):
+        calls.append(("A_exact", n))
+        return real_a(n)
+
+    monkeypatch.setattr(exact, "A_exact", counted_a)
     rec = sq.build_record(3)
-    assert calls == [("L_vector", 3), ("log_S_vector", 3)]
+    assert calls == [("A_exact", 3), ("L_vector", 3), ("log_S_vector", 3)]
     p = rec.precision_bits
     direct = sq.I_closed_form(3, p)
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
