@@ -14,7 +14,6 @@ from gammalab import cli
 def main() -> int:
     out = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "out")
     out.mkdir(parents=True, exist_ok=True)
-    cachedir = str(out / "cache")
 
     steps = [
         ["verify", "--n-max", "200", "--out", str(out / "verify.json")],
@@ -29,7 +28,7 @@ def main() -> int:
     ]
     for step in steps:
         print(f"$ gammalab {' '.join(step)}")
-        code = cli.main(step + ["--cache-dir", cachedir])
+        code = cli.main(step)
         if code != 0:
             print(f"step failed with exit code {code}", file=sys.stderr)
             return code

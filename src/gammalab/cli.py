@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import to_str
 
-from . import __version__, asymptotics, cache, exact, sequences, verify
+from . import __version__, asymptotics, exact, sequences, verify
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -78,13 +78,15 @@ def _parse_eps(text: str) -> Fraction:
     return v
 
 
+def _policy_fields(args) -> Dict[str, int]:
+    """The PrecisionPolicy fields this subcommand has options for."""
+    return {f: getattr(args, f) for f in ("base_bits", "frac_bits", "max_bits")
+            if hasattr(args, f)}
+
+
 def _policy(args) -> PrecisionPolicy:
-    return PrecisionPolicy(
-        base_bits=args.bits,
-        frac_bits=args.frac_bits,
-        max_bits=args.max_bits,
-        tail_eps=getattr(args, "tail_eps", None),
-    )
+    return PrecisionPolicy(tail_eps=getattr(args, "tail_eps", None),
+                           **_policy_fields(args))
 
 
 def _val(b: Bounded) -> str:
@@ -95,8 +97,24 @@ def _err(b: Bounded) -> str:
     return b.err_decimal(_ERR_DPS)
 
 
+def _decimal_digits(x: int, width: int = 0) -> str:
+    """x >= 0 in decimal, zero-padded to at least `width` digits.
+
+    Equals str(x).rjust(width, "0") for short x.  str() refuses integers
+    longer than sys.get_int_max_str_digits() (4300 by default), so long
+    ones are split in halves first.
+    """
+    if x.bit_length() <= 3000:
+        return str(x).rjust(width, "0")
+    # k is about half of x's digit count (or of width), so hi > 0 or is padded
+    k = max(width, int(x.bit_length() * 0.30103)) // 2
+    hi, lo = divmod(x, 10 ** k)
+    return _decimal_digits(hi, width - k) + _decimal_digits(lo, k)
+
+
 def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    num = _decimal_digits(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_decimal_digits(q.denominator)}"
 
 
 TABLE_COLUMNS = [
@@ -129,7 +147,7 @@ def _table_row(rec: sequences.SeqRecord) -> Dict[str, str]:
         "status": "ok",
         "precision_bits": str(rec.precision_bits),
         "a_exact": _frac_str(rec.a_exact),
-        "d2n": str(rec.d2n),
+        "d2n": _decimal_digits(rec.d2n),
         "L_logfact": _val(rec.L_logfact),
         "L_logfact_err": _err(rec.L_logfact),
         "L_product": _val(rec.L_product),
@@ -146,7 +164,7 @@ def _table_row(rec: sequences.SeqRecord) -> Dict[str, str]:
         "tail_cutoff": str(rec.tail.cutoff),
         "tail_em_terms": str(rec.tail.em_terms),
         "tail_remainder": to_str(_fraction_to_raw_up(rec.tail.remainder), _ERR_DPS),
-        "log_s_floor": str(rec.log_s_floor),
+        "log_s_floor": _decimal_digits(rec.log_s_floor),
         "frac_log_s": _val(rec.frac_log_s),
         "frac_log_s_err": _err(rec.frac_log_s),
         "q": _val(rec.q),
@@ -174,7 +192,7 @@ def _criterion_row(cp: sequences.CriterionPoint, d2n_bits: int) -> Dict[str, str
         "d2n_bits": str(d2n_bits),
         "log_s": _val(cp.log_s),
         "log_s_err": _err(cp.log_s),
-        "log_s_floor": str(cp.log_s_floor),
+        "log_s_floor": _decimal_digits(cp.log_s_floor),
         "frac_log_s": _val(cp.frac),
         "frac_log_s_err": _err(cp.frac),
         "q": _val(cp.q),
@@ -231,14 +249,10 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
         "version": __version__,
         "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
-        "policy": {
-            "base_bits": args.bits,
-            "frac_bits": args.frac_bits,
-            "max_bits": args.max_bits,
-        },
-        "seed": getattr(args, "seed", None),
-        "cache_dir": args.cache_dir,
+        "policy": _policy_fields(args),
     }
+    if hasattr(args, "seed"):
+        manifest["seed"] = args.seed
     manifest.update(extra)
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -351,18 +365,6 @@ def _cmd_asym(args) -> int:
     return EXIT_OK
 
 
-def _decimal_digits(x: int, width: int) -> str:
-    """0 <= x < 10^width as exactly `width` decimal digits.
-
-    str() refuses integers longer than sys.get_int_max_str_digits() (4300
-    by default), so long ones are split in halves first.
-    """
-    if width <= 1000:
-        return str(x).rjust(width, "0")
-    hi, lo = divmod(x, 10 ** (width // 2))
-    return _decimal_digits(hi, width - width // 2) + _decimal_digits(lo, width // 2)
-
-
 def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
     """Euler's constant truncated (not rounded) to `digits` decimals,
     certified: the enclosing interval must agree on every printed digit."""
@@ -399,19 +401,26 @@ def _cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bits", type=int, default=192,
-                   help="base working precision in bits (default 192)")
-    p.add_argument("--frac-bits", type=int, default=64,
-                   help="certified fractional-part bits (default 64)")
-    p.add_argument("--max-bits", type=int, default=1 << 16,
-                   help="escalation ceiling in bits (default 65536)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for deterministic sampling (default 0)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers (default: cpu count)")
-    p.add_argument("--cache-dir", default=os.environ.get("GAMMALAB_CACHE"),
-                   help="checksummed on-disk cache (or env GAMMALAB_CACHE)")
+_OPTIONS = {
+    "--bits": dict(type=int, dest="base_bits", metavar="BITS",
+                   default=PrecisionPolicy.base_bits,
+                   help="base working precision in bits (default %(default)s)"),
+    "--frac-bits": dict(type=int, default=PrecisionPolicy.frac_bits,
+                        help="certified fractional-part bits (default %(default)s)"),
+    "--max-bits": dict(type=int, default=PrecisionPolicy.max_bits,
+                       help="escalation ceiling in bits (default %(default)s)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed of the sampled rational points (default %(default)s)"),
+    "--jobs": dict(type=int, default=os.cpu_count() or 1,
+                   help="parallel workers (default: cpu count)"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the named shared options; each subcommand takes only the
+    ones it reads, plus --jobs everywhere."""
+    for flag in flags + ("--jobs",):
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the exact-identity suites")
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--out", help="optional JSON report path")
-    _add_common(p)
+    _add_options(p, "--seed")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("table", help="per-n decomposition table")
@@ -435,14 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute series budget (decimal string)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_options(p, "--bits", "--frac-bits", "--max-bits")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("criterion", help="irrationality-criterion probe rows")
     p.add_argument("--n", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_options(p, "--bits", "--frac-bits", "--max-bits")
     p.set_defaults(fn=_cmd_criterion)
 
     p = sub.add_parser("asym", help="asymptotic-law convergence reports")
@@ -452,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of n values (default per-law grid)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_options(p, "--bits", "--max-bits")
     p.set_defaults(fn=_cmd_asym)
 
     p = sub.add_parser("gamma", help="Euler's constant, truncated digits")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_options(p, "--max-bits")
     p.set_defaults(fn=_cmd_gamma)
 
     return ap
@@ -473,12 +482,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse uses exit code 2 for usage errors; that slot is taken
         return EXIT_OK if e.code in (0, None) else EXIT_IO
     args._argv = argv
-    if args.cache_dir:
-        try:
-            cache.activate(args.cache_dir)
-        except OSError:
-            sys.stderr.write(f"error: cannot use cache dir {args.cache_dir}\n")
-            return EXIT_IO
     try:
         return args.fn(args)
     except (PrecisionExhausted, PrecisionInsufficient) as e:

@@ -45,13 +45,14 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pi,
+    mpf_pos,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
+    round_down,
     to_str,
 )
 
-from . import cache
 from . import exact
 
 __all__ = [
@@ -190,7 +191,13 @@ class Bounded:
         return f"Bounded({to_str(self.val, 20)} ± {to_str(self.err, 3)})"
 
     def decimal(self, dps: int) -> str:
-        return to_str(self.val, dps)
+        try:
+            return to_str(self.val, dps)
+        except ValueError:
+            # past 2^3500 mpmath scales by a power of ten taken from the
+            # mantissa exponent, so a long mantissa leaves an integer part
+            # that str() refuses (over 4300 digits); a short one does not
+            return to_str(mpf_pos(self.val, 4 * dps + 64, round_down), dps)
 
     def err_decimal(self, dps: int = 3) -> str:
         return to_str(self.err, dps)
@@ -598,21 +605,9 @@ def ln2_const(p: int) -> Bounded:
     return _prime_dot({2: 1}, p)
 
 
-def _const_cached(name: str, p: int, compute):
-    hit = cache.get("constant", [name, p])
-    if hit is not None:
-        return Bounded(cache.decode_raw(hit["val"]), cache.decode_raw(hit["err"]))
-    b = compute()
-    cache.put("constant", [name, p],
-              {"val": cache.encode_raw(b.val), "err": cache.encode_raw(b.err)})
-    return b
-
-
 def pi_const(p: int) -> Bounded:
-    def compute():
-        v = mpf_pi(p + 10)
-        return Bounded(v, _fn_err(v, p))
-    return _const_cached("pi", p, compute)
+    v = mpf_pi(p + 10)
+    return Bounded(v, _fn_err(v, p))
 
 
 # --- Euler's constant by Brent-McMillan ----------------------------------
@@ -837,7 +832,6 @@ class PrecisionPolicy:
     base_bits: int = 192
     frac_bits: int = 64
     max_bits: int = 1 << 16
-    auto_escalate: bool = True
     tail_eps: Optional[Fraction] = None  # override for the series cutoff
 
     def __post_init__(self):

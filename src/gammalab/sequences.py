@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from mpmath.libmp import fzero
 
-from . import cache, exact
+from . import exact
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -87,15 +87,6 @@ def sondow_threshold(p: int) -> Bounded:
     return b_div(pi_const(p), b_mul_int(ln2_const(p), 6, p), p)
 
 
-def _d2n(n: int) -> int:
-    hit = cache.get("d_n", 2 * n)
-    if hit is not None:
-        return int(hit)
-    d = exact.lcm_upto(2 * n)
-    cache.put("d_n", 2 * n, str(d))
-    return d
-
-
 def _L_pair(n: int) -> IntVec:
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -127,7 +118,7 @@ def log_S_exponents(n: int) -> List[int]:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    d2 = 2 * _d2n(n)
+    d2 = 2 * exact.lcm_upto(2 * n)
     quot = [0] * (n + 1)
     for j in range(1, n + 1):
         q, r = divmod(d2, j)
@@ -173,7 +164,7 @@ def check_L_identity(n: int, l_vec: Optional[Dict[int, Fraction]] = None,
         l_vec = L_vector(n)
     if s_vec is None:
         s_vec = log_S_vector(n)
-    d2n = _d2n(n)
+    d2n = exact.lcm_upto(2 * n)
     if l_vec.keys() != s_vec.keys() or any(
             d2n * c.numerator != s_vec[q] * c.denominator
             for q, c in l_vec.items()):
@@ -182,7 +173,7 @@ def check_L_identity(n: int, l_vec: Optional[Dict[int, Fraction]] = None,
 
 def L_from_power_product(n: int, p: int) -> Bounded:
     """L_n = log(S_n) / d_{2n}; independent of the log-factorial route."""
-    return b_div(log_S(n, p), Bounded.exact_int(_d2n(n)), p)
+    return b_div(log_S(n, p), Bounded.exact_int(exact.lcm_upto(2 * n)), p)
 
 
 def L_consistency(n: int, p: int) -> Tuple[Bounded, bool]:
@@ -445,7 +436,7 @@ def I_series(
         if total.err_fraction() <= eps:
             return total, TailBound(cutoff=v_cut, em_terms=em_terms,
                                     remainder=remainder)
-        if not policy.auto_escalate or 2 * p > policy.max_bits:
+        if 2 * p > policy.max_bits:
             raise PrecisionExhausted(
                 f"series at n={n} cannot reach eps={_log2_str(eps)} "
                 f"within {policy.max_bits} bits")
@@ -504,7 +495,7 @@ def criterion_point(n: int, frac_bits: Optional[int] = None,
         raise ValueError("n >= 1 required")
     if frac_bits is None:
         frac_bits = policy.frac_bits
-    d2n = _d2n(n)
+    d2n = exact.lcm_upto(2 * n)
     p = max(policy.base_bits, _criterion_precision(n, d2n, frac_bits))
     if p > policy.max_bits:
         raise PrecisionExhausted(
@@ -522,8 +513,6 @@ def criterion_point(n: int, frac_bits: Optional[int] = None,
             needed = frac_bits
         except PrecisionInsufficient as e:
             needed = e.extra_bits or p
-        if not policy.auto_escalate:
-            raise PrecisionExhausted(f"criterion at n={n} needs escalation")
         nxt = max(2 * p, p + needed)
         if nxt > policy.max_bits:
             raise PrecisionExhausted(
@@ -626,7 +615,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
 
     t0 = time.perf_counter()
     a_ex = exact.A_exact(n)
-    d2n = _d2n(n)
+    d2n = exact.lcm_upto(2 * n)
     timings["exact"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from . import cache, exact, sequences
+from . import exact, sequences
 
 __all__ = ["SuiteResult", "run_exact_suite", "random_rational_points"]
 
@@ -46,15 +46,6 @@ def random_rational_points(n: int, count: int, seed: int) -> List[Fraction]:
             continue
         pts.append(x)
     return pts
-
-
-def _stirling_row(m: int) -> list:
-    hit = cache.get("stirling_row", m)
-    if hit is not None:
-        return [int(v) for v in hit]
-    row = exact.stirling1_row(m)
-    cache.put("stirling_row", m, [str(v) for v in row])
-    return row
 
 
 def _suite_central_binomial(n_max: int) -> SuiteResult:
@@ -100,7 +91,7 @@ def _suite_stirling(m_max: int) -> SuiteResult:
         if res != (0, 0, 0):
             r.failure = f"low-order Stirling residuals {res} at m={m}"
             return r
-        row = _stirling_row(m)
+        row = exact.stirling1_row(m)
         if sum(row) != exact.factorial(m):
             r.failure = f"Stirling row sum != m! at m={m}"
             return r

@@ -1,22 +1,18 @@
-"""CLI behaviour: determinism, format equivalence, cache transparency,
-fault injection, exit codes, and manifests."""
+"""CLI behaviour: determinism, format equivalence, fault injection, exit
+codes, big-integer formatting, per-subcommand options, and manifests."""
 
 import csv
+import dataclasses
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import from_man_exp
 
-from gammalab import cache, cli, exact
+from gammalab import cli, exact, sequences
 from gammalab import mpnum as mn
-
-
-@pytest.fixture(autouse=True)
-def _no_cache():
-    cache.deactivate()
-    yield
-    cache.deactivate()
 
 
 def run(args):
@@ -248,60 +244,43 @@ def test_decimal_digits_beyond_str_limit():
     assert cli._decimal_digits(577, 5) == "00577"
 
 
-# --- cache ---------------------------------------------------------------------------
-
-def test_cache_cold_warm_identical(tmp_path):
-    cdir = tmp_path / "cache"
-    o1 = tmp_path / "cold.csv"
-    o2 = tmp_path / "warm.csv"
-    base = ["table", "--n", "1..2", "--jobs", "1", "--cache-dir", str(cdir)]
-    assert run(base + ["--out", str(o1)]) == 0
-    assert any(cdir.iterdir())
-    assert run(base + ["--out", str(o2)]) == 0
-    assert read_bytes(o1) == read_bytes(o2)
+def test_decimal_digits_equals_str_for_short_values():
+    rng = random.Random(7)
+    values = [0, 1, 9, 10, 10 ** 20, 2 ** 3000 - 1, 2 ** 3000, 10 ** 4299]
+    values += [rng.getrandbits(b) for b in (10, 2999, 3001, 9000, 14000)]
+    for x in values:
+        assert cli._decimal_digits(x) == str(x)
+        assert cli._decimal_digits(x, 5000) == str(x).rjust(5000, "0")
 
 
-def test_cache_corruption_is_recomputed(tmp_path):
-    cdir = tmp_path / "cache"
-    o1 = tmp_path / "a.csv"
-    o2 = tmp_path / "b.csv"
-    base = ["table", "--n", "1..2", "--jobs", "1", "--cache-dir", str(cdir)]
-    assert run(base + ["--out", str(o1)]) == 0
-    files = list(cdir.iterdir())
-    assert {"d_n.jsonl", "constant.jsonl"} <= {f.name for f in files}
-    # flip digits inside every cached payload
-    for f in files:
-        text = f.read_text()
-        f.write_text(text.replace("1", "2"))
-    assert run(base + ["--out", str(o2)]) == 0
-    assert read_bytes(o1) == read_bytes(o2)
+# 5,000-digit stand-ins; str() of any of them raises by default
+_BIG_NUM = 10 ** 4999 + 7  # "1", 4,998 zeros, "7"; coprime to 3
+_BIG_NUM_TEXT = "1" + "0" * 4998 + "7"
+# about 1.29e4361 with a 14,580-bit mantissa, like log S_n at n = 2950
+_BIG_LOG_S = mn.Bounded(from_man_exp(7 * 10 ** 4400 + 1, -132),
+                        from_man_exp(1, -132))
 
 
-def test_pi_held_in_process_is_still_cached(tmp_path):
-    mn.pi_const(192)  # the criterion threshold of every table row needs it
-    cdir = tmp_path / "cache"
-    assert run(["table", "--n", "1..2", "--jobs", "1", "--cache-dir", str(cdir),
-                "--out", str(tmp_path / "t.csv")]) == 0
-    assert (cdir / "constant.jsonl").exists()
+def test_table_row_formats_5000_digit_integers():
+    rec = dataclasses.replace(sequences.build_record(1),
+                              a_exact=Fraction(_BIG_NUM, 3),
+                              d2n=10 ** 5000 - 1, log_s_floor=_BIG_NUM,
+                              log_s=_BIG_LOG_S)
+    row = cli._table_row(rec)
+    assert row["log_s"].startswith("1.2856969462") and row["log_s"].endswith("e+4361")
+    assert row["a_exact"] == _BIG_NUM_TEXT + "/3"
+    assert row["d2n"] == "9" * 5000
+    assert row["log_s_floor"] == _BIG_NUM_TEXT
+    whole = cli._table_row(dataclasses.replace(rec, a_exact=Fraction(_BIG_NUM)))
+    assert whole["a_exact"] == _BIG_NUM_TEXT
 
 
-def test_cache_roundtrip_unit(tmp_path):
-    cache.activate(str(tmp_path))
-    cache.put("d_n", 12, "27720")
-    assert cache.get("d_n", 12) == "27720"
-    cache.deactivate()
-    cache.activate(str(tmp_path))
-    assert cache.get("d_n", 12) == "27720"
-    assert cache.get("d_n", 13) is None
-    with pytest.raises(ValueError):
-        cache.get("unknown_kind", 1)
-
-
-def test_cache_raw_encoding_roundtrip():
-    from mpmath.libmp import from_rational
-
-    raw = from_rational(-355, 113, 96, "n")
-    assert cache.decode_raw(cache.encode_raw(raw)) == raw
+def test_criterion_row_formats_5000_digit_floor():
+    cp = dataclasses.replace(sequences.criterion_point(1, 64),
+                             log_s_floor=_BIG_NUM, log_s=_BIG_LOG_S)
+    row = cli._criterion_row(cp, 2)
+    assert row["log_s_floor"] == _BIG_NUM_TEXT
+    assert row["log_s"].endswith("e+4361")
 
 
 # --- plumbing ----------------------------------------------------------------------
@@ -313,12 +292,38 @@ def test_bad_arguments_exit_code():
 
 def test_manifest_contents(tmp_path):
     out = tmp_path / "t.csv"
-    assert run(["table", "--n", "1..1", "--jobs", "1", "--seed", "5",
-                "--out", str(out)]) == 0
+    assert run(["table", "--n", "1..1", "--jobs", "1", "--out", str(out)]) == 0
     man = json.loads((tmp_path / "t.csv.manifest.json").read_text())
     assert man["tool"] == "gammalab"
     assert man["command"] == "table"
-    assert man["seed"] == 5
+    assert set(man) == {"tool", "version", "command", "argv", "policy",
+                        "n_range", "timings", "counts"}
+    assert man["policy"] == {"base_bits": 192, "frac_bits": 64, "max_bits": 65536}
     assert man["n_range"] == [1, 1]
     assert "wall_s" in man["timings"]
     assert man["counts"]["rows"] == 1
+    rep = tmp_path / "v.json"
+    assert run(["verify", "--n-max", "3", "--seed", "5", "--out", str(rep)]) == 0
+    man = json.loads((tmp_path / "v.json.manifest.json").read_text())
+    assert man["command"] == "verify"
+    assert man["seed"] == 5
+    assert man["policy"] == {}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    options = {"--bits", "--frac-bits", "--max-bits", "--seed", "--jobs",
+               "--cache-dir"}
+    wanted = {
+        "verify": {"--seed", "--jobs"},
+        "table": {"--bits", "--frac-bits", "--max-bits", "--jobs"},
+        "criterion": {"--bits", "--frac-bits", "--max-bits", "--jobs"},
+        "asym": {"--bits", "--max-bits", "--jobs"},
+        "gamma": {"--max-bits", "--jobs"},
+    }
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "command").choices
+    assert set(subparsers) == set(wanted)
+    for name, p in subparsers.items():
+        flags = {s for a in p._actions for s in a.option_strings}
+        assert flags & options == wanted[name], name
+    assert run(["gamma", "--digits", "5", "--seed", "0"]) == 3

@@ -99,6 +99,20 @@ def test_ln4_equals_2ln2():
     assert mn.agrees(l4, l2x2)
 
 
+def test_decimal_of_long_mantissa_past_str_digit_limit():
+    # log S_n at n = 2950: over 2^3500, with a 14,580-bit mantissa
+    from decimal import Decimal, localcontext
+    from mpmath.libmp import from_man_exp
+
+    x = 7 * 10 ** 4400 + 1
+    b = Bounded(from_man_exp(x, -132), from_man_exp(1, -132))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = Decimal(x) / Decimal(2 ** 132)
+        assert abs(Decimal(b.decimal(40)) - ref) < ref.scaleb(-39)
+    assert b.decimal(40).startswith("1.28569694621187696184080558758683121011")
+
+
 # --- constants ---------------------------------------------------------------
 
 def test_ln2_const():
@@ -308,7 +322,6 @@ def test_escalation_soundness_gamma_and_lf():
 def test_policy_validation():
     with pytest.raises(ValueError):
         mn.PrecisionPolicy(base_bits=32)
-    assert mn.PrecisionPolicy().auto_escalate
 
 
 def test_log_factorial_concurrent_fill(monkeypatch):

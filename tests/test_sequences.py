@@ -63,6 +63,14 @@ def test_log_S_exponent_integrality(n):
     assert all(isinstance(e, int) and e > 0 for e in expo)
 
 
+def test_log_S_exponents_past_str_digit_limit():
+    # d_10000 has about 4,340 digits, past str()'s default 4,300-digit limit
+    n = 5000
+    expo = sq.log_S_exponents(n)
+    assert len(expo) == n and expo == expo[::-1]
+    assert expo[0] == sum(2 * exact.lcm_upto(2 * n) // j for j in range(1, n + 1))
+
+
 def test_prime_vectors_small():
     assert sq.L_vector(1) == {2: 2}              # L_1 = 2 ln 2
     assert sq.L_vector(2) == {2: 6, 3: 3}        # L_2 = 3 ln 12
@@ -331,7 +339,7 @@ def test_criterion_reproducible_across_precision(n):
 
 
 def test_criterion_escalation_ceiling():
-    pol = PrecisionPolicy(base_bits=64, max_bits=128, auto_escalate=True)
+    pol = PrecisionPolicy(base_bits=64, max_bits=128)
     with pytest.raises(mn.PrecisionExhausted):
         sq.criterion_point(12, 512, pol)
 
