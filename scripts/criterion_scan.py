@@ -13,18 +13,19 @@ Usage: python scripts/criterion_scan.py [n_max] [frac_bits]
 
 import sys
 
-from gammalab import criterion_point, sondow_threshold
+from gammalab import PrecisionPolicy, criterion_point, sondow_threshold
 
 
 def main() -> int:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     frac_bits = int(sys.argv[2]) if len(sys.argv) > 2 else 96
+    policy = PrecisionPolicy(frac_bits=frac_bits)
     thr = sondow_threshold(160)
     print(f"# pi/(6 ln 2) = {thr.decimal(20)}")
     print(f"{'n':>4} {'bits':>6} {'{log S_n}':>22} {'Q_n':>28} "
           f"{'|Q_n - thr|':>28}")
     for n in range(1, n_max + 1):
-        cp = criterion_point(n, frac_bits)
+        cp = criterion_point(n, policy)
         print(f"{n:>4} {cp.precision_bits:>6} {cp.frac.decimal(16):>22} "
               f"{cp.q.decimal(16):>28} {cp.dist_threshold.decimal(16):>28}")
     print("# report-only: no limit is asserted")

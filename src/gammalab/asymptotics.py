@@ -79,10 +79,6 @@ def _gauss_envelope(n: int, with_gamma: bool, p: int) -> Bounded:
     return b_div(b_mul_int(bracket, 4 ** n, p), denom, p)
 
 
-def _measure_L(n: int, p: int) -> Bounded:
-    return L_from_factorial_logs(n, p)
-
-
 def _measure_A(n: int, p: int) -> Bounded:
     if n <= _A_EXACT_MAX:
         return Bounded.from_fraction(exact.A_exact(n), p)
@@ -100,7 +96,7 @@ def _point_i_decay(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
 
 
 def _point_l_log(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
-    l = _measure_L(n, p)
+    l = L_from_factorial_logs(n, p)
     c = math.comb(2 * n, n)
     ln_model = b_ln(Bounded.from_fraction(Fraction(3 * n, 2), p), p)
     model = b_mul_int(ln_model, c, p)
@@ -118,7 +114,7 @@ def _point_a_growth(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
 
 
 def _point_l_growth(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
-    l = _measure_L(n, p)
+    l = L_from_factorial_logs(n, p)
     model = _gauss_envelope(n, False, p)
     ratio = float(b_div(l, model, p).mpf)
     return LawRow(n, l, model, ratio, ratio - 1.0)

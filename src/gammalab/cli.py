@@ -177,13 +177,6 @@ def _table_row(rec: sequences.SeqRecord) -> Dict[str, str]:
     }
 
 
-def _failed_row(columns: Sequence[str], n: int, reason: str) -> Dict[str, str]:
-    row = {c: "" for c in columns}
-    row["n"] = str(n)
-    row["status"] = reason
-    return row
-
-
 def _criterion_row(cp: sequences.CriterionPoint, d2n_bits: int) -> Dict[str, str]:
     return {
         "n": str(cp.n),
@@ -204,30 +197,31 @@ def _criterion_row(cp: sequences.CriterionPoint, d2n_bits: int) -> Dict[str, str
     }
 
 
-def _table_task(task) -> Tuple[int, Dict[str, str]]:
-    n, policy = task
+def _table_cells(n: int, policy: PrecisionPolicy) -> Dict[str, str]:
+    return _table_row(sequences.build_record(n, policy))
+
+
+def _criterion_cells(n: int, policy: PrecisionPolicy) -> Dict[str, str]:
+    return _criterion_row(sequences.criterion_point(n, policy),
+                          exact.lcm_upto(2 * n).bit_length())
+
+
+# the row subcommands: their columns and their "n, policy -> row" function
+_ROW_COMMANDS = {
+    "table": (TABLE_COLUMNS, _table_cells),
+    "criterion": (CRITERION_COLUMNS, _criterion_cells),
+}
+
+
+def _row_task(task) -> Dict[str, str]:
+    command, n, policy = task
+    columns, cells = _ROW_COMMANDS[command]
     try:
-        return n, _table_row(sequences.build_record(n, policy))
+        return cells(n, policy)
     except (PrecisionExhausted, PrecisionInsufficient):
-        return n, _failed_row(TABLE_COLUMNS, n, "precision_exhausted")
-
-
-def _criterion_task(task) -> Tuple[int, Dict[str, str]]:
-    n, frac_bits, policy = task
-    try:
-        cp = sequences.criterion_point(n, frac_bits, policy)
-        return n, _criterion_row(cp, exact.lcm_upto(2 * n).bit_length())
-    except (PrecisionExhausted, PrecisionInsufficient):
-        return n, _failed_row(CRITERION_COLUMNS, n, "precision_exhausted")
-
-
-def _run_tasks(worker, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks))
-    return [row for _, row in sorted(results, key=lambda item: item[0])]
+        row = dict.fromkeys(columns, "")
+        row.update(n=str(n), status="precision_exhausted")
+        return row
 
 
 def _write_rows(path: str, fmt: str, columns: Sequence[str],
@@ -286,29 +280,18 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def _cmd_table(args) -> int:
-    t0 = time.perf_counter()
-    lo, hi = args.n
-    ns = list(range(lo, hi + 1))
-    policy = _policy(args)
-    rows = _run_tasks(_table_task, [(n, policy) for n in ns], args.jobs)
-    _write_rows(args.out, args.format, TABLE_COLUMNS, rows)
-    bad = sum(1 for r in rows if r["status"] != "ok")
-    _write_manifest(args.out, args, {
-        "n_range": [lo, hi],
-        "timings": {"wall_s": time.perf_counter() - t0},
-        "counts": {"rows": len(rows), "precision_failures": bad},
-    })
-    return EXIT_PRECISION if bad else EXIT_OK
-
-
-def _cmd_criterion(args) -> int:
+def _cmd_rows(args) -> int:
     t0 = time.perf_counter()
     lo, hi = args.n
     policy = _policy(args)
-    tasks = [(n, args.frac_bits, policy) for n in range(lo, hi + 1)]
-    rows = _run_tasks(_criterion_task, tasks, args.jobs)
-    _write_rows(args.out, args.format, CRITERION_COLUMNS, rows)
+    tasks = [(args.command, n, policy) for n in range(lo, hi + 1)]
+    if args.jobs <= 1 or len(tasks) <= 1:
+        rows = [_row_task(t) for t in tasks]
+    else:
+        # map keeps the order of the tasks, so rows come out by n
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_row_task, tasks))
+    _write_rows(args.out, args.format, _ROW_COMMANDS[args.command][0], rows)
     bad = sum(1 for r in rows if r["status"] != "ok")
     _write_manifest(args.out, args, {
         "n_range": [lo, hi],
@@ -445,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
     _add_options(p, "--bits", "--frac-bits", "--max-bits")
-    p.set_defaults(fn=_cmd_table)
+    p.set_defaults(fn=_cmd_rows)
 
     p = sub.add_parser("criterion", help="irrationality-criterion probe rows")
     p.add_argument("--n", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
     _add_options(p, "--bits", "--frac-bits", "--max-bits")
-    p.set_defaults(fn=_cmd_criterion)
+    p.set_defaults(fn=_cmd_rows)
 
     p = sub.add_parser("asym", help="asymptotic-law convergence reports")
     p.add_argument("--laws", default=None,

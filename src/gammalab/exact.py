@@ -42,7 +42,6 @@ __all__ = [
     "partial_fraction_coeffs",
     "partial_fraction_residual",
     "residue_numerators",
-    "scaled_residue_weights",
     "scaled_square_weights",
     "tail_log_coefficient",
     "tail_log_coefficient_reduced",
@@ -258,15 +257,6 @@ def residue_numerators(n: int) -> Tuple[int, List[int]]:
     row = binomial_row(n)
     half = [2 * row[k] ** 2 * (h[k] - h[n - k]) for k in range(n // 2 + 1)]
     return d, half + [-w for w in reversed(half[:(n + 1) // 2])]
-
-
-def scaled_residue_weights(n: int) -> List[Fraction]:
-    """(n!)^2 * a_k = 2 C(n,k)^2 (H_k - H_{n-k}), as Fractions.
-
-    A view of :func:`residue_numerators`.
-    """
-    d, nums = residue_numerators(n)
-    return [Fraction(a, d) for a in nums]
 
 
 def scaled_square_weights(n: int) -> List[int]:

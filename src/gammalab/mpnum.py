@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -180,10 +180,6 @@ class Bounded:
     def mpf(self):
         return mp.make_mpf(self.val)
 
-    @property
-    def err_mpf(self):
-        return mp.make_mpf(self.err)
-
     def __float__(self) -> float:
         return float(self.mpf)
 
@@ -214,12 +210,6 @@ class Bounded:
 
     def is_exact(self) -> bool:
         return self.err == fzero
-
-    def magnitude_log2(self) -> Optional[int]:
-        """floor-ish log2 |val|, or None for zero."""
-        if self.val == fzero:
-            return None
-        return self.val[2] + self.val[3] - 1
 
 
 def agrees(x: Bounded, y: Bounded) -> bool:
@@ -320,7 +310,8 @@ def b_sum(items, p: int) -> Bounded:
 # --- prime-log table -----------------------------------------------------
 #
 # Every logarithm gammalab takes is the log of an integer, so it is an
-# exact vector {q: c_q} over the primes, and its value is sum_q c_q ln q.
+# exact vector (D, {q: a_q}) over the primes (``IntVec`` below), and its
+# value is sum_q (a_q / D) ln q.
 # One table per process holds x_q ~ 2^P ln q as fixed-point integers with
 # a proven error e_q in ulps, |2^P ln q - x_q| <= e_q, built from
 #
@@ -479,26 +470,10 @@ class PrimeLogTable:
 
 _TABLE = PrimeLogTable()
 
-Coeff = Union[int, Fraction]
 # (D, {key: a}): the rational vector {key: a / D} as integers over one
-# denominator D, not necessarily the least; zero entries are left out
+# denominator D, not necessarily the least; zero entries are left out.
+# Every prime vector takes this form, from factorisation to dot product.
 IntVec = Tuple[int, Dict[int, int]]
-
-
-def _integer_weights(weights: Mapping[int, Coeff]) -> IntVec:
-    # (D, {x: D * w_x}) with D the least common denominator
-    den = 1
-    for w in weights.values():
-        den = math.lcm(den, w.denominator)
-    return den, {x: w.numerator * (den // w.denominator)
-                 for x, w in weights.items() if w}
-
-
-def _scaled_vec(den: int, acc: Dict[int, int]) -> Dict[int, Coeff]:
-    # the mapping view of a pair
-    if den == 1:
-        return acc
-    return {q: Fraction(c, den) for q, c in acc.items()}
 
 
 def _legendre(m: int, q: int) -> int:
@@ -518,11 +493,6 @@ def _int_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
             for q, e in _TABLE.factor(x):
                 acc[q] = acc.get(q, 0) + a * e
     return den, {q: c for q, c in acc.items() if c}
-
-
-def _int_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
-    """Prime vector of sum_x w_x ln x over integers x >= 1."""
-    return _scaled_vec(*_int_log_pair(*_integer_weights(weights)))
 
 
 def _factorial_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
@@ -552,22 +522,16 @@ def _factorial_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
     return den, {q: c for q, c in acc.items() if c}
 
 
-def _factorial_log_vec(weights: Mapping[int, Coeff]) -> Dict[int, Coeff]:
-    """Prime vector of sum_m w_m ln(m!) over integers m >= 0."""
-    return _scaled_vec(*_factorial_log_pair(*_integer_weights(weights)))
+def _prime_dot(vec: IntVec, p: int) -> Bounded:
+    """sum_q (a_q / D) ln q for a prime vector (D, {q: a_q}), rounded to p bits.
 
-
-def _prime_dot(vec: Union[Mapping[int, Coeff], IntVec], p: int) -> Bounded:
-    """sum_q c_q ln q for an exact vector {q: c_q}, rounded to p bits.
-
-    ``vec`` is a mapping {q: c_q} or a pair (D, {q: a_q}) with c_q = a_q / D.
-    With a_q = D c_q and f_q = floor(2^w ln q), each 2^w ln q - f_q lies in
-    [0, 1), so s = sum_q a_q f_q is within sum_q |a_q| of D 2^w sum_q c_q ln q.
+    With f_q = floor(2^w ln q), each 2^w ln q - f_q lies in [0, 1), so
+    s = sum_q a_q f_q is within sum_q |a_q| of D 2^w sum_q (a_q / D) ln q.
     The bound is that, over D 2^w, plus the rounding of s / (D 2^w) to p
     bits.  Scaling D and every a_q by one integer leaves both rationals, and
     so the result, unchanged.
     """
-    den, ints = vec if isinstance(vec, tuple) else _integer_weights(vec)
+    den, ints = vec
     w = p + _DOT_GUARD
     logs = _TABLE.floor_logs(ints, w) if ints else {}
     s = sum(a * logs[q] for q, a in ints.items())
@@ -585,7 +549,7 @@ def ln_int(k: int, p: int) -> Bounded:
     """
     if k < 1:
         raise ValueError("ln_int needs k >= 1")
-    return _prime_dot(_int_log_vec({k: 1}), p)
+    return _prime_dot(_int_log_pair(1, {k: 1}), p)
 
 
 def log_factorial(m: int, p: int) -> Bounded:
@@ -597,12 +561,12 @@ def log_factorial(m: int, p: int) -> Bounded:
     """
     if m < 0:
         raise ValueError("log_factorial needs m >= 0")
-    return _prime_dot(_factorial_log_vec({m: 1}), p + 8)
+    return _prime_dot(_factorial_log_pair(1, {m: 1}), p + 8)
 
 
 def ln2_const(p: int) -> Bounded:
     """ln 2, the table's first entry."""
-    return _prime_dot({2: 1}, p)
+    return _prime_dot((1, {2: 1}), p)
 
 
 def pi_const(p: int) -> Bounded:

@@ -52,7 +52,6 @@ from .mpnum import (
     _fraction_to_raw_up,
     _int_log_pair,
     _prime_dot,
-    _scaled_vec,
     _up_add,
 )
 
@@ -87,26 +86,22 @@ def sondow_threshold(p: int) -> Bounded:
     return b_div(pi_const(p), b_mul_int(ln2_const(p), 6, p), p)
 
 
-def _L_pair(n: int) -> IntVec:
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    d, nums = exact.residue_numerators(n)
-    return _factorial_log_pair(d, {n + j: a for j, a in enumerate(nums)})
-
-
-def L_vector(n: int) -> Dict[int, Fraction]:
+def L_vector(n: int) -> IntVec:
     """Exact prime vector of L_n = sum_j 2 C(n,j)^2 (H_j - H_{n-j}) ln((n+j)!).
 
     The weights are exactly the scaled simple-pole residues of the
     partial-fraction decomposition, as integers over d_n; the factorials
     go through Legendre.
     """
-    return _scaled_vec(*_L_pair(n))
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    d, nums = exact.residue_numerators(n)
+    return _factorial_log_pair(d, {n + j: a for j, a in enumerate(nums)})
 
 
 def L_from_factorial_logs(n: int, p: int) -> Bounded:
     """L_n from the explicit log-factorial sum (see :func:`L_vector`)."""
-    return _prime_dot(_L_pair(n), p)
+    return _prime_dot(L_vector(n), p)
 
 
 def log_S_exponents(n: int) -> List[int]:
@@ -141,33 +136,31 @@ def log_S_exponents(n: int) -> List[int]:
     return [half[min(k - 1, n - k, n // 2)] for k in range(1, n + 1)]
 
 
-def log_S_vector(n: int) -> Dict[int, int]:
-    """Exact prime vector of log S_n: c_q = sum_k E_k v_q(n+k)."""
+def log_S_vector(n: int) -> IntVec:
+    """Exact prime vector (1, {q: c_q}) of log S_n: c_q = sum_k E_k v_q(n+k)."""
     expo = log_S_exponents(n)
-    return _int_log_pair(1, {n + k: e for k, e in enumerate(expo, 1)})[1]
+    return _int_log_pair(1, {n + k: e for k, e in enumerate(expo, 1)})
 
 
 def log_S(n: int, p: int) -> Bounded:
     """log S_n as a certified float (S_n itself is astronomically large)."""
-    return _prime_dot((1, log_S_vector(n)), p)
+    return _prime_dot(log_S_vector(n), p)
 
 
-def check_L_identity(n: int, l_vec: Optional[Dict[int, Fraction]] = None,
-                     s_vec: Optional[Dict[int, int]] = None) -> None:
+def check_L_identity(n: int, l_vec: Optional[IntVec] = None,
+                     s_vec: Optional[IntVec] = None) -> None:
     """Raise IdentityViolation unless d_2n * vec(L_n) == vec(log S_n).
 
-    Both sides are exact prime vectors, so the two L_n routes are compared
-    with zero tolerance; the numeric ``l_agree`` check remains beside it.
-    ``l_vec`` and ``s_vec`` are the two vectors when the caller has them.
+    Both sides are exact prime vectors (D, {q: a_q}), so the two L_n routes
+    are compared with zero tolerance by cross-multiplying integers; the
+    numeric ``l_agree`` check remains beside it.  ``l_vec`` and ``s_vec``
+    are the two vectors when the caller has them.
     """
-    if l_vec is None:
-        l_vec = L_vector(n)
-    if s_vec is None:
-        s_vec = log_S_vector(n)
+    dl, l_ints = L_vector(n) if l_vec is None else l_vec
+    ds, s_ints = log_S_vector(n) if s_vec is None else s_vec
     d2n = exact.lcm_upto(2 * n)
-    if l_vec.keys() != s_vec.keys() or any(
-            d2n * c.numerator != s_vec[q] * c.denominator
-            for q, c in l_vec.items()):
+    if l_ints.keys() != s_ints.keys() or any(
+            d2n * a * ds != s_ints[q] * dl for q, a in l_ints.items()):
         raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
 
 
@@ -483,18 +476,17 @@ def _criterion_precision(n: int, d2n: int, frac_bits: int) -> int:
     return d2n.bit_length() + 2 * n + frac_bits + 64
 
 
-def criterion_point(n: int, frac_bits: Optional[int] = None,
-                    policy: PrecisionPolicy = PrecisionPolicy(),
-                    s_vec: Optional[Dict[int, int]] = None) -> CriterionPoint:
+def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
+                    s_vec: Optional[IntVec] = None) -> CriterionPoint:
     """Certified {log S_n} and Q_n, with distances to 0 and pi/(6 ln 2).
 
-    The probe reports both distances and asserts neither limit.
-    ``s_vec`` is the prime vector of log S_n when the caller has it.
+    The probe reports both distances and asserts neither limit; {log S_n}
+    is certified to ``policy.frac_bits`` bits.  ``s_vec`` is the prime
+    vector of log S_n when the caller has it.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if frac_bits is None:
-        frac_bits = policy.frac_bits
+    frac_bits = policy.frac_bits
     d2n = exact.lcm_upto(2 * n)
     p = max(policy.base_bits, _criterion_precision(n, d2n, frac_bits))
     if p > policy.max_bits:
@@ -505,7 +497,7 @@ def criterion_point(n: int, frac_bits: Optional[int] = None,
     if s_vec is None:
         s_vec = log_S_vector(n)
     while True:
-        ls = _prime_dot((1, s_vec), p)
+        ls = _prime_dot(s_vec, p)
         try:
             floor_part, frac = frac_part_certified(ls)
             if frac.err_fraction() <= frac_target:
@@ -623,7 +615,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     s_vec = log_S_vector(n)
     check_L_identity(n, l_vec, s_vec)
     l_log = _prime_dot(l_vec, p)
-    ls = _prime_dot((1, s_vec), p)
+    ls = _prime_dot(s_vec, p)
     l_prod = b_div(ls, Bounded.exact_int(d2n), p)
     l_agree = agrees(l_log, l_prod)
     timings["L"] = time.perf_counter() - t0
@@ -636,7 +628,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["I"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cp = criterion_point(n, policy.frac_bits, policy, s_vec)
+    cp = criterion_point(n, policy, s_vec)
     timings["criterion"] = time.perf_counter() - t0
 
     return SeqRecord(

@@ -133,7 +133,8 @@ def _suite_scaled_coherence(n_max: int) -> SuiteResult:
     for n in range(0, n_max + 1):
         c = exact.partial_fraction_coeffs(n)
         f2 = exact.factorial(n) ** 2
-        if [f2 * ak for ak in c.a] != exact.scaled_residue_weights(n):
+        d, nums = exact.residue_numerators(n)
+        if [f2 * d * ak for ak in c.a] != nums:
             r.failure = f"scaled residues incoherent at n={n}"
             return r
         if [f2 * bk for bk in c.b] != exact.scaled_square_weights(n):

@@ -144,10 +144,11 @@ def test_criterion_10_criterion_probe():
     for n in range(1, 61):
         mult = (16 ** n) * n // exact.lcm_upto(2 * n)
         frac_bits = 48 + max(0, mult.bit_length())
-        cp = sq.criterion_point(n, frac_bits)  # raises on straddle
+        pol = PrecisionPolicy(frac_bits=frac_bits)
+        cp = sq.criterion_point(n, pol)  # raises on straddle
         pol2 = PrecisionPolicy(base_bits=2 * cp.precision_bits,
-                               max_bits=1 << 18)
-        cp2 = sq.criterion_point(n, frac_bits, pol2)
+                               frac_bits=frac_bits, max_bits=1 << 18)
+        cp2 = sq.criterion_point(n, pol2)
         dq = abs(cp.q.value_fraction() - cp2.q.value_fraction())
         assert dq <= Fraction(1, 2 ** 32), n
         assert cp.dist_zero.value_fraction() >= 0

@@ -1,11 +1,15 @@
 """CLI behaviour: determinism, format equivalence, fault injection, exit
-codes, big-integer formatting, per-subcommand options, and manifests."""
+codes, big-integer formatting, per-subcommand options, manifests, golden
+data-file bytes and the criterion scan script."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import random
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -66,10 +70,11 @@ def test_verify_L_identity_fault_injection(monkeypatch, capsys):
     real = sequences.L_vector
 
     def corrupted(n):
-        vec = dict(real(n))
+        den, vec = real(n)
+        vec = dict(vec)
         if n == 3:
             vec[5] += 1
-        return vec
+        return den, vec
 
     monkeypatch.setattr(sequences, "L_vector", corrupted)
     assert run(["verify", "--n-max", "5"]) == 1
@@ -276,7 +281,7 @@ def test_table_row_formats_5000_digit_integers():
 
 
 def test_criterion_row_formats_5000_digit_floor():
-    cp = dataclasses.replace(sequences.criterion_point(1, 64),
+    cp = dataclasses.replace(sequences.criterion_point(1),
                              log_s_floor=_BIG_NUM, log_s=_BIG_LOG_S)
     row = cli._criterion_row(cp, 2)
     assert row["log_s_floor"] == _BIG_NUM_TEXT
@@ -327,3 +332,41 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         flags = {s for a in p._actions for s in a.option_strings}
         assert flags & options == wanted[name], name
     assert run(["gamma", "--digits", "5", "--seed", "0"]) == 3
+
+
+# --- golden bytes ------------------------------------------------------------------
+
+# SHA-256 of each data file.  ROADMAP aim 2 keeps data files byte-identical
+# for a given command and policy, so a hash here may change only together
+# with a declared change of the rows it produces.
+_GOLDEN = {
+    "table_1_20.csv": (["table", "--n", "1..20"],
+                       "bce5ffbea32000bfcdbfab12aa81f98e44e5704f2491ce67d72b3b1f91fdeaad"),
+    "table_398_399.csv": (["table", "--n", "398..399"],
+                          "32fbfbed65506a15ed0e50e77c713e9b6e9dcc8e268e4d0b9c3c9fd43c3f532a"),
+    "criterion_1_60.csv": (["criterion", "--n", "1..60"],
+                           "7d9d33d1e978541d62afcd24e966a3088006d0d3ebd237dd573e3056898426fd"),
+    "asym.json": (["asym", "--format", "json"],
+                  "fa4375a2aeaa0f3d6e2973e879db550df207ca7c010c81627c2a7adb440854bb"),
+    "gamma_60.txt": (["gamma", "--digits", "60"],
+                     "5c5f00ab18ed4e240bfcda1d98ec182e6a5b4be4159a23ff347e9908d8b54f43"),
+}
+
+
+def test_data_files_match_golden_hashes(tmp_path):
+    for name, (args, digest) in _GOLDEN.items():
+        out = tmp_path / name
+        assert run(args + ["--jobs", "1", "--out", str(out)]) == 0, name
+        assert hashlib.sha256(read_bytes(out)).hexdigest() == digest, name
+
+
+def test_criterion_scan_script_prints_its_rows(monkeypatch, capsys):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "criterion_scan.py")
+    monkeypatch.setattr(sys, "argv", [script, "3", "64"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(script, run_name="__main__")
+    assert done.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines if line.split()[0].isdigit()]
+    assert [r[0] for r in rows] == ["1", "2", "3"]

@@ -223,15 +223,17 @@ def test_partial_fraction_residual_random_points(n, num, den):
 def test_scaled_coefficient_coherence(n):
     c = exact.partial_fraction_coeffs(n)
     f2 = exact.factorial(n) ** 2
-    assert [f2 * ak for ak in c.a] == exact.scaled_residue_weights(n)
+    d, nums = exact.residue_numerators(n)
+    assert [f2 * d * ak for ak in c.a] == nums
     assert [f2 * bk for bk in c.b] == exact.scaled_square_weights(n)
 
 
-def test_scaled_residue_weights_direct_formula():
+def test_residue_numerators_direct_formula():
     # the mirrored half over d_n equals 2 C(n,k)^2 (H_k - H_{n-k}) at every k
     for n in range(201):
-        assert exact.residue_numerators(n)[0] == (exact.lcm_upto(n) if n else 1)
-        assert exact.scaled_residue_weights(n) == oracles.residue_weights(n), n
+        d, nums = exact.residue_numerators(n)
+        assert d == (exact.lcm_upto(n) if n else 1)
+        assert [Fraction(a, d) for a in nums] == oracles.residue_weights(n), n
 
 
 def test_binomial_row_recurrence():

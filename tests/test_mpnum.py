@@ -2,6 +2,7 @@
 equations, and frozen constants checked against independent series
 oracles (see oracles.py) rather than the backend."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -474,9 +475,11 @@ _SMALL_PRIMES = [q for q in range(2, 400) if _prime_factors(q) == {q}]
        st.integers(1, 10 ** 12), st.sampled_from([64, 192, 700]))
 @settings(max_examples=40, deadline=None)
 def test_prime_dot_of_scaled_pair_equals_fraction_dict(vec, k, p):
-    den, ints = mn._integer_weights(vec)
+    # the pair over the least common denominator, and a multiple of it
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    ints = {q: c.numerator * (den // c.denominator) for q, c in vec.items()}
     got = mn._prime_dot((k * den, {q: k * a for q, a in ints.items()}), p)
-    want = mn._prime_dot(vec, p)
+    want = mn._prime_dot((den, ints), p)
     assert (got.val, got.err) == (want.val, want.err)
 
 
@@ -493,11 +496,12 @@ def test_prime_dot_independent_of_table_history(monkeypatch):
 
 
 def test_prime_vectors_exact():
-    assert mn._int_log_vec({12: 1}) == {2: 2, 3: 1}
-    assert mn._int_log_vec({1: 5}) == {}
-    assert mn._int_log_vec({6: Fraction(1, 2), 2: -1}) == {3: Fraction(1, 2), 2: Fraction(-1, 2)}
+    assert mn._int_log_pair(1, {12: 1}) == (1, {2: 2, 3: 1})
+    assert mn._int_log_pair(1, {1: 5}) == (1, {})
+    # (1/2) ln 6 - ln 2 = (1/2) ln 3 - (1/2) ln 2
+    assert mn._int_log_pair(2, {6: 1, 2: -2}) == (2, {3: 1, 2: -1})
     # 10! = 2^8 3^4 5^2 7, and 10!/7! = 8 * 9 * 10
-    assert mn._factorial_log_vec({10: 1}) == {2: 8, 3: 4, 5: 2, 7: 1}
-    assert mn._factorial_log_vec({10: 1, 7: -1}) == {2: 4, 3: 2, 5: 1}
-    assert mn._factorial_log_vec({0: 3, 1: 2}) == {}
+    assert mn._factorial_log_pair(1, {10: 1}) == (1, {2: 8, 3: 4, 5: 2, 7: 1})
+    assert mn._factorial_log_pair(1, {10: 1, 7: -1}) == (1, {2: 4, 3: 2, 5: 1})
+    assert mn._factorial_log_pair(1, {0: 3, 1: 2}) == (1, {})
     assert mn._legendre(100, 5) == 24

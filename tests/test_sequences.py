@@ -35,7 +35,7 @@ def test_L_closed_forms_small():
 def test_L_weight_symmetry_relabelling():
     # j <-> n-j negates each weight; the total is unchanged
     for n in (3, 6, 9):
-        w = exact.scaled_residue_weights(n)
+        _, w = exact.residue_numerators(n)
         assert [-w[n - j] for j in range(n + 1)] == w
 
 
@@ -72,10 +72,11 @@ def test_log_S_exponents_past_str_digit_limit():
 
 
 def test_prime_vectors_small():
-    assert sq.L_vector(1) == {2: 2}              # L_1 = 2 ln 2
-    assert sq.L_vector(2) == {2: 6, 3: 3}        # L_2 = 3 ln 12
-    assert sq.log_S_vector(1) == {2: 4}          # S_1 = 2^4
-    assert sq.log_S_vector(2) == {2: 72, 3: 36}  # S_2 = 12^36
+    # (D, {q: a_q}) over D = d_n for L_n and D = 1 for log S_n
+    assert sq.L_vector(1) == (1, {2: 2})              # L_1 = 2 ln 2
+    assert sq.L_vector(2) == (2, {2: 12, 3: 6})       # L_2 = 3 ln 12
+    assert sq.log_S_vector(1) == (1, {2: 4})          # S_1 = 2^4
+    assert sq.log_S_vector(2) == (1, {2: 72, 3: 36})  # S_2 = 12^36
 
 
 def test_L_identity_exact():
@@ -87,9 +88,10 @@ def test_L_identity_violation_raises(monkeypatch):
     real = sq.L_vector
 
     def corrupted(n):
-        vec = dict(real(n))
-        vec[2] += Fraction(1, 3)
-        return vec
+        den, vec = real(n)
+        vec = dict(vec)
+        vec[2] += 1  # adds ln 2 / den
+        return den, vec
 
     monkeypatch.setattr(sq, "L_vector", corrupted)
     with pytest.raises(exact.IdentityViolation):
@@ -126,16 +128,17 @@ def test_series_partial_sum_oracle():
     for v in range(n + 2, V + 1):
         acc = mn.b_add(acc, sq.series_term(n, v, p), p)
     cs = exact.scaled_square_weights(n)
-    asw = exact.scaled_residue_weights(n)
+    d, nums = exact.residue_numerators(n)
     folded_rat = sum(
         (cs[k] * (exact.harmonic(V + k) - exact.harmonic(n + k))
          for k in range(n + 1)), Fraction(0))
     folded = Bounded.from_fraction(folded_rat, p)
     for k in range(n + 1):
-        if asw[k] == 0:
+        if nums[k] == 0:
             continue
         dlf = mn.b_sub(mn.log_factorial(V + k, p), mn.log_factorial(n + k, p), p)
-        folded = mn.b_sub(folded, mn.b_mul(Bounded.from_fraction(asw[k], p), dlf, p), p)
+        asw = Bounded.from_fraction(Fraction(nums[k], d), p)
+        folded = mn.b_sub(folded, mn.b_mul(asw, dlf, p), p)
     assert mn.agrees(acc, folded)
 
 
@@ -330,18 +333,18 @@ def test_criterion_first_points():
 @given(st.integers(1, 40))
 @settings(max_examples=15, deadline=None)
 def test_criterion_reproducible_across_precision(n):
-    cp = sq.criterion_point(n, 64)
+    cp = sq.criterion_point(n)
     pol2 = PrecisionPolicy(base_bits=2 * cp.precision_bits)
-    cp2 = sq.criterion_point(n, 64, pol2)
+    cp2 = sq.criterion_point(n, pol2)
     assert cp2.precision_bits >= 2 * cp.precision_bits
     assert abs(frac(cp.frac) - frac(cp2.frac)) < Fraction(1, 2 ** 56)
     assert cp.log_s_floor == cp2.log_s_floor
 
 
 def test_criterion_escalation_ceiling():
-    pol = PrecisionPolicy(base_bits=64, max_bits=128)
+    pol = PrecisionPolicy(base_bits=64, frac_bits=512, max_bits=128)
     with pytest.raises(mn.PrecisionExhausted):
-        sq.criterion_point(12, 512, pol)
+        sq.criterion_point(12, pol)
 
 
 # --- tail probe --------------------------------------------------------------------
