@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import to_str
 
-from . import __version__, asymptotics, exact, sequences, verify
+from . import __version__, asymptotics, exact, mpnum, sequences, verify
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -60,7 +60,9 @@ def _parse_range(text: str) -> Tuple[int, int]:
     else:
         lo = hi = int(text)
     if lo < 1:
-        raise ValueError("range must start at 1 or above")
+        raise argparse.ArgumentTypeError("range must start at 1 or above")
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"range {text} ends before it starts")
     return lo, hi
 
 
@@ -206,22 +208,31 @@ def _criterion_cells(n: int, policy: PrecisionPolicy) -> Dict[str, str]:
                           exact.lcm_upto(2 * n).bit_length())
 
 
-# the row subcommands: their columns and their "n, policy -> row" function
+# the row subcommands: their columns, their "n, policy -> row" function and
+# their precision plan (the working bits of a row's largest dot product)
 _ROW_COMMANDS = {
-    "table": (TABLE_COLUMNS, _table_cells),
-    "criterion": (CRITERION_COLUMNS, _criterion_cells),
+    "table": (TABLE_COLUMNS, _table_cells, sequences.record_plan),
+    "criterion": (CRITERION_COLUMNS, _criterion_cells, sequences.criterion_plan),
 }
 
 
 def _row_task(task) -> Dict[str, str]:
     command, n, policy = task
-    columns, cells = _ROW_COMMANDS[command]
+    columns, cells, _ = _ROW_COMMANDS[command]
     try:
         return cells(n, policy)
     except (PrecisionExhausted, PrecisionInsufficient):
         row = dict.fromkeys(columns, "")
         row.update(n=str(n), status="precision_exhausted")
         return row
+
+
+def _row_stripe(tasks) -> List[Dict[str, str]]:
+    return [_row_task(t) for t in tasks]
+
+
+def _reserve_logs(bits: int) -> None:
+    mpnum._TABLE.reserve(bits)
 
 
 def _write_rows(path: str, fmt: str, columns: Sequence[str],
@@ -284,14 +295,24 @@ def _cmd_rows(args) -> int:
     t0 = time.perf_counter()
     lo, hi = args.n
     policy = _policy(args)
+    columns, _, plan = _ROW_COMMANDS[args.command]
     tasks = [(args.command, n, policy) for n in range(lo, hi + 1)]
-    if args.jobs <= 1 or len(tasks) <= 1:
-        rows = [_row_task(t) for t in tasks]
+    # the largest n has the largest plan; every process reserves it once
+    bits = plan(hi, policy)
+    k = min(args.jobs, len(tasks))
+    if k <= 1:
+        _reserve_logs(bits)
+        rows = _row_stripe(tasks)
     else:
-        # map keeps the order of the tasks, so rows come out by n
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_row_task, tasks))
-    _write_rows(args.out, args.format, _ROW_COMMANDS[args.command][0], rows)
+        # one stripe n = lo+i, lo+i+k, ... per worker: neighbouring n cost
+        # about the same, so the stripes stay balanced
+        with ProcessPoolExecutor(max_workers=k, initializer=_reserve_logs,
+                                 initargs=(bits,)) as pool:
+            stripes = list(pool.map(_row_stripe, [tasks[i::k] for i in range(k)]))
+        rows = [None] * len(tasks)
+        for i, stripe in enumerate(stripes):
+            rows[i::k] = stripe
+    _write_rows(args.out, args.format, columns, rows)
     bad = sum(1 for r in rows if r["status"] != "ok")
     _write_manifest(args.out, args, {
         "n_range": [lo, hi],

@@ -28,7 +28,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -328,6 +329,7 @@ def b_sum(items, p: int) -> Bounded:
 _DOT_GUARD = 16     # working bits of a dot product beyond those asked for
 _FLOOR_MARGIN = 32  # table bits beyond a dot's working bits
 _SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
+_SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
 
 
 def _two_atanh_recip(m: int, p: int) -> Tuple[int, int]:
@@ -367,15 +369,17 @@ def _spf_sieve(limit: int) -> Tuple[array, List[int]]:
 class PrimeLogTable:
     """Certified fixed-point logs of the primes seen so far, and a sieve.
 
-    Both grow geometrically: the table precision doubles (or jumps to
-    what a dot product needs) only when a dot asks for more bits than it
-    holds, and the sieve doubles only when a larger integer must be
-    factored (integers from ``_SIEVE_CAP`` on need it only up to their
-    square root).  A process therefore rebuilds each O(log) times however
-    many logs it takes; ``builds`` and ``sieves`` count the rebuilds.
-    Entries are added one prime at a time, each from entries already
-    present.  A rebuild drops every entry, so it costs only the primes
-    (and their q-1 chains) asked for after it.
+    A run reserves the table once, at the largest precision its dot
+    products will ask for (:meth:`reserve`, from the precision plan of its
+    largest n).  After that the precision doubles only when a dot asks for
+    more (a precision escalation) or when an entry straddles a multiple of
+    the floor it must certify; without a reservation it starts at the first
+    dot's needs and doubles the same way.  The sieve doubles only when a
+    larger integer must be factored (integers from ``_SIEVE_CAP`` on need
+    it only up to their square root).  ``builds`` and ``sieves`` count the
+    rebuilds.  Entries are added one prime at a time, each from entries
+    already present.  A rebuild drops every entry, so it costs only the
+    primes (and their q-1 chains) asked for after it.
     """
 
     def __init__(self) -> None:
@@ -447,6 +451,12 @@ class PrimeLogTable:
         self.builds += 1
         self._logs = {}
 
+    def reserve(self, w: int) -> None:
+        """Hold enough bits for dot products at up to w working bits."""
+        with self._lock:
+            if self.prec < w + _FLOOR_MARGIN:
+                self._rebuild(w + _FLOOR_MARGIN)
+
     def floor_logs(self, primes: Iterable[int], w: int) -> Dict[int, int]:
         """{q: floor(2^w ln q)} for primes q, exactly."""
         with self._lock:
@@ -485,40 +495,53 @@ def _legendre(m: int, q: int) -> int:
     return v
 
 
-def _int_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
-    """Prime vector of sum_x (a_x / den) ln x over integers x >= 1."""
+def _range_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
+    """Prime vector of sum_i (weights[i] / den) ln(lo + i), for lo >= 1.
+
+    v_q(x) counts the powers q^e that divide x, so over the range up to
+    hi = lo + len(weights) - 1 the weight of q is
+    sum_e sum(weights[-lo % q^e :: q^e]) for q^e <= hi: one slice sum in C
+    per prime power, and no integer is factored.  That visits every prime
+    up to hi, so a single integer, a range whose hi is more than
+    ``_SLICE_SPAN`` times its length (more primes than integers), or one
+    reaching ``_SIEVE_CAP`` is factored one integer at a time instead.
+    """
+    hi = lo + len(weights) - 1
     acc: Dict[int, int] = {}
-    for x, a in ints.items():
-        if a:
-            for q, e in _TABLE.factor(x):
-                acc[q] = acc.get(q, 0) + a * e
+    if len(weights) <= 1 or hi >= _SIEVE_CAP or hi > _SLICE_SPAN * len(weights):
+        for x, a in enumerate(weights, lo):
+            if a:
+                for q, e in _TABLE.factor(x):
+                    acc[q] = acc.get(q, 0) + a * e
+    else:
+        for q in _TABLE.primes_upto(hi):
+            c, qe = 0, q
+            while qe <= hi:
+                c += sum(weights[-lo % qe::qe])
+                qe *= q
+            acc[q] = c
     return den, {q: c for q, c in acc.items() if c}
 
 
-def _factorial_log_pair(den: int, ints: Mapping[int, int]) -> IntVec:
-    """Prime vector of sum_m (a_m / den) ln(m!) over integers m >= 0.
+def _factorial_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
+    """Prime vector of sum_i (weights[i] / den) ln((lo + i)!), for lo >= 0.
 
-    With m0 the smallest m, ln(m!) = ln(m0!) + sum_{m0 < x <= m} ln x, so
-    the total weight goes to Legendre's vector of m0! and each x in
-    (m0, max m] carries the weight of every m >= x.
+    With m0 the first m of nonzero weight, ln(m!) = ln(m0!) +
+    sum_{m0 < x <= m} ln x, so the total weight goes to Legendre's vector
+    of m0! and each x past m0 carries the weight of every m >= x, a suffix
+    sum; those x form one range for :func:`_range_log_pair`.
     """
-    ints = {m: a for m, a in ints.items() if a}
-    ms = sorted(ints)
-    acc: Dict[int, int] = {}
-    if not ms:
-        return den, acc
-    suffix = sum(ints.values())
-    if suffix:
-        for q in _TABLE.primes_upto(ms[0]):
-            acc[q] = suffix * _legendre(ms[0], q)
-    i = 0
-    for x in range(ms[0] + 1, ms[-1] + 1):
-        while ms[i] < x:
-            suffix -= ints[ms[i]]
-            i += 1
-        if suffix:
-            for q, e in _TABLE.factor(x):
-                acc[q] = acc.get(q, 0) + suffix * e
+    used = [i for i, a in enumerate(weights) if a]
+    if not used:
+        return den, {}
+    first, last = used[0], used[-1]
+    m0 = lo + first
+    suffix = list(accumulate(reversed(weights[first + 1:last + 1])))[::-1]
+    acc = _range_log_pair(den, m0 + 1, suffix)[1]
+    total = sum(weights)
+    if total:
+        for q in _TABLE.primes_upto(m0):
+            acc[q] = acc.get(q, 0) + total * _legendre(m0, q)
     return den, {q: c for q, c in acc.items() if c}
 
 
@@ -549,7 +572,7 @@ def ln_int(k: int, p: int) -> Bounded:
     """
     if k < 1:
         raise ValueError("ln_int needs k >= 1")
-    return _prime_dot(_int_log_pair(1, {k: 1}), p)
+    return _prime_dot(_range_log_pair(1, k, [1]), p)
 
 
 def log_factorial(m: int, p: int) -> Bounded:
@@ -561,7 +584,7 @@ def log_factorial(m: int, p: int) -> Bounded:
     """
     if m < 0:
         raise ValueError("log_factorial needs m >= 0")
-    return _prime_dot(_factorial_log_pair(1, {m: 1}), p + 8)
+    return _prime_dot(_factorial_log_pair(1, m, [1]), p + 8)
 
 
 def ln2_const(p: int) -> Bounded:

@@ -48,10 +48,12 @@ from .mpnum import (
     pi_const,
     ln2_const,
     IntVec,
+    _BM_GUARD,
+    _DOT_GUARD,
     _factorial_log_pair,
     _fraction_to_raw_up,
-    _int_log_pair,
     _prime_dot,
+    _range_log_pair,
     _up_add,
 )
 
@@ -78,6 +80,8 @@ __all__ = [
     "build_record",
     "closed_form_floor",
     "default_series_eps",
+    "record_plan",
+    "criterion_plan",
 ]
 
 
@@ -96,7 +100,7 @@ def L_vector(n: int) -> IntVec:
     if n < 1:
         raise ValueError("n >= 1 required")
     d, nums = exact.residue_numerators(n)
-    return _factorial_log_pair(d, {n + j: a for j, a in enumerate(nums)})
+    return _factorial_log_pair(d, n, nums)
 
 
 def L_from_factorial_logs(n: int, p: int) -> Bounded:
@@ -138,8 +142,7 @@ def log_S_exponents(n: int) -> List[int]:
 
 def log_S_vector(n: int) -> IntVec:
     """Exact prime vector (1, {q: c_q}) of log S_n: c_q = sum_k E_k v_q(n+k)."""
-    expo = log_S_exponents(n)
-    return _int_log_pair(1, {n + k: e for k, e in enumerate(expo, 1)})
+    return _range_log_pair(1, n + 1, log_S_exponents(n))
 
 
 def log_S(n: int, p: int) -> Bounded:
@@ -237,7 +240,7 @@ def series_term(n: int, v: int, p: int,
         cs = exact.scaled_square_weights(n)
     d, nums = res if res is not None else exact.residue_numerators(n)
     rat = Fraction(*_tree_sum([(c, v + k) for k, c in enumerate(cs)]))
-    logs = _int_log_pair(d, {v + k: a for k, a in enumerate(nums)})
+    logs = _range_log_pair(d, v, nums)
     return b_sub(Bounded.from_fraction(rat, p), _prime_dot(logs, p), p)
 
 
@@ -356,6 +359,15 @@ def default_series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
     return Fraction(1, n << (4 * n + policy.frac_bits + 52))
 
 
+def _series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
+    return Fraction(policy.tail_eps or default_series_eps(n, policy))
+
+
+def _series_precision(n: int, eps: Fraction, policy: PrecisionPolicy) -> int:
+    # first-attempt working bits of I_series for a budget eps
+    return max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
+
+
 def I_series(
     n: int,
     eps: Optional[Fraction] = None,
@@ -371,9 +383,7 @@ def I_series(
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if eps is None:
-        eps = policy.tail_eps or default_series_eps(n, policy)
-    eps = Fraction(eps)
+    eps = _series_eps(n, policy) if eps is None else Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
 
@@ -398,15 +408,15 @@ def I_series(
                         hd)
     int_rat = -Fraction(*_tree_sum([(k * c, a + k) for k, c in enumerate(cs)]))
     em_corr = kern.em_corr(a, em_terms)
-    # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum
-    fact_w: Dict[int, int] = {}
+    # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum,
+    # as weights of ln(m!) for m = n .. V+n
+    fact_w = [-A for A in nums] + [0] * (v_cut - n)
     for k, A in enumerate(nums):
-        fact_w[v_cut + k] = fact_w.get(v_cut + k, 0) + A
-        fact_w[n + k] = fact_w.get(n + k, 0) - A
-    main_logs = _factorial_log_pair(d, fact_w)
-    int_logs = _int_log_pair(d, {a + k: w for k, w in enumerate(wlog)})
+        fact_w[v_cut - n + k] += A
+    main_logs = _factorial_log_pair(d, n, fact_w)
+    int_logs = _range_log_pair(d, a, wlog)
 
-    p = max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
+    p = _series_precision(n, eps, policy)
     if p > policy.max_bits:
         raise PrecisionExhausted(
             f"series at n={n} needs {p} working bits, ceiling is {policy.max_bits}")
@@ -470,10 +480,27 @@ class CriterionPoint:
     dist_threshold: Bounded
 
 
-def _criterion_precision(n: int, d2n: int, frac_bits: int) -> int:
+def _criterion_precision(n: int, policy: PrecisionPolicy) -> int:
     # integer part of log S_n is ~ bits(d_2n) + 2n wide; fractional parts
     # need working precision beyond that width
-    return d2n.bit_length() + 2 * n + frac_bits + 64
+    return max(policy.base_bits, exact.lcm_upto(2 * n).bit_length() + 2 * n
+               + policy.frac_bits + 64)
+
+
+def _threshold_precision(policy: PrecisionPolicy) -> int:
+    # working bits of pi / (6 ln 2) beside a criterion point
+    return max(policy.frac_bits + 96, 192)
+
+
+def criterion_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
+    """Working bits of the largest dot product of criterion_point(n)'s
+    first attempt, no more than ``policy.max_bits`` allows a row.
+
+    Reserving the prime-log table at this many bits for the largest n of a
+    run leaves it to rebuild only on an escalation or a straddle.
+    """
+    p = max(_criterion_precision(n, policy), _threshold_precision(policy))
+    return min(p, policy.max_bits) + _DOT_GUARD
 
 
 def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
@@ -488,7 +515,7 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
         raise ValueError("n >= 1 required")
     frac_bits = policy.frac_bits
     d2n = exact.lcm_upto(2 * n)
-    p = max(policy.base_bits, _criterion_precision(n, d2n, frac_bits))
+    p = _criterion_precision(n, policy)
     if p > policy.max_bits:
         raise PrecisionExhausted(
             f"criterion at n={n} needs {p} working bits, ceiling is "
@@ -511,7 +538,7 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
                 f"criterion at n={n} exhausted at {policy.max_bits} bits")
         p = nxt
     q = b_scale(frac, Fraction((16 ** n) * n, d2n), p)
-    thr = sondow_threshold(max(frac_bits + 96, 192))
+    thr = sondow_threshold(_threshold_precision(policy))
     return CriterionPoint(
         n=n,
         precision_bits=p,
@@ -542,10 +569,11 @@ def tail_probe(n: int, r: int, p: int) -> Bounded:
         suffix[j] += suffix[j + 1]
     if suffix[0] != 0:
         raise exact.IdentityViolation("probe weights do not cancel")
-    weights = {n + r + i: suffix[i] for i in range(1, n + 1)}
+    # weights of ln(n + r + i) for i = 0 .. n
+    weights = [0] + suffix[1:]
     for j, c in enumerate(exact.scaled_square_weights(n)):
-        weights[n + j + r] = weights.get(n + j + r, 0) + d * c
-    return _prime_dot(_int_log_pair(d, weights), wp)
+        weights[j] += d * c
+    return _prime_dot(_range_log_pair(d, n + r, weights), wp)
 
 
 def A_approx(n: int, p: int) -> Bounded:
@@ -598,12 +626,34 @@ class SeqRecord:
     timings: Dict[str, float] = field(default_factory=dict)
 
 
+def _record_precision(n: int, policy: PrecisionPolicy) -> int:
+    # the record's own working bits: L_n, log S_n and the closed form
+    return max(policy.base_bits, 6 * n + policy.frac_bits + 96)
+
+
+def record_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
+    """Working bits of the largest dot product of build_record(n)'s first
+    attempts, no more than ``policy.max_bits`` allows a row.
+
+    The stages are the record's own precision (and the ln n that
+    Brent-McMillan takes _BM_GUARD bits above it), I_series and
+    criterion_point.  Reserving the prime-log table at this many bits for
+    the largest n of a run leaves it to rebuild only on an escalation or a
+    straddle.
+    """
+    cap = policy.max_bits
+    return max(min(_record_precision(n, policy), cap) + _BM_GUARD + _DOT_GUARD,
+               min(_series_precision(n, _series_eps(n, policy), policy), cap)
+               + _DOT_GUARD,
+               criterion_plan(n, policy))
+
+
 def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqRecord:
     """Populate every per-n quantity; deterministic for fixed (n, policy)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     timings: Dict[str, float] = {}
-    p = max(policy.base_bits, 6 * n + policy.frac_bits + 96)
+    p = _record_precision(n, policy)
 
     t0 = time.perf_counter()
     a_ex = exact.A_exact(n)

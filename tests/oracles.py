@@ -118,3 +118,40 @@ def A_sum(n: int) -> Fraction:
     """A_n = sum_j C(n,j)^2 H_{n+j}, a running Fraction sum."""
     return sum((math.comb(n, j) ** 2 * exact.harmonic(n + j) for j in range(n + 1)),
                Fraction(0))
+
+
+def factor_oracle(k: int) -> dict:
+    """{q: v_q(k)} for an integer k >= 1, by trial division by every d."""
+    out = {}
+    d = 2
+    while d * d <= k:
+        while k % d == 0:
+            out[d] = out.get(d, 0) + 1
+            k //= d
+        d += 1
+    if k > 1:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def range_log_vector(den: int, lo: int, weights) -> tuple:
+    """(den, {q: c_q}) with sum_i weights[i] ln(lo + i) = sum_q c_q ln q,
+    one factorisation per integer; zero entries left out."""
+    acc = {}
+    for x, a in enumerate(weights, lo):
+        for q, e in factor_oracle(x).items():
+            acc[q] = acc.get(q, 0) + a * e
+    return den, {q: c for q, c in acc.items() if c}
+
+
+def factorial_log_vector(den: int, lo: int, weights) -> tuple:
+    """(den, {q: c_q}) with sum_i weights[i] ln((lo + i)!) = sum_q c_q ln q,
+    from the factorisation of every factor of every (lo + i)!."""
+    acc, fact = {}, {}
+    for m in range(1, lo + len(weights)):
+        for q, e in factor_oracle(m).items():
+            fact[q] = fact.get(q, 0) + e
+        if m >= lo:
+            for q, e in fact.items():
+                acc[q] = acc.get(q, 0) + weights[m - lo] * e
+    return den, {q: c for q, c in acc.items() if c}

@@ -129,14 +129,14 @@ def test_table_format_equivalence(tmp_path):
         assert cr == jr
 
 
-def test_table_empty_range(tmp_path):
-    out = tmp_path / "empty.csv"
-    assert run(["table", "--n", "3..2", "--format", "csv",
-                "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert rows == []
-    header = read_bytes(out).decode().splitlines()[0]
-    assert header.split(",")[0] == "n"
+@pytest.mark.parametrize("command", ["table", "criterion"])
+def test_reversed_range_is_rejected(command, tmp_path, capsys):
+    # a range that ends before it starts is a configuration error, not an
+    # empty table
+    out = tmp_path / "reversed.csv"
+    assert run([command, "--n", "5..3", "--jobs", "1", "--out", str(out)]) == 3
+    assert "5..3 ends before it starts" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table_precision_exhaustion_flags_row(tmp_path):
@@ -155,6 +155,44 @@ def test_table_parallel_matches_serial(tmp_path):
     assert run(["table", "--n", "1..4", "--jobs", "1", "--out", str(a)]) == 0
     assert run(["table", "--n", "1..4", "--jobs", "3", "--out", str(b)]) == 0
     assert read_bytes(a) == read_bytes(b)
+
+
+@pytest.mark.parametrize("args", [["table", "--n", "1..9", "--jobs", "4"],
+                                  ["criterion", "--n", "1..7", "--jobs", "3"],
+                                  ["criterion", "--n", "1..2", "--jobs", "4"]])
+def test_striped_pool_matches_one_process(args, tmp_path):
+    # uneven stripes, and more jobs than rows
+    one = tmp_path / "one.csv"
+    pool = tmp_path / "pool.csv"
+    assert run(args[:3] + ["--jobs", "1", "--out", str(one)]) == 0
+    assert run(args + ["--out", str(pool)]) == 0
+    assert read_bytes(one) == read_bytes(pool)
+
+
+@pytest.mark.parametrize("args", [["criterion", "--n", "1..460"],  # 5 builds before
+                                  ["table", "--n", "400..401"],    # 2 before
+                                  ["table", "--n", "1..120"]])     # 3 before
+def test_one_table_build_per_run(args, tmp_path, monkeypatch):
+    # the table is reserved once at the plan of the run's largest n
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    assert run(args + ["--jobs", "1", "--out", str(tmp_path / "x.csv")]) == 0
+    assert mn._TABLE.builds == 1
+
+
+@pytest.mark.parametrize("args, guard", [
+    (["criterion", "--n", "1..30", "--max-bits", "256"], mn._DOT_GUARD),
+    (["table", "--n", "1..3", "--frac-bits", "800"], mn._BM_GUARD + mn._DOT_GUARD),
+])
+def test_reservation_stays_under_max_bits(args, guard, tmp_path, monkeypatch):
+    # the criterion plan of n = 30 asks for more than 256 bits; the rows
+    # that need it are flagged, and the table holds no more than a row may
+    # ask for
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    out = tmp_path / "x.csv"
+    assert run(args + ["--jobs", "1", "--out", str(out)]) == 2
+    policy = cli._policy(cli.build_parser().parse_args(args + ["--out", str(out)]))
+    assert mn._TABLE.prec <= policy.max_bits + guard + mn._FLOOR_MARGIN
+    assert mn._TABLE.builds == 1
 
 
 # --- criterion -------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -495,13 +495,70 @@ def test_prime_dot_independent_of_table_history(monkeypatch):
     assert (b.val, b.err) == (b2.val, b2.err)
 
 
+_signed_weights = st.lists(st.one_of(st.just(0), st.integers(-10 ** 12, 10 ** 12)),
+                           max_size=300)
+
+
+@given(st.one_of(st.integers(1, 400), st.integers(1, 10 ** 5),
+                 st.integers(mn._SIEVE_CAP - 400, mn._SIEVE_CAP + 100)),
+       _signed_weights, st.integers(1, 10 ** 6))
+@example(lo=2, weights=[7, 0, -3] * 60, den=6)         # prime-power slices
+@example(lo=100, weights=[1, -1] * 20, den=1)          # hi = 3.4 lengths: slices
+@example(lo=10 ** 4, weights=[5, 0, 0, -2], den=1)     # hi far above length: factored
+@example(lo=mn._SIEVE_CAP - 3, weights=[1, 2, 0, 3, -4, 5], den=3)  # across the cap
+@settings(max_examples=60, deadline=None)
+def test_range_log_pair_equals_factorisation_oracle(lo, weights, den):
+    assert mn._range_log_pair(den, lo, weights) == oracles.range_log_vector(
+        den, lo, weights)
+
+
+@given(st.integers(0, 300), _signed_weights.map(lambda w: w[:60]))
+@settings(max_examples=30, deadline=None)
+def test_factorial_log_pair_equals_factorisation_oracle(lo, weights):
+    assert mn._factorial_log_pair(1, lo, weights) == oracles.factorial_log_vector(
+        1, lo, weights)
+
+
+def test_range_log_pair_factors_only_where_the_shape_calls_for_it(monkeypatch):
+    table = mn.PrimeLogTable()
+    monkeypatch.setattr(mn, "_TABLE", table)
+    factored = []
+    factor = table.factor
+    monkeypatch.setattr(table, "factor", lambda k: factored.append(k) or factor(k))
+    mn._range_log_pair(1, 401, list(range(1, 401)))  # the shape of log S_400
+    mn._range_log_pair(1, 2, [1] * 7)                # hi = 8 / 7 lengths
+    assert factored == []
+    mn._range_log_pair(1, 12, [1])                   # one integer, as in ln_int
+    mn._range_log_pair(1, 10 ** 4, [1, 0, 2])        # hi far above the length
+    assert factored == [12, 10 ** 4, 10 ** 4 + 2]
+    factored.clear()
+    monkeypatch.setattr(mn, "_SIEVE_CAP", 1000)
+    mn._range_log_pair(1, 500, [1] * 501)            # reaches the cap
+    assert factored == list(range(500, 1001))
+
+
+def test_reserve_holds_dots_up_to_the_reserved_bits(monkeypatch):
+    table = mn.PrimeLogTable()
+    monkeypatch.setattr(mn, "_TABLE", table)
+    table.reserve(3000)
+    assert table.builds == 1 and table.prec == 3000 + mn._FLOOR_MARGIN
+    table.reserve(1000)  # never shrinks
+    asks = [(97, 64), (1001, 2000), (7919, 3000 - mn._DOT_GUARD)]
+    vals = [mn.ln_int(k, p) for k, p in asks]
+    assert table.builds == 1
+    fresh = mn.PrimeLogTable()
+    monkeypatch.setattr(mn, "_TABLE", fresh)
+    assert vals == [mn.ln_int(k, p) for k, p in asks]
+    assert fresh.builds > 1
+
+
 def test_prime_vectors_exact():
-    assert mn._int_log_pair(1, {12: 1}) == (1, {2: 2, 3: 1})
-    assert mn._int_log_pair(1, {1: 5}) == (1, {})
+    assert mn._range_log_pair(1, 12, [1]) == (1, {2: 2, 3: 1})
+    assert mn._range_log_pair(1, 1, [5]) == (1, {})
     # (1/2) ln 6 - ln 2 = (1/2) ln 3 - (1/2) ln 2
-    assert mn._int_log_pair(2, {6: 1, 2: -2}) == (2, {3: 1, 2: -1})
+    assert mn._range_log_pair(2, 2, [-2, 0, 0, 0, 1]) == (2, {3: 1, 2: -1})
     # 10! = 2^8 3^4 5^2 7, and 10!/7! = 8 * 9 * 10
-    assert mn._factorial_log_pair(1, {10: 1}) == (1, {2: 8, 3: 4, 5: 2, 7: 1})
-    assert mn._factorial_log_pair(1, {10: 1, 7: -1}) == (1, {2: 4, 3: 2, 5: 1})
-    assert mn._factorial_log_pair(1, {0: 3, 1: 2}) == (1, {})
+    assert mn._factorial_log_pair(1, 10, [1]) == (1, {2: 8, 3: 4, 5: 2, 7: 1})
+    assert mn._factorial_log_pair(1, 7, [-1, 0, 0, 1]) == (1, {2: 4, 3: 2, 5: 1})
+    assert mn._factorial_log_pair(1, 0, [3, 2]) == (1, {})
     assert mn._legendre(100, 5) == 24

@@ -418,6 +418,28 @@ def test_build_record_computes_L_once(monkeypatch):
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
 
 
+@pytest.mark.parametrize("n, frac_bits", [(1, 64), (7, 64), (60, 64), (401, 64),
+                                          (1, 256), (7, 256)])
+def test_precision_plan_covers_every_stage(n, frac_bits, monkeypatch):
+    # reserved at its plan, a fresh table serves every dot product of the
+    # stage without a rebuild, and the plan is the working bits of one of
+    # them: a stage formula that drifts from its plan fails one of the two.
+    # At small n a large frac_bits makes pi / (6 ln 2) the largest dot.
+    policy = PrecisionPolicy(frac_bits=frac_bits)
+    for plan, stage in [(sq.record_plan, sq.build_record),
+                        (sq.criterion_plan, sq.criterion_point)]:
+        table = mn.PrimeLogTable()
+        monkeypatch.setattr(mn, "_TABLE", table)
+        asked = []
+        floor_logs = table.floor_logs
+        monkeypatch.setattr(table, "floor_logs",
+                            lambda primes, w: asked.append(w) or floor_logs(primes, w))
+        table.reserve(plan(n, policy))
+        stage(n, policy)
+        assert table.builds == 1, (stage.__name__, n)
+        assert max(asked) == plan(n, policy), (stage.__name__, n)
+
+
 def test_build_record_deterministic():
     r1 = sq.build_record(7)
     r2 = sq.build_record(7)
