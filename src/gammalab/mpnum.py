@@ -37,7 +37,6 @@ from mpmath.libmp import (
     fzero,
     from_int,
     from_man_exp,
-    from_rational,
     mpf_abs,
     mpf_add,
     mpf_cmp,
@@ -151,11 +150,28 @@ def raw_to_fraction(x) -> Fraction:
     return Fraction(n, 1 << -exp)
 
 
-def _fraction_to_raw_up(q: Fraction):
-    # upper bound on a nonnegative rational, for bound bookkeeping
-    if q < 0:
+def _raw_int(x: int):
+    # from_int strips trailing zero bits a byte per step, in time quadratic
+    # in their number; x & -x finds them in one step
+    tz = (x & -x).bit_length() - 1 if x else 0
+    return from_man_exp(x >> tz, tz)
+
+
+def _raw_ratio(num: int, den: int, p: int, rnd: str):
+    # from_rational for any integers with den > 0, reduced or not: the
+    # division rounds the exact quotient, so only the value matters
+    return mpf_div(_raw_int(num), _raw_int(den), p, rnd)
+
+
+def _ratio_to_raw_up(num: int, den: int):
+    # upper bound on a nonnegative num/den (den > 0), for bound bookkeeping
+    if num < 0:
         raise ValueError("bounds must be nonnegative")
-    return from_rational(q.numerator, q.denominator, _EPREC, "u")
+    return _raw_ratio(num, den, _EPREC, "u")
+
+
+def _fraction_to_raw_up(q: Fraction):
+    return _ratio_to_raw_up(q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -171,11 +187,24 @@ class Bounded:
 
     @classmethod
     def from_fraction(cls, q: Fraction, p: int) -> "Bounded":
-        q = Fraction(q)
-        v = from_rational(q.numerator, q.denominator, p, "n")
-        if raw_to_fraction(v) == q:
-            return cls(v, fzero)
-        return cls(v, _rnd_bound(v, p))
+        return cls.from_ratio(*Fraction(q).as_integer_ratio(), p)
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int, p: int) -> "Bounded":
+        """num/den rounded to nearest at p bits, for integers with den > 0.
+
+        The pair need not be reduced: the rounding depends only on the
+        value, and exactness is tested by cross-multiplying, so no gcd is
+        taken.
+        """
+        v = _raw_ratio(num, den, p, "n")
+        sign, man, exp, _ = v
+        man = -man if sign else man
+        if exp >= 0:
+            exact_val = (man << exp) * den == num
+        else:
+            exact_val = man * den == num << -exp
+        return cls(v, fzero if exact_val else _rnd_bound(v, p))
 
     @property
     def mpf(self):
@@ -559,8 +588,8 @@ def _prime_dot(vec: IntVec, p: int) -> Bounded:
     logs = _TABLE.floor_logs(ints, w) if ints else {}
     s = sum(a * logs[q] for q, a in ints.items())
     e = sum(abs(a) for a in ints.values())
-    v = from_rational(s, den << w, p, "n")
-    err = _up_add(from_rational(e, den << w, _EPREC, "u"), _rnd_bound(v, p))
+    v = _raw_ratio(s, den << w, p, "n")
+    err = _up_add(_ratio_to_raw_up(e, den << w), _rnd_bound(v, p))
     return Bounded(v, err)
 
 
@@ -824,3 +853,7 @@ class PrecisionPolicy:
     def __post_init__(self):
         if self.base_bits < 64:
             raise ValueError("base_bits must be at least 64")
+        if self.frac_bits < 0:
+            raise ValueError("frac_bits must be nonnegative")
+        if self.tail_eps is not None and self.tail_eps <= 0:
+            raise ValueError("tail_eps must be positive")

@@ -14,9 +14,11 @@ with Cs_k = C(n,k)^2 and As_k = 2 C(n,k)^2 (H_k - H_{n-k})), and the tail
 past a small cutoff is summed by Euler-Maclaurin.  Because f is completely
 monotone on (0, inf) (an integral of a product of completely monotone
 factors), the Euler-Maclaurin remainder is bounded by the first omitted
-term, which we evaluate exactly in rational arithmetic.  That certified
-tail is what makes a 30+ digit series evaluation feasible at n = 1, where
-naive summation to the same accuracy would need ~1e16 terms.
+term.  The cutoff search decides that term's size, and its 48-bit upward
+rounding, from certified fixed-point enclosures, falling back to the exact
+rational value only when an enclosure cannot decide.  That certified tail
+is what makes a 30+ digit series evaluation feasible at n = 1, where naive
+summation to the same accuracy would need ~1e16 terms.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 from mpmath.libmp import fzero
@@ -50,11 +53,14 @@ from .mpnum import (
     IntVec,
     _BM_GUARD,
     _DOT_GUARD,
+    _EPREC,
     _factorial_log_pair,
     _fraction_to_raw_up,
     _prime_dot,
     _range_log_pair,
+    _ratio_to_raw_up,
     _up_add,
+    raw_to_fraction,
 )
 
 __all__ = [
@@ -218,9 +224,10 @@ def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None,
 class TailBound:
     """Certificate for the series tail summed past cutoff v = V.
 
-    ``remainder`` bounds everything not explicitly computed (the
-    Euler-Maclaurin remainder with ``em_terms`` correction terms); it is
-    valid because the summand is completely monotone.
+    ``remainder`` bounds everything not explicitly computed: it is the
+    Euler-Maclaurin remainder with ``em_terms`` correction terms, rounded
+    up to a 48-bit dyadic, and it is valid because the summand is
+    completely monotone.
     """
 
     cutoff: int
@@ -239,9 +246,9 @@ def series_term(n: int, v: int, p: int,
     if cs is None:
         cs = exact.scaled_square_weights(n)
     d, nums = res if res is not None else exact.residue_numerators(n)
-    rat = Fraction(*_tree_sum([(c, v + k) for k, c in enumerate(cs)]))
+    rat = _tree_sum([(c, v + k) for k, c in enumerate(cs)])
     logs = _range_log_pair(d, v, nums)
-    return b_sub(Bounded.from_fraction(rat, p), _prime_dot(logs, p), p)
+    return b_sub(Bounded.from_ratio(*rat, p), _prime_dot(logs, p), p)
 
 
 def _tree_sum(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
@@ -265,8 +272,8 @@ class _EMKernel:
     g is the scaled integrand (n!/(x(x+1)...(x+n)))^2.  The residue weights
     As_k arrive over one denominator ``den``, as the integers
     ``num[k] = As_k den`` of :func:`exact.residue_numerators`, so every sum
-    over k runs in integers and is reduced once at the end (Haible &
-    Papanikolaou 1998).
+    over k runs in integers, and its unreduced (num, den) is only ever
+    compared or rounded, never reduced (Haible & Papanikolaou 1998).
     """
 
     def __init__(self, den: int, num: List[int], cs: List[int]):
@@ -295,8 +302,37 @@ class _EMKernel:
         return (abs(bern.numerator * num),
                 bern.denominator * (2 * K + 2) * (2 * K + 1) * den)
 
-    def em_corr(self, a: int, K: int) -> Fraction:
-        """sum_{j=1..K} B_2j / (2j)! g^(2j-2)(a), in one pass over k.
+    def em_remainder_enclosure(self, a: int, K: int, W: int) -> Tuple[int, int, int]:
+        """(lo, hi, den) with lo/den <= em_remainder(a, K) <= hi/den.
+
+        With b = a + k and e = 2K + 2, the exact remainder is
+        |B_e| |S| / (B_e-den e (e-1) den), where
+        S = sum_k t_k and t_k = (A_k b + (e-1) den Cs_k) / b^e.  Each term
+        is floored at scale 2^W, s = sum_k floor(2^W t_k); a floor loses
+        less than 1, so s <= 2^W S < s + n + 1.  That bounds |S| by
+        [s, s+n+1] when s >= 0, by [-(s+n+1), -s] when s+n+1 <= 0, and by
+        [0, max(-s, s+n+1)] otherwise; W = 0 is allowed.  The width is
+        n + 1 at scale 2^W whatever the cancellation in S, and no power
+        b^e is multiplied into a common denominator.
+        """
+        e = 2 * K + 2
+        d = self.den
+        s = sum(((A * b + (e - 1) * d * c) << W) // b ** e
+                for b, A, c in zip(count(a), self.num, self.cs))
+        t = s + len(self.cs)
+        if s >= 0:
+            lo, hi = s, t
+        elif t <= 0:
+            lo, hi = -t, -s
+        else:
+            lo, hi = 0, max(-s, t)
+        bern = exact.bernoulli(e)
+        bn = abs(bern.numerator)
+        return bn * lo, bn * hi, (bern.denominator * e * (e - 1) * d) << W
+
+    def em_corr(self, a: int, K: int) -> Tuple[int, int]:
+        """sum_{j=1..K} B_2j / (2j)! g^(2j-2)(a) as an unreduced (num, den),
+        in one pass over k.
 
         With x = 1/(a+k) it is sum_k As_k P(x) + Cs_k Q(x), where
         P(x) = sum_j B_2j/(2j(2j-1)) x^(2j-1) and Q(x) = sum_j B_2j/(2j) x^(2j);
@@ -320,7 +356,7 @@ class _EMKernel:
                 qn = qn * s + qj
             pairs.append((A * b * pn + d * c * qn, s ** K))
         num, den = _tree_sum(pairs)
-        return Fraction(num, den * d * dq)
+        return num, den * d * dq
 
 
 def _log2_fraction(q: Fraction) -> int:
@@ -337,15 +373,56 @@ _EM_PADS = (32, 48, 64, 96, 128, 192, 256, 384, 512)
 _EM_TERMS = (6, 8, 10, 12, 16, 20, 24, 32)
 
 
+_ENCLOSE_GUARD = 64  # bits an enclosure resolves beyond what it must decide
+
+
+def _remainder_within(target: Fraction, kern: _EMKernel, a: int, K: int):
+    """em_remainder(a, K) rounded up to 48 bits if it is at most target,
+    else None.
+
+    Decided from :meth:`_EMKernel.em_remainder_enclosure`, first at the W
+    that resolves the target with _ENCLOSE_GUARD bits to spare.  Rejecting
+    needs lo > target.  Accepting needs hi <= target, and lo and hi
+    rounding up to the same 48-bit value, which by monotonicity is the
+    exact remainder's rounding too.  An undecided interval is retried once
+    with W enlarged by the bits it lacked: enough to make its width
+    2^-(48 + guard) of lo, or the guard again when it already was (the
+    interval then straddles the target).  Only then is the exact remainder
+    computed.
+    """
+    tn, td = target.numerator, target.denominator
+    bern = exact.bernoulli(2 * K + 2)
+    c = bern.denominator * (2 * K + 2) * (2 * K + 1) * kern.den
+    W = max(0, (td * abs(bern.numerator)).bit_length() - (tn * c).bit_length()
+            + len(kern.cs).bit_length() + _ENCLOSE_GUARD)
+    for _ in range(2):
+        lo, hi, den = kern.em_remainder_enclosure(a, K, W)
+        if lo * td > tn * den:
+            return None
+        if hi * td <= tn * den:
+            up = _ratio_to_raw_up(hi, den)
+            if _ratio_to_raw_up(lo, den) == up:
+                return up
+        lacked = (hi - lo).bit_length() + _EPREC - lo.bit_length()
+        W += _ENCLOSE_GUARD + max(0, lacked)
+    num, den = kern.em_remainder(a, K)
+    if num * td <= tn * den:
+        return _ratio_to_raw_up(num, den)
+    return None
+
+
 def _choose_cutoff(n: int, eps: Fraction,
                    kern: _EMKernel) -> Tuple[int, int, Fraction]:
+    """The first (V, K) of the _EM_PADS x _EM_TERMS grid, in that order,
+    whose remainder is at most eps/4, and that remainder rounded up to a
+    48-bit dyadic."""
     target = eps / 4
     for pad in _EM_PADS:
         v_cut = n + pad
         for K in _EM_TERMS:
-            num, den = kern.em_remainder(v_cut + 1, K)
-            if num * target.denominator <= target.numerator * den:
-                return v_cut, K, Fraction(num, den)
+            up = _remainder_within(target, kern, v_cut + 1, K)
+            if up is not None:
+                return v_cut, K, raw_to_fraction(up)
     raise PrecisionExhausted(
         f"no Euler-Maclaurin configuration reaches eps={_log2_str(eps)} at n={n}")
 
@@ -360,7 +437,9 @@ def default_series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
 
 
 def _series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
-    return Fraction(policy.tail_eps or default_series_eps(n, policy))
+    if policy.tail_eps is None:
+        return default_series_eps(n, policy)
+    return Fraction(policy.tail_eps)
 
 
 def _series_precision(n: int, eps: Fraction, policy: PrecisionPolicy) -> int:
@@ -404,9 +483,8 @@ def I_series(
 
     # exact pieces, independent of working precision
     hd, h = exact.scaled_harmonics(v_cut + n)
-    main_rat = Fraction(sum(c * (h[v_cut + k] - h[n + k]) for k, c in enumerate(cs)),
-                        hd)
-    int_rat = -Fraction(*_tree_sum([(k * c, a + k) for k, c in enumerate(cs)]))
+    main_rat = (sum(c * (h[v_cut + k] - h[n + k]) for k, c in enumerate(cs)), hd)
+    int_rat = _tree_sum([(-k * c, a + k) for k, c in enumerate(cs)])
     em_corr = kern.em_corr(a, em_terms)
     # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum,
     # as weights of ln(m!) for m = n .. V+n
@@ -422,17 +500,17 @@ def I_series(
             f"series at n={n} needs {p} working bits, ceiling is {policy.max_bits}")
     while True:
         # sum_{v=n+1..V} f(v)
-        main = b_sub(Bounded.from_fraction(main_rat, p), _prime_dot(main_logs, p), p)
+        main = b_sub(Bounded.from_ratio(*main_rat, p), _prime_dot(main_logs, p), p)
 
         # f(a); reused by the boundary and integral pieces
         f_a = series_term(n, a, p, res, cs)
         # integral_a^infty f = -a f(a) - sum_k wlog_k ln(a+k) + int_rat
         integral = b_add(b_mul_int(f_a, -a, p),
-                         Bounded.from_fraction(int_rat, p), p)
+                         Bounded.from_ratio(*int_rat, p), p)
         integral = b_sub(integral, _prime_dot(int_logs, p), p)
 
         tail = b_add(integral, b_scale(f_a, Fraction(1, 2), p), p)
-        tail = b_add(tail, Bounded.from_fraction(em_corr, p), p)
+        tail = b_add(tail, Bounded.from_ratio(*em_corr, p), p)
         total = b_add(main, tail, p)
         total = Bounded(total.val, _up_add(total.err, _fraction_to_raw_up(remainder)))
 

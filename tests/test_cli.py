@@ -333,6 +333,15 @@ def test_bad_arguments_exit_code():
     assert run(["nonsense"]) == 3
 
 
+def test_negative_frac_bits_exit_code(capsys, tmp_path):
+    for cmd in ("table", "criterion"):
+        out = tmp_path / f"{cmd}.csv"
+        assert run([cmd, "--n", "1..2", "--frac-bits", "-1", "--out", str(out)]) == 3
+        assert "frac_bits" in capsys.readouterr().err
+        assert run([cmd, "--n", "1..2", "--frac-bits", "0", "--jobs", "1",
+                    "--out", str(out)]) == 0
+
+
 def test_manifest_contents(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["table", "--n", "1..1", "--jobs", "1", "--out", str(out)]) == 0

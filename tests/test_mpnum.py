@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, fzero
 
 import oracles
 from gammalab import exact
@@ -323,6 +324,45 @@ def test_escalation_soundness_gamma_and_lf():
 def test_policy_validation():
     with pytest.raises(ValueError):
         mn.PrecisionPolicy(base_bits=32)
+    with pytest.raises(ValueError, match="frac_bits"):
+        mn.PrecisionPolicy(frac_bits=-1)
+    for eps in (Fraction(0), Fraction(-1, 10 ** 30)):
+        with pytest.raises(ValueError, match="tail_eps"):
+            mn.PrecisionPolicy(tail_eps=eps)
+    assert mn.PrecisionPolicy(frac_bits=0).frac_bits == 0
+    assert mn.PrecisionPolicy(tail_eps=Fraction(1, 10 ** 30)).tail_eps \
+        == Fraction(1, 10 ** 30)
+
+
+_BIG = 1 << 10000
+
+
+def _odd_part(m):
+    return m >> ((m & -m).bit_length() - 1) if m else 0
+
+
+@given(st.integers(-_BIG, _BIG),
+       st.one_of(st.integers(1, _BIG),
+                 st.builds(lambda j: 1 << j, st.integers(0, 10000))),
+       st.one_of(st.integers(1, 1 << 64), st.integers(1, _BIG)),
+       st.integers(2, 4096))
+@example(-3, 4, 12, 2)
+@example(0, 7, 1 << 5000, 64)
+@example(-(1 << 9999) - 1, 1 << 9000, 3 ** 6000, 53)
+@example((1 << 9999) + 1, (1 << 9998) * 3, 6 ** 3000, 4096)
+@settings(max_examples=60, deadline=None)
+def test_from_ratio_equals_from_fraction(a, b, g, p):
+    # the pair (g a, g b) is unreduced whatever a/b is; rounding it must not
+    # depend on g, and exactness must match the value's own
+    q = Fraction(a, b)
+    got = Bounded.from_ratio(g * a, g * b, p)
+    want = Bounded.from_fraction(q, p)
+    assert (got.val, got.err) == (want.val, want.err)
+    assert got.val == from_rational(q.numerator, q.denominator, p, "n")
+    den = q.denominator
+    representable = (den & (den - 1) == 0
+                     and _odd_part(abs(q.numerator)).bit_length() <= p)
+    assert (got.err == fzero) == representable
 
 
 def test_log_factorial_concurrent_fill(monkeypatch):

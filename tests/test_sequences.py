@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -226,7 +226,8 @@ def test_em_kernel_equals_fraction_oracle():
             assert _kernel_derivative(kern, m, a) \
                 == oracles.g_derivative(m, a, asw, cs), (n, a, m)
         for a, K in ((n + 33, 0), (n + 33, 6), (n + 65, 16), (n + 513, 24)):
-            assert kern.em_corr(a, K) == oracles.em_corr(a, K, asw, cs), (n, a, K)
+            assert Fraction(*kern.em_corr(a, K)) \
+                == oracles.em_corr(a, K, asw, cs), (n, a, K)
             assert Fraction(*kern.em_remainder(a, K)) \
                 == oracles.em_remainder(a, K, asw, cs), (n, a, K)
 
@@ -237,8 +238,24 @@ def test_em_kernel_equals_fraction_oracle_property(n, pad, K):
     asw, cs = _weights(n)
     kern = _kernel(n)
     a = n + pad + 1
-    assert kern.em_corr(a, K) == oracles.em_corr(a, K, asw, cs)
+    assert Fraction(*kern.em_corr(a, K)) == oracles.em_corr(a, K, asw, cs)
     assert Fraction(*kern.em_remainder(a, K)) == oracles.em_remainder(a, K, asw, cs)
+
+
+@given(st.integers(0, 80), st.sampled_from(sq._EM_PADS), st.sampled_from(sq._EM_TERMS),
+       st.integers(0, 400))
+@example(0, 32, 6, 0)
+@example(80, 32, 32, 0)
+@settings(max_examples=25, deadline=None)
+def test_em_remainder_enclosure_contains_oracle(n, pad, K, W):
+    asw, cs = _weights(n)
+    a = n + pad + 1
+    lo, hi, den = _kernel(n).em_remainder_enclosure(a, K, W)
+    rem = oracles.em_remainder(a, K, asw, cs)
+    assert 0 <= Fraction(lo, den) <= rem <= Fraction(hi, den)
+    if W == 0 and n == 0:
+        # every term floors to 0, so s = 0 and only the upper end says anything
+        assert lo == 0 < hi
 
 
 def _oracle_cutoff(n, eps):
@@ -247,7 +264,7 @@ def _oracle_cutoff(n, eps):
         for K in sq._EM_TERMS:
             rem = oracles.em_remainder(n + pad + 1, K, asw, cs)
             if rem <= eps / 4:
-                return n + pad, K, rem
+                return n + pad, K, mn.raw_to_fraction(mn._fraction_to_raw_up(rem))
     return None
 
 
@@ -266,6 +283,34 @@ def test_choose_cutoff_equals_oracle_search():
             assert sq._choose_cutoff(n, eps, kern) == want, (n, eps)
 
 
+def test_choose_cutoff_falls_back_to_exact_remainder(monkeypatch):
+    # an enclosure that can decide nothing leaves every candidate to the
+    # exact remainder, which must make the same choice
+    monkeypatch.setattr(sq._EMKernel, "em_remainder_enclosure",
+                        lambda self, a, K, W: (0, 1 << 10000, 1))
+    pol = PrecisionPolicy()
+    for n in (1, 9, 30, 120):
+        eps = sq.default_series_eps(n, pol)
+        assert sq._choose_cutoff(n, eps, _kernel(n)) == _oracle_cutoff(n, eps), n
+
+
+def test_choose_cutoff_needs_no_exact_remainder(monkeypatch):
+    # the enclosures, retried once, decide every candidate of n = 1..120 at
+    # the default policy; an exact search makes 503 tree sums here
+    calls = []
+    exact_remainder = sq._EMKernel.em_remainder
+
+    def counting(self, a, K):
+        calls.append((a, K))
+        return exact_remainder(self, a, K)
+
+    monkeypatch.setattr(sq._EMKernel, "em_remainder", counting)
+    pol = PrecisionPolicy()
+    for n in range(1, 121):
+        sq._choose_cutoff(n, sq.default_series_eps(n, pol), _kernel(n))
+    assert len(calls) == 0
+
+
 class _OracleKernel(sq._EMKernel):
     """The kernel's interface, answered by the per-term Fraction formulas."""
 
@@ -278,7 +323,7 @@ class _OracleKernel(sq._EMKernel):
         return rem.numerator, rem.denominator
 
     def em_corr(self, a, K):
-        return oracles.em_corr(a, K, self.asw, self.cs)
+        return oracles.em_corr(a, K, self.asw, self.cs).as_integer_ratio()
 
 
 def test_I_series_equals_oracle_kernel(monkeypatch):
