@@ -41,7 +41,19 @@ from .sequences import (
     sondow_threshold,
     tail_probe,
 )
-from .asymptotics import LAWS, aitken_limit, convergence_report
+
+# asymptotics is imported on first use of one of its names, so that the
+# row and gamma subcommands never load it
+_ASYMPTOTICS_NAMES = ("LAWS", "aitken_limit", "convergence_report")
+
+
+def __getattr__(name):
+    if name in _ASYMPTOTICS_NAMES:
+        from . import asymptotics
+
+        return getattr(asymptotics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

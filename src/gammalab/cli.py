@@ -27,14 +27,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import to_str
 
-from . import __version__, asymptotics, exact, mpnum, sequences, verify
+from . import __version__, exact, mpnum, sequences
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -64,6 +63,13 @@ def _parse_range(text: str) -> Tuple[int, int]:
     if hi < lo:
         raise argparse.ArgumentTypeError(f"range {text} ends before it starts")
     return lo, hi
+
+
+def _parse_jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return jobs
 
 
 def _parse_points(text: str) -> List[int]:
@@ -265,6 +271,8 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     t0 = time.perf_counter()
     suites = verify.run_exact_suite(args.n_max, args.seed)
     lines = []
@@ -304,6 +312,8 @@ def _cmd_rows(args) -> int:
         _reserve_logs(bits)
         rows = _row_stripe(tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # one stripe n = lo+i, lo+i+k, ... per worker: neighbouring n cost
         # about the same, so the stripes stay balanced
         with ProcessPoolExecutor(max_workers=k, initializer=_reserve_logs,
@@ -323,6 +333,8 @@ def _cmd_rows(args) -> int:
 
 
 def _cmd_asym(args) -> int:
+    from . import asymptotics
+
     t0 = time.perf_counter()
     law_ids = args.laws.split(",") if args.laws else list(asymptotics.LAWS)
     for law in law_ids:
@@ -415,7 +427,7 @@ _OPTIONS = {
                        help="escalation ceiling in bits (default %(default)s)"),
     "--seed": dict(type=int, default=0,
                    help="seed of the sampled rational points (default %(default)s)"),
-    "--jobs": dict(type=int, default=os.cpu_count() or 1,
+    "--jobs": dict(type=_parse_jobs, default=os.cpu_count() or 1,
                    help="parallel workers (default: cpu count)"),
 }
 
@@ -460,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="asymptotic-law convergence reports")
     p.add_argument("--laws", default=None,
-                   help=f"comma list of {', '.join(asymptotics.LAWS)} (default all)")
+                   help="comma list of law ids (default all)")
     p.add_argument("--points", type=_parse_points, default=None,
                    help="comma list of n values (default per-law grid)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

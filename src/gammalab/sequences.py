@@ -27,12 +27,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from functools import lru_cache
+from itertools import accumulate, count
 from typing import Dict, List, Optional, Tuple
 
 from mpmath.libmp import fzero
 
-from . import exact
+from . import exact, mpnum
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -93,6 +94,14 @@ __all__ = [
 
 def sondow_threshold(p: int) -> Bounded:
     """pi / (6 ln 2), the reference limit of the irrationality criterion."""
+    return _threshold(p, mpnum._TABLE)
+
+
+@lru_cache(maxsize=1)
+def _threshold(p: int, table: mpnum.PrimeLogTable) -> Bounded:
+    # every row of a run asks at the same precision, so the last value is
+    # kept (Bounded is frozen); keyed on the table that serves ln 2 as well,
+    # so a fresh table computes it afresh
     return b_div(pi_const(p), b_mul_int(ln2_const(p), 6, p), p)
 
 
@@ -132,9 +141,7 @@ def log_S_exponents(n: int) -> List[int]:
         quot[j] = q
     # prefix[j] = sum_{q<=j} 2*d2n/q ; the quotient depends on j alone, so
     # checking j = 1..n above covers every (k, i, j) triple.
-    prefix = [0] * (n + 1)
-    for j in range(1, n + 1):
-        prefix[j] = prefix[j - 1] + quot[j]
+    prefix = list(accumulate(quot))
     # weight of ln(n+k) for a given i: sum_{j=i+1..n-i} quot[j]
     half = [0] * (n // 2 + 1)
     acc = 0
@@ -143,7 +150,9 @@ def log_S_exponents(n: int) -> List[int]:
         if i + 1 <= n - i:
             acc += row[i] ** 2 * (prefix[n - i] - prefix[i])
         half[i] = acc
-    return [half[min(k - 1, n - k, n // 2)] for k in range(1, n + 1)]
+    # E_k = half[min(k - 1, n - k)]: rising over k <= m, then mirrored
+    m = (n + 1) // 2
+    return half[:m] + half[:n - m][::-1]
 
 
 def log_S_vector(n: int) -> IntVec:

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import runpy
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -340,6 +341,50 @@ def test_negative_frac_bits_exit_code(capsys, tmp_path):
         assert "frac_bits" in capsys.readouterr().err
         assert run([cmd, "--n", "1..2", "--frac-bits", "0", "--jobs", "1",
                     "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("args", [["table", "--n", "1", "--jobs", "0"],
+                                  ["criterion", "--n", "1..3", "--jobs", "0"],
+                                  ["gamma", "--jobs", "-1"]])
+def test_jobs_below_one_exit_code(args, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert run(args + ["--out", str(out)]) == 3
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threshold_computed_once_per_run(tmp_path):
+    sequences._threshold.cache_clear()
+    out = tmp_path / "c.csv"
+    assert run(["criterion", "--n", "1..30", "--jobs", "1", "--out", str(out)]) == 0
+    assert sequences._threshold.cache_info().misses == 1
+
+
+def test_cli_import_loads_only_what_rows_and_gamma_run():
+    # no process pool, asymptotics or verify until a subcommand needs them;
+    # exact, mpnum and sequences stay eager for the benchmark's tracer
+    code = ("import gammalab.cli, sys; print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    for name in ("concurrent.futures.process", "multiprocessing",
+                 "gammalab.asymptotics", "gammalab.verify"):
+        assert name not in loaded, name
+    for name in ("gammalab.exact", "gammalab.mpnum", "gammalab.sequences"):
+        assert name in loaded, name
+
+
+def test_package_serves_asymptotics_names_lazily():
+    import gammalab
+    import gammalab.asymptotics
+
+    assert gammalab.LAWS is gammalab.asymptotics.LAWS
+    assert gammalab.convergence_report is gammalab.asymptotics.convergence_report
+    with pytest.raises(AttributeError):
+        gammalab.nope
 
 
 def test_manifest_contents(tmp_path):

@@ -71,6 +71,20 @@ def test_log_S_exponents_past_str_digit_limit():
     assert expo[0] == sum(2 * exact.lcm_upto(2 * n) // j for j in range(1, n + 1))
 
 
+def test_log_S_exponents_equal_min_index_form():
+    # E_k = half[min(k - 1, n - k, n // 2)] with half[i] the cumulative
+    # weights C(n,t)^2 sum_{j=t+1..n-t} 2 d_2n / j over t <= i
+    for n in range(1, 201):
+        d2 = 2 * exact.lcm_upto(2 * n)
+        row = exact.binomial_row(n)
+        half, acc = [], 0
+        for i in range(n // 2 + 1):
+            acc += row[i] ** 2 * sum(d2 // j for j in range(i + 1, n - i + 1))
+            half.append(acc)
+        old = [half[min(k - 1, n - k, n // 2)] for k in range(1, n + 1)]
+        assert sq.log_S_exponents(n) == old, n
+
+
 def test_prime_vectors_small():
     # (D, {q: a_q}) over D = d_n for L_n and D = 1 for log S_n
     assert sq.L_vector(1) == (1, {2: 2})              # L_1 = 2 ln 2
