@@ -163,6 +163,17 @@ def _raw_ratio(num: int, den: int, p: int, rnd: str):
     return mpf_div(_raw_int(num), _raw_int(den), p, rnd)
 
 
+def _cmp_ratio(v, num: int, den: int) -> int:
+    # sign of v - num/den, exactly, for a finite raw mpf v and den > 0
+    sign, man, exp, _ = v
+    man = -man if sign else man
+    if exp >= 0:
+        x, y = (man << exp) * den, num
+    else:
+        x, y = man * den, num << -exp
+    return (x > y) - (x < y)
+
+
 def _ratio_to_raw_up(num: int, den: int):
     # upper bound on a nonnegative num/den (den > 0), for bound bookkeeping
     if num < 0:
@@ -198,13 +209,24 @@ class Bounded:
         taken.
         """
         v = _raw_ratio(num, den, p, "n")
-        sign, man, exp, _ = v
-        man = -man if sign else man
-        if exp >= 0:
-            exact_val = (man << exp) * den == num
-        else:
-            exact_val = man * den == num << -exp
-        return cls(v, fzero if exact_val else _rnd_bound(v, p))
+        return cls(v, fzero if _cmp_ratio(v, num, den) == 0 else _rnd_bound(v, p))
+
+    @classmethod
+    def from_enclosure(cls, lo: int, hi: int, den: int,
+                       p: int) -> Optional["Bounded"]:
+        """``from_ratio(num, den, p)`` for every integer num in [lo, hi], if
+        the two ends decide it, else None.
+
+        Rounding to nearest is monotone, so when lo/den and hi/den both
+        round to v, every value between them does.  When v lies outside the
+        closed interval, none of them equals v, so the error is
+        ``_rnd_bound(v, p)`` for all of them.
+        """
+        v = _raw_ratio(lo, den, p, "n")
+        if (v != _raw_ratio(hi, den, p, "n")
+                or _cmp_ratio(v, lo, den) >= 0 >= _cmp_ratio(v, hi, den)):
+            return None
+        return cls(v, _rnd_bound(v, p))
 
     @property
     def mpf(self):
@@ -357,6 +379,7 @@ def b_sum(items, p: int) -> Bounded:
 
 _DOT_GUARD = 16     # working bits of a dot product beyond those asked for
 _FLOOR_MARGIN = 32  # table bits beyond a dot's working bits
+_GAMMA_MARGIN = 32  # bits of the gamma enclosure beyond a floor's
 _SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
 _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
 
@@ -409,6 +432,10 @@ class PrimeLogTable:
     rebuilds.  Entries are added one prime at a time, each from entries
     already present.  A rebuild drops every entry, so it costs only the
     primes (and their q-1 chains) asked for after it.
+
+    The table also keeps Euler's constant as an enclosure of 2^W gamma
+    (:meth:`floor_gamma`), since its Brent-McMillan split takes ln n from
+    the table: a fresh table computes gamma afresh.
     """
 
     def __init__(self) -> None:
@@ -416,6 +443,7 @@ class PrimeLogTable:
         self.builds = 0
         self.sieves = 0
         self._logs: Dict[int, Tuple[int, int]] = {}  # q -> (x_q, e_q)
+        self._gamma = (0, 0, 1)  # (W, lo, hi) with lo <= 2^W gamma <= hi
         self._sieve: Tuple[array, List[int]] = (array("l", [0, 1]), [])
         self._lock = threading.RLock()
 
@@ -505,6 +533,24 @@ class PrimeLogTable:
                 else:
                     return out
                 self._rebuild(2 * self.prec)
+
+    def floor_gamma(self, w: int) -> int:
+        """floor(2^w gamma), exactly.
+
+        Read from the kept enclosure lo <= 2^W gamma <= hi: for W >= w,
+        floor(2^w gamma) = floor(2^W gamma) >> (W - w), and lo <= floor(2^W
+        gamma) <= hi, so it is lo >> (W - w) when that equals hi >> (W - w).
+        Otherwise one Brent-McMillan split makes a new enclosure at
+        max(w + _GAMMA_MARGIN, 2W), the way floor_logs doubles on a
+        straddle.  A run that asks first at its largest w makes one split.
+        """
+        with self._lock:
+            while True:
+                W, lo, hi = self._gamma
+                if W >= w and lo >> (W - w) == hi >> (W - w):
+                    return lo >> (W - w)
+                W = max(w + _GAMMA_MARGIN, 2 * W)
+                self._gamma = (W,) + _bm_enclosure(W, self)
 
 
 _TABLE = PrimeLogTable()
@@ -649,8 +695,8 @@ def pi_const(p: int) -> Bounded:
 #     W = W1 Q2 D2 + P1 (C1 T2 D2 + W2 D1),
 #
 # and a leaf k is (n^2, k^2, k, 1, n^2, n^2).  Over [1, K+1), V_K = 1 + T/Q
-# and S_K = W/(QD), so S_K/V_K = W / (D (Q + T)): one floor division at w
-# bits, which loses less than 2^-w.  Nothing else is rounded.
+# and S_K = W/(QD), so S_K/V_K = W / (D (Q + T)), read by one floor
+# division (see Enclosure below).  Nothing else is rounded.
 #
 # Tails.  For k >= K+1, with K >= 3n, t_{k+1}/t_k = n^2/(k+1)^2 <= 1/4 and
 # H_{k+1}/H_k <= 1 + 1/(k+1) <= 4/3, so the omitted parts are
@@ -668,6 +714,18 @@ def pi_const(p: int) -> Bounded:
 #
 # Bessel term.  pi e^{-4n} < 4 * 2^-(4n log2 e) <= 2^(2 - floor(5.7704 n)),
 # as 5.7704 < 4 log2 e = 5.77078...
+#
+# Enclosure.  At B bits, x = floor(2^B W / (D (Q + T))) has
+# x <= 2^B S_K/V_K < x + 1.  With n = prod_q q^e_q and the table's floors
+# f_q = floor(2^B ln q), l = sum_q e_q f_q has l <= 2^B ln n < l + E, where
+# E = sum_q e_q.  Scaled by 2^B, the tails are at most t = 2^max(0, B + tail)
+# and the Bessel term lies in (0, c] with c = 2^max(0, B + bessel), where
+# tail and bessel are the exponents above.  So
+#
+#     x - t - l - E - c  <=  2^B gamma  <=  x + 1 + t - l.
+#
+# _bm_params(B) makes t and c 1, so the enclosure is a few units wide, and
+# a floor _GAMMA_MARGIN bits coarser straddles it with odds near 2^-28.
 
 _BM_GUARD = 32  # working bits beyond those asked for
 
@@ -706,20 +764,27 @@ def _bm_params(w: int) -> Tuple[int, int]:
     return n, K
 
 
-def euler_gamma(p: int) -> Bounded:
-    """Euler's constant by Brent-McMillan, with a certified bound below
-    2^-(p+4) (see the derivation above)."""
-    w = p + _BM_GUARD
-    n, K = _bm_params(w)
+def _bm_enclosure(bits: int, table: PrimeLogTable) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits gamma <= hi, from one split (see above)."""
+    n, K = _bm_params(bits)
     P, Q, D, _, T, W = _bm_split(n * n, 1, K + 1)
-    s_over_v = Bounded(from_man_exp((W << w) // (D * (Q + T)), -w),
-                       from_man_exp(1, -w))
-    g = b_sub(s_over_v, ln_int(n, w), w)
+    x = (W << bits) // (D * (Q + T))
+    n_exps = dict(table.factor(n))
+    logs = table.floor_logs(n_exps, bits)
+    l = sum(e * logs[q] for q, e in n_exps.items())
     tail = ((2 * (K + 1).bit_length() * n * n).bit_length() + P.bit_length()
             - ((K + 1) ** 2).bit_length() - (Q + T).bit_length() + 2)
     bessel = 2 - 57704 * n // 10000
-    err = _up_add(g.err, _up_add(from_man_exp(1, tail), from_man_exp(1, bessel)))
-    return Bounded(g.val, err)
+    t = 1 << max(0, bits + tail)
+    c = 1 << max(0, bits + bessel)
+    return x - t - l - sum(n_exps.values()) - c, x + 1 + t - l
+
+
+def euler_gamma(p: int) -> Bounded:
+    """Euler's constant by Brent-McMillan: floor(2^w gamma) 2^-w at
+    w = p + _BM_GUARD, within 2^-w, from the table's enclosure."""
+    w = p + _BM_GUARD
+    return Bounded(from_man_exp(_TABLE.floor_gamma(w), -w), from_man_exp(1, -w))
 
 
 # --- Euler-Maclaurin, the independent cross-check ------------------------
@@ -853,6 +918,8 @@ class PrecisionPolicy:
     def __post_init__(self):
         if self.base_bits < 64:
             raise ValueError("base_bits must be at least 64")
+        if self.max_bits < self.base_bits:
+            raise ValueError("max_bits must be at least base_bits")
         if self.frac_bits < 0:
             raise ValueError("frac_bits must be nonnegative")
         if self.tail_eps is not None and self.tail_eps <= 0:

@@ -55,6 +55,7 @@ from .mpnum import (
     _BM_GUARD,
     _DOT_GUARD,
     _EPREC,
+    _GAMMA_MARGIN,
     _factorial_log_pair,
     _fraction_to_raw_up,
     _prime_dot,
@@ -88,6 +89,7 @@ __all__ = [
     "closed_form_floor",
     "default_series_eps",
     "record_plan",
+    "record_gamma_plan",
     "criterion_plan",
 ]
 
@@ -290,15 +292,52 @@ class _EMKernel:
         self.num = num
         self.cs = cs
 
+    def _derivative_tops(self, m: int, a: int) -> List[int]:
+        # numerators over b^(m+2), b = a + k, of den (-1)^m g^(m)(a) / m!
+        d = self.den
+        return [A * b + (m + 1) * d * c for b, A, c in zip(count(a), self.num, self.cs)]
+
+    def _corr_tops(self, a: int, K: int) -> Tuple[List[int], int]:
+        # numerators over b^(2K), b = a + k, of den dq em_corr(a, K), and dq
+        bern = [exact.bernoulli(2 * j) for j in range(1, K + 1)]
+        pc = [b / (2 * j * (2 * j - 1)) for j, b in enumerate(bern, 1)]
+        qc = [b / (2 * j) for j, b in enumerate(bern, 1)]
+        dq = math.lcm(*(c.denominator for c in pc + qc))
+        pc = [c.numerator * (dq // c.denominator) for c in pc]
+        qc = [c.numerator * (dq // c.denominator) for c in qc]
+        d = self.den
+        tops = []
+        for b, A, c in zip(count(a), self.num, self.cs):
+            s = b * b
+            pn = qn = 0
+            for pj, qj in zip(pc, qc):
+                pn = pn * s + pj
+                qn = qn * s + qj
+            tops.append(A * b * pn + d * c * qn)
+        return tops, dq
+
+    @staticmethod
+    def _exact_sum(tops: List[int], a: int, e: int) -> Tuple[int, int]:
+        # sum_k tops[k] / (a+k)^e as an unreduced (num, den)
+        return _tree_sum([(t, b ** e) for b, t in zip(count(a), tops)])
+
+    @staticmethod
+    def _floor_sum(tops: List[int], a: int, e: int, W: int) -> int:
+        """s = sum_k floor(2^W tops[k] / (a+k)^e).
+
+        A floor loses less than 1, so s <= 2^W sum_k tops[k] / (a+k)^e <
+        s + len(tops), whatever the cancellation in the sum, and no power
+        (a+k)^e is multiplied into a common denominator; W = 0 is allowed.
+        """
+        return sum((t << W) // b ** e for b, t in zip(count(a), tops))
+
     def derivative_sum(self, m: int, a: int) -> Tuple[int, int]:
         """(-1)^m g^(m)(a) / m! as an unreduced (num, den).
 
         With b = a + k it is sum_k (A_k b + (m+1) den Cs_k) / (den b^(m+2)).
         """
-        d, e = self.den, m + 2
-        num, den = _tree_sum([(A * (a + k) + (m + 1) * d * c, (a + k) ** e)
-                              for k, (A, c) in enumerate(zip(self.num, self.cs))])
-        return num, den * d
+        num, den = self._exact_sum(self._derivative_tops(m, a), a, m + 2)
+        return num, den * self.den
 
     def em_remainder(self, a: int, K: int) -> Tuple[int, int]:
         """|B_{2K+2}| / (2K+2)! |g^(2K)(a)| as an unreduced (num, den).
@@ -314,20 +353,15 @@ class _EMKernel:
     def em_remainder_enclosure(self, a: int, K: int, W: int) -> Tuple[int, int, int]:
         """(lo, hi, den) with lo/den <= em_remainder(a, K) <= hi/den.
 
-        With b = a + k and e = 2K + 2, the exact remainder is
-        |B_e| |S| / (B_e-den e (e-1) den), where
-        S = sum_k t_k and t_k = (A_k b + (e-1) den Cs_k) / b^e.  Each term
-        is floored at scale 2^W, s = sum_k floor(2^W t_k); a floor loses
-        less than 1, so s <= 2^W S < s + n + 1.  That bounds |S| by
-        [s, s+n+1] when s >= 0, by [-(s+n+1), -s] when s+n+1 <= 0, and by
-        [0, max(-s, s+n+1)] otherwise; W = 0 is allowed.  The width is
-        n + 1 at scale 2^W whatever the cancellation in S, and no power
-        b^e is multiplied into a common denominator.
+        With e = 2K + 2, the exact remainder is
+        |B_e| |S| / (B_e-den e (e-1) den), where S is the sum of
+        derivative_sum(e - 2, a) before its factor den.  The floored sum s
+        of :meth:`_floor_sum` bounds |S| by [s, s+n+1] when s >= 0, by
+        [-(s+n+1), -s] when s+n+1 <= 0, and by [0, max(-s, s+n+1)]
+        otherwise.
         """
         e = 2 * K + 2
-        d = self.den
-        s = sum(((A * b + (e - 1) * d * c) << W) // b ** e
-                for b, A, c in zip(count(a), self.num, self.cs))
+        s = self._floor_sum(self._derivative_tops(e - 2, a), a, e, W)
         t = s + len(self.cs)
         if s >= 0:
             lo, hi = s, t
@@ -337,7 +371,7 @@ class _EMKernel:
             lo, hi = 0, max(-s, t)
         bern = exact.bernoulli(e)
         bn = abs(bern.numerator)
-        return bn * lo, bn * hi, (bern.denominator * e * (e - 1) * d) << W
+        return bn * lo, bn * hi, (bern.denominator * e * (e - 1) * self.den) << W
 
     def em_corr(self, a: int, K: int) -> Tuple[int, int]:
         """sum_{j=1..K} B_2j / (2j)! g^(2j-2)(a) as an unreduced (num, den),
@@ -345,27 +379,22 @@ class _EMKernel:
 
         With x = 1/(a+k) it is sum_k As_k P(x) + Cs_k Q(x), where
         P(x) = sum_j B_2j/(2j(2j-1)) x^(2j-1) and Q(x) = sum_j B_2j/(2j) x^(2j);
-        both are evaluated by Horner in b^2 = (a+k)^2 over the lcm of
-        their coefficients' denominators.
+        both are evaluated by Horner in b^2 = (a+k)^2 over the lcm dq of
+        their coefficients' denominators, so the term of k is
+        (A_k b P' + den Cs_k Q') / (den dq b^(2K)) for integer polynomials
+        P', Q' in b^2.
         """
-        bern = [exact.bernoulli(2 * j) for j in range(1, K + 1)]
-        pc = [b / (2 * j * (2 * j - 1)) for j, b in enumerate(bern, 1)]
-        qc = [b / (2 * j) for j, b in enumerate(bern, 1)]
-        dq = math.lcm(*(c.denominator for c in pc + qc))
-        pc = [c.numerator * (dq // c.denominator) for c in pc]
-        qc = [c.numerator * (dq // c.denominator) for c in qc]
-        d = self.den
-        pairs = []
-        for k, (A, c) in enumerate(zip(self.num, self.cs)):
-            b = a + k
-            s = b * b
-            pn = qn = 0
-            for pj, qj in zip(pc, qc):
-                pn = pn * s + pj
-                qn = qn * s + qj
-            pairs.append((A * b * pn + d * c * qn, s ** K))
-        num, den = _tree_sum(pairs)
-        return num, den * d * dq
+        tops, dq = self._corr_tops(a, K)
+        num, den = self._exact_sum(tops, a, 2 * K)
+        return num, den * self.den * dq
+
+    def em_corr_enclosure(self, a: int, K: int, W: int) -> Tuple[int, int, int]:
+        """(s, s + n + 1, den) with s/den <= em_corr(a, K) < (s + n + 1)/den:
+        each term of :meth:`em_corr` floored at scale 2^W over the fixed
+        denominator den dq (see :meth:`_floor_sum`)."""
+        tops, dq = self._corr_tops(a, K)
+        s = self._floor_sum(tops, a, 2 * K, W)
+        return s, s + len(self.cs), (self.den * dq) << W
 
 
 def _log2_fraction(q: Fraction) -> int:
@@ -420,6 +449,25 @@ def _remainder_within(target: Fraction, kern: _EMKernel, a: int, K: int):
     return None
 
 
+def _corr_rounded(kern: _EMKernel, a: int, K: int, p: int, W: int) -> Bounded:
+    """``Bounded.from_ratio(*kern.em_corr(a, K), p)``, decided from
+    :meth:`_EMKernel.em_corr_enclosure` at W bits.
+
+    An undecided interval is retried once with W enlarged by the bits it
+    lacked: enough to make its width 2^-(p + guard) of its smaller end, or
+    the guard again when it already was.  Only then is the exact
+    correction summed.
+    """
+    for _ in range(2):
+        lo, hi, den = kern.em_corr_enclosure(a, K, W)
+        b = Bounded.from_enclosure(lo, hi, den, p)
+        if b is not None:
+            return b
+        lacked = (hi - lo).bit_length() + p - min(abs(lo), abs(hi)).bit_length()
+        W += _ENCLOSE_GUARD + max(0, lacked)
+    return Bounded.from_ratio(*kern.em_corr(a, K), p)
+
+
 def _choose_cutoff(n: int, eps: Fraction,
                    kern: _EMKernel) -> Tuple[int, int, Fraction]:
     """The first (V, K) of the _EM_PADS x _EM_TERMS grid, in that order,
@@ -466,8 +514,8 @@ def I_series(
     Terms v = n+1 .. V are summed in closed form (their rational parts
     folded into a single exact harmonic-number sum over d_{V+n}, the log
     parts into one exact prime vector of log-factorial differences); the
-    tail past V is summed by Euler-Maclaurin with exact rational
-    correction terms and a certified remainder.
+    tail past V is summed by Euler-Maclaurin with rational correction
+    terms, rounded from a certified enclosure, and a certified remainder.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -494,7 +542,6 @@ def I_series(
     hd, h = exact.scaled_harmonics(v_cut + n)
     main_rat = (sum(c * (h[v_cut + k] - h[n + k]) for k, c in enumerate(cs)), hd)
     int_rat = _tree_sum([(-k * c, a + k) for k, c in enumerate(cs)])
-    em_corr = kern.em_corr(a, em_terms)
     # sum_k As_k (ln((V+k)!) - ln((n+k)!)), the log part of the main sum,
     # as weights of ln(m!) for m = n .. V+n
     fact_w = [-A for A in nums] + [0] * (v_cut - n)
@@ -519,7 +566,11 @@ def I_series(
         integral = b_sub(integral, _prime_dot(int_logs, p), p)
 
         tail = b_add(integral, b_scale(f_a, Fraction(1, 2), p), p)
-        tail = b_add(tail, Bounded.from_ratio(*em_corr, p), p)
+        # an enclosure (n+1) 2^-W / (den dq) wide, far below eps 2^-p; the
+        # retry widens W when the correction is smaller still
+        em_corr = _corr_rounded(kern, a, em_terms, p,
+                                p + _ENCLOSE_GUARD - _log2_fraction(eps))
+        tail = b_add(tail, em_corr, p)
         total = b_add(main, tail, p)
         total = Bounded(total.val, _up_add(total.err, _fraction_to_raw_up(remainder)))
 
@@ -718,18 +769,28 @@ def _record_precision(n: int, policy: PrecisionPolicy) -> int:
     return max(policy.base_bits, 6 * n + policy.frac_bits + 96)
 
 
+def record_gamma_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
+    """The precision build_record(n) asks gamma for, no more than
+    ``policy.max_bits`` allows a row.
+
+    Asking for gamma at this precision for the largest n of a run first
+    leaves the whole run one Brent-McMillan split.
+    """
+    return min(_record_precision(n, policy), policy.max_bits)
+
+
 def record_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
     """Working bits of the largest dot product of build_record(n)'s first
     attempts, no more than ``policy.max_bits`` allows a row.
 
-    The stages are the record's own precision (and the ln n that
-    Brent-McMillan takes _BM_GUARD bits above it), I_series and
+    The stages are the record's own precision (and the ln n of gamma's
+    enclosure, _BM_GUARD + _GAMMA_MARGIN bits above it), I_series and
     criterion_point.  Reserving the prime-log table at this many bits for
     the largest n of a run leaves it to rebuild only on an escalation or a
     straddle.
     """
     cap = policy.max_bits
-    return max(min(_record_precision(n, policy), cap) + _BM_GUARD + _DOT_GUARD,
+    return max(record_gamma_plan(n, policy) + _BM_GUARD + _GAMMA_MARGIN,
                min(_series_precision(n, _series_eps(n, policy), policy), cap)
                + _DOT_GUARD,
                criterion_plan(n, policy))

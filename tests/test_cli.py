@@ -180,6 +180,45 @@ def test_one_table_build_per_run(args, tmp_path, monkeypatch):
     assert mn._TABLE.builds == 1
 
 
+@pytest.mark.parametrize("args, splits", [(["table", "--n", "1..120"], 1),
+                                          (["criterion", "--n", "1..30"], 0)])
+def test_one_gamma_split_and_no_exact_correction_per_run(args, splits, tmp_path,
+                                                         monkeypatch):
+    # table reserves gamma at its largest row's precision and every row
+    # reads a floor of that one enclosure; every series correction is
+    # rounded from an enclosure; criterion asks for neither
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    counts = {"split": 0, "corr": 0}
+
+    def counted(key, real):
+        def wrapper(*a):
+            counts[key] += 1
+            return real(*a)
+        return wrapper
+
+    monkeypatch.setattr(mn, "_bm_enclosure", counted("split", mn._bm_enclosure))
+    monkeypatch.setattr(sequences._EMKernel, "em_corr",
+                        counted("corr", sequences._EMKernel.em_corr))
+    assert run(args + ["--jobs", "1", "--out", str(tmp_path / "x.csv")]) == 0
+    assert counts == {"split": splits, "corr": 0}
+    assert mn._TABLE.builds == 1
+
+
+def test_reserve_holds_gamma_for_the_largest_row(monkeypatch):
+    # what a pool worker's initializer does: later rows read floors of the
+    # kept enclosure
+    table = mn.PrimeLogTable()
+    monkeypatch.setattr(mn, "_TABLE", table)
+    policy = mn.PrecisionPolicy()
+    cli._reserve(sequences.record_plan(120, policy),
+                 sequences.record_gamma_plan(120, policy))
+    assert table._gamma[0] == (sequences.record_gamma_plan(120, policy)
+                               + mn._BM_GUARD + mn._GAMMA_MARGIN)
+    assert table.builds == 1
+    cli._reserve(sequences.criterion_plan(30, policy), None)
+    assert table._gamma[0] > 0 and table.builds == 1
+
+
 @pytest.mark.parametrize("args, guard", [
     (["criterion", "--n", "1..30", "--max-bits", "256"], mn._DOT_GUARD),
     (["table", "--n", "1..3", "--frac-bits", "800"], mn._BM_GUARD + mn._DOT_GUARD),
@@ -343,6 +382,17 @@ def test_negative_frac_bits_exit_code(capsys, tmp_path):
                     "--out", str(out)]) == 0
 
 
+def test_max_bits_below_base_bits_exit_code(capsys, tmp_path):
+    # rejected as configuration, before any row is written as exhausted
+    out = tmp_path / "x.csv"
+    for cmd in ("table", "criterion"):
+        for max_bits in ("0", "-5", "191"):
+            assert run([cmd, "--n", "1..2", "--max-bits", max_bits,
+                        "--out", str(out)]) == 3
+            assert "max_bits must be at least base_bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["table", "--n", "1", "--jobs", "0"],
                                   ["criterion", "--n", "1..3", "--jobs", "0"],
                                   ["gamma", "--jobs", "-1"]])
@@ -434,6 +484,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 _GOLDEN = {
     "table_1_20.csv": (["table", "--n", "1..20"],
                        "bce5ffbea32000bfcdbfab12aa81f98e44e5704f2491ce67d72b3b1f91fdeaad"),
+    "table_1_120.csv": (["table", "--n", "1..120"],
+                        "3aa311beed2dfd6634ec001a52c3456fd385b666a0ff2b4689d5c5d16ba183ac"),
     "table_398_399.csv": (["table", "--n", "398..399"],
                           "32fbfbed65506a15ed0e50e77c713e9b6e9dcc8e268e4d0b9c3c9fd43c3f532a"),
     "criterion_1_60.csv": (["criterion", "--n", "1..60"],

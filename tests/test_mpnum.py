@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational, fzero
+from mpmath.libmp import from_man_exp, from_rational, fzero
 
 import oracles
 from gammalab import exact
@@ -182,6 +182,43 @@ def test_gamma_containment_property(p):
     _assert_gamma_contains_mpmath(p)
 
 
+@given(st.integers(64, 4000))
+@settings(max_examples=30, deadline=None)
+def test_gamma_floor_equals_mpmath(p):
+    # a fresh enclosure and the shared one give floor(2^w gamma), checked
+    # wherever mpmath's value at p + 64 bits (within 2^-(p+63)) decides it
+    mpmath = pytest.importorskip("mpmath")
+    w = p + mn._BM_GUARD
+    f = mn.PrimeLogTable().floor_gamma(w)
+    assert mn.euler_gamma(p) == Bounded(from_man_exp(f, -w), from_man_exp(1, -w))
+    with mpmath.workprec(p + 64):
+        ref = mn.raw_to_fraction(mpmath.mp.euler._mpf_) * 2 ** w
+    slack = Fraction(1, 2 ** 31)
+    if math.floor(ref - slack) == math.floor(ref + slack):
+        assert f == math.floor(ref)
+
+
+def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):
+    table = mn.PrimeLogTable()
+    splits = []
+    enclosure = mn._bm_enclosure
+    monkeypatch.setattr(mn, "_bm_enclosure", lambda bits, tab: (
+        tab is table and splits.append(bits)) or enclosure(bits, tab))
+    first = [table.floor_gamma(w) for w in (1000, 64, 999, 700)]
+    W = 1000 + mn._GAMMA_MARGIN
+    assert splits == [W] and table._gamma[0] == W
+    assert first == [mn.PrimeLogTable().floor_gamma(w) for w in (1000, 64, 999, 700)]
+    # widen the kept enclosure until it straddles at w = 1000: still true,
+    # but undecided, so the store recomputes at 2W
+    _, lo, hi = table._gamma
+    table._gamma = (W, lo - (1 << mn._GAMMA_MARGIN), hi)
+    assert table.floor_gamma(1000) == first[0]
+    assert splits == [W, 2 * W]
+    # asking beyond the enclosure recomputes at w + margin if that is more
+    assert table.floor_gamma(5000) == mn.PrimeLogTable().floor_gamma(5000)
+    assert table._gamma[0] == 5000 + mn._GAMMA_MARGIN
+
+
 def test_gamma_bessel_term_bound():
     # 0 < K_0(2n)/I_0(2n) < pi e^{-4n}, the bound euler_gamma adds; for
     # these n the ratio is at most 0.996 of the bound, a gap far wider
@@ -329,6 +366,10 @@ def test_policy_validation():
     for eps in (Fraction(0), Fraction(-1, 10 ** 30)):
         with pytest.raises(ValueError, match="tail_eps"):
             mn.PrecisionPolicy(tail_eps=eps)
+    for max_bits in (0, -5, 191):
+        with pytest.raises(ValueError, match="max_bits must be at least base_bits"):
+            mn.PrecisionPolicy(max_bits=max_bits)
+    assert mn.PrecisionPolicy(base_bits=64, max_bits=64).max_bits == 64
     assert mn.PrecisionPolicy(frac_bits=0).frac_bits == 0
     assert mn.PrecisionPolicy(tail_eps=Fraction(1, 10 ** 30)).tail_eps \
         == Fraction(1, 10 ** 30)
@@ -363,6 +404,39 @@ def test_from_ratio_equals_from_fraction(a, b, g, p):
     representable = (den & (den - 1) == 0
                      and _odd_part(abs(q.numerator)).bit_length() <= p)
     assert (got.err == fzero) == representable
+
+
+@given(st.integers(-_BIG, _BIG), st.integers(0, 1 << 80),
+       st.one_of(st.integers(1, 1 << 64), st.builds(lambda j: 1 << j, st.integers(0, 200))),
+       st.integers(2, 200))
+@example(1023, 2, 8, 8)  # 1023/8 .. 1025/8 holds 128, the rounding of both ends
+@example(-1025, 2, 8, 8)
+@example(1 << 80, 0, 1 << 72, 53)  # a single representable value
+@example((1 << 80) + 1, 0, 1 << 72, 53)
+@settings(max_examples=60, deadline=None)
+def test_from_enclosure_equals_from_ratio_inside(lo, width, den, p):
+    # whenever the ends decide, every numerator between them rounds the
+    # same way, with the same error
+    hi = lo + width
+    got = Bounded.from_enclosure(lo, hi, den, p)
+    if got is None:
+        return
+    for num in {lo, hi, (lo + hi) // 2, min(lo + 1, hi), max(hi - 1, lo)}:
+        want = Bounded.from_ratio(num, den, p)
+        assert (got.val, got.err) == (want.val, want.err), num
+
+
+def test_from_enclosure_refuses_an_interval_holding_its_rounding():
+    # 1023/8 and 1025/8 both round to 128 at 8 bits, which lies between them
+    assert Bounded.from_ratio(1023, 8, 8).val == Bounded.from_ratio(1025, 8, 8).val
+    assert Bounded.from_enclosure(1023, 1025, 8, 8) is None
+    assert Bounded.from_enclosure(-1025, -1023, 8, 8) is None
+    assert Bounded.from_enclosure(1 << 80, 1 << 80, 1 << 72, 53) is None
+    assert Bounded.from_enclosure(255, 255, 2, 8) is None  # 127.5 is exact
+    # 3/7 and 4/7 round apart at 8 bits; 1000/3 and 1001/3 round to 334
+    assert Bounded.from_enclosure(3, 4, 7, 8) is None
+    got = Bounded.from_enclosure(1000, 1001, 3, 8)
+    assert got == Bounded.from_ratio(1000, 3, 8) and got.err != fzero
 
 
 def test_log_factorial_concurrent_fill(monkeypatch):

@@ -272,6 +272,31 @@ def test_em_remainder_enclosure_contains_oracle(n, pad, K, W):
         assert lo == 0 < hi
 
 
+@given(st.integers(0, 80), st.sampled_from(sq._EM_PADS), st.integers(1, 32),
+       st.integers(0, 400))
+@example(0, 32, 6, 0)
+@example(80, 32, 32, 0)
+@settings(max_examples=25, deadline=None)
+def test_em_corr_enclosure_contains_oracle(n, pad, K, W):
+    asw, cs = _weights(n)
+    a = n + pad + 1
+    lo, hi, den = _kernel(n).em_corr_enclosure(a, K, W)
+    assert hi - lo == n + 1
+    assert Fraction(lo, den) <= oracles.em_corr(a, K, asw, cs) < Fraction(hi, den)
+
+
+def test_corr_rounded_falls_back_to_exact_correction(monkeypatch):
+    # an enclosure that decides nothing leaves the correction to the exact
+    # sum, which must round the same way
+    rounded = {n: sq._corr_rounded(_kernel(n), n + 33, 12, 600, 700) for n in (1, 9, 40)}
+    monkeypatch.setattr(sq._EMKernel, "em_corr_enclosure",
+                        lambda self, a, K, W: (-(1 << 10000), 1 << 10000, 1))
+    for n, got in rounded.items():
+        kern = _kernel(n)
+        want = Bounded.from_ratio(*kern.em_corr(n + 33, 12), 600)
+        assert sq._corr_rounded(kern, n + 33, 12, 600, 700) == got == want, n
+
+
 def _oracle_cutoff(n, eps):
     asw, cs = _weights(n)
     for pad in sq._EM_PADS:
@@ -338,6 +363,10 @@ class _OracleKernel(sq._EMKernel):
 
     def em_corr(self, a, K):
         return oracles.em_corr(a, K, self.asw, self.cs).as_integer_ratio()
+
+    def em_corr_enclosure(self, a, K, W):
+        s = math.floor(oracles.em_corr(a, K, self.asw, self.cs) * 2 ** W)
+        return s, s + 1, 1 << W
 
 
 def test_I_series_equals_oracle_kernel(monkeypatch):
