@@ -11,8 +11,9 @@ for each :class:`Bounded` the true real number lies in
 Logarithms of integers (``ln_int``, ``log_factorial``, ``ln2_const`` and
 every log inside the per-n quantities) have proven bounds: each is an
 exact vector over the primes dotted with a fixed-point table of ``ln q``
-built from ``ln q = ln(q-1) + 2 atanh(1/(2q-1))`` with an explicit
-truncation bound per entry (:class:`PrimeLogTable`).  Only ``pi`` and
+built from ``2 ln q = ln(q-1) + ln(q+1) + 2 atanh(1/(2q^2-1))``, the atanh
+summed by binary splitting, with an explicit bound per entry
+(:class:`PrimeLogTable`).  Only ``pi`` and
 ``b_ln``/``b_sqrt`` of non-integer arguments remain trusted: they are
 evaluated with 10 guard bits and claimed accurate to
 ``2^(1-p) * max(1, |result|)``; the backend is accurate to a couple of
@@ -29,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp
@@ -364,18 +366,45 @@ def b_sum(items, p: int) -> Bounded:
 # Every logarithm gammalab takes is the log of an integer, so it is an
 # exact vector (D, {q: a_q}) over the primes (``IntVec`` below), and its
 # value is sum_q (a_q / D) ln q.
-# One table per process holds x_q ~ 2^P ln q as fixed-point integers with
-# a proven error e_q in ulps, |2^P ln q - x_q| <= e_q, built from
+# One table per process holds each 2^P ln q as a fixed-point enclosure of
+# integers, lo_q <= 2^P ln q <= lo_q + width_q, built from
 #
-#     ln q = ln(q-1) + 2 atanh(1/(2q-1))      (q = 2 gives 2 atanh(1/3)),
+#     2 ln q = ln(q-1) + ln(q+1) + 2 atanh(1/(2q^2-1))   (q >= 3),
+#       ln 2 = 2 atanh(1/3),
 #
-# where ln(q-1) is the exact dot product of the factorisation of q-1 with
-# smaller entries, so e_q = sum_r v_r(q-1) e_r + (atanh error).  A dot
-# product at working precision w reads each entry as floor(2^w ln q),
-# certified from x_q +- e_q (Johansson's multi-prime reduction with a
-# certified table, arXiv:2207.02501).  Its result therefore depends on w
-# alone, never on how far the table has grown, which keeps data files
-# byte-identical however the work is split across processes.
+# where ln(q-1) + ln(q+1) is the exact dot product of the factorisations of
+# q-1 and q+1 with smaller entries (q+1 is even, so its prime factors are
+# at most (q+1)/2 < q).  A dot product at working precision w reads each
+# entry as floor(2^w ln q), certified from the enclosure (Johansson's
+# multi-prime reduction with a certified table, arXiv:2207.02501).  Its
+# result therefore depends on w alone, never on how far the table has
+# grown, which keeps data files byte-identical however the work is split
+# across processes.
+#
+# The atanh sum.  For m >= 3 and M = m^2,
+#
+#     atanh(1/m) = sum_{j>=0} 1 / ((2j+1) m^(2j+1))
+#                = m sum_{j>=0} 1 / ((2j+1) M^(j+1)).
+#
+# Over terms j in [a, b) a node carries exact integers Q = M^(b-a),
+# B = prod (2j+1) and T with T/(BQ) = sum_j 1 / ((2j+1) M^(j-a+1)); halves
+# merge as Q = Q1 Q2, B = B1 B2, T = T1 B2 Q2 + B1 T2, and a leaf j is
+# (M, 2j+1, 1) (Haible & Papanikolaou 1998); nodes of up to 8 terms merge
+# their leaves one at a time.  Over [0, J) one floor
+# division gives t = floor(2^(p+1) m T / (BQ)), so t <= 2^p 2 atanh_J(1/m)
+# < t + 1.  The omitted terms are at most M/(M-1) (2J+1)^-1 m^-(2J+1)
+# <= (3/8) m^-(2J+1) for J >= 1, so 2^(p+1) times them is below 1 once
+# m^(2J+1) >= 2^p.  J is sized from bit lengths: with l = bitlen(m^32) - 1,
+# m^32 >= 2^l, and l (2J+1) >= 32 p suffices.  Hence
+#
+#     t <= 2^p 2 atanh(1/m) <= t + 2.
+#
+# The entry.  With t from the split at p = P and the enclosures of the
+# neighbours' factors r^k, X = t + sum_r k lo_r and
+# H = t + 2 + sum_r k (lo_r + width_r) enclose 2^P 2 ln q.  Halving,
+# lo_q = floor(X/2) and lo_q + width_q = ceil(H/2) = floor((H+1)/2): the
+# width is the carried widths halved, plus one unit for the division and
+# the tail (halved from 2), plus at most one for the halving.
 
 _DOT_GUARD = 16     # working bits of a dot product beyond those asked for
 _FLOOR_MARGIN = 32  # table bits beyond a dot's working bits
@@ -384,28 +413,27 @@ _SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
 _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
 
 
-def _two_atanh_recip(m: int, p: int) -> Tuple[int, int]:
-    """(t, e) with |2^p * 2 atanh(1/m) - t| <= e, for an integer m >= 3.
+def _atanh_split(M: int, a: int, b: int) -> Tuple[int, int, int]:
+    """(Q, B, T) of the atanh terms j in [a, b), for M = m^2 (see above)."""
+    if b - a <= 8:
+        # merge the leaves (M, 2j+1, 1) into the node from the right
+        Q, B, T = M, 2 * b - 1, 1
+        for j in range(b - 2, a - 1, -1):
+            Q, B, T = Q * M, B * (2 * j + 1), B * Q + (2 * j + 1) * T
+        return Q, B, T
+    mid = (a + b) // 2
+    Q1, B1, T1 = _atanh_split(M, a, mid)
+    Q2, B2, T2 = _atanh_split(M, mid, b)
+    return Q1 * Q2, B1 * B2, T1 * B2 * Q2 + B1 * T2
 
-    With W = p + g and T_j = 2^W / m^(2j+1), the loop adds
-    floor(T_j / (2j+1)) for j < J, where J is the first index with
-    floor(T_J) = 0 (nested floor divisions are exact: floor(floor(x)/k) =
-    floor(x/k)).  Each of the J floors loses less than 1, and the omitted
-    tail is at most T_J / (2J+1) * m^2/(m^2-1), which is below 1 (T_J < 1,
-    and T_0 <= 1 - 1/m when J = 0), so the sum s satisfies
-    0 <= 2^W atanh(1/m) - s < J + 1.  Shifting 2s down by g bits adds less
-    than one more ulp: the error of t is below 1 + (2J+2) / 2^g.
-    """
-    g = p.bit_length() + 2
-    m2 = m * m
-    term = (1 << (p + g)) // m
-    s = 0
-    j = 0
-    while term:
-        s += term // (2 * j + 1)
-        term //= m2
-        j += 1
-    return (2 * s) >> g, 1 + (-(-(2 * j + 2) >> g))
+
+def _two_atanh_split(m: int, p: int) -> Tuple[int, int]:
+    """(t, 2) with t <= 2^p * 2 atanh(1/m) <= t + 2, for an integer m >= 3,
+    from one binary split and one floor division (see above)."""
+    l32 = (m ** 32).bit_length() - 1
+    J = max(1, -(-(32 * p - l32) // (2 * l32)))
+    Q, B, T = _atanh_split(m * m, 0, J)
+    return (m * T << (p + 1)) // (B * Q), 2
 
 
 def _spf_sieve(limit: int) -> Tuple[array, List[int]]:
@@ -431,7 +459,7 @@ class PrimeLogTable:
     it only up to their square root).  ``builds`` and ``sieves`` count the
     rebuilds.  Entries are added one prime at a time, each from entries
     already present.  A rebuild drops every entry, so it costs only the
-    primes (and their q-1 chains) asked for after it.
+    primes (and their q-1 and q+1 chains) asked for after it.
 
     The table also keeps Euler's constant as an enclosure of 2^W gamma
     (:meth:`floor_gamma`), since its Brent-McMillan split takes ln n from
@@ -442,7 +470,7 @@ class PrimeLogTable:
         self.prec = 0
         self.builds = 0
         self.sieves = 0
-        self._logs: Dict[int, Tuple[int, int]] = {}  # q -> (x_q, e_q)
+        self._logs: Dict[int, Tuple[int, int]] = {}  # q -> (lo_q, width_q)
         self._gamma = (0, 0, 1)  # (W, lo, hi) with lo <= 2^W gamma <= hi
         self._sieve: Tuple[array, List[int]] = (array("l", [0, 1]), [])
         self._lock = threading.RLock()
@@ -493,14 +521,19 @@ class PrimeLogTable:
         return primes[:bisect_right(primes, m)]
 
     def _add(self, q: int) -> None:
-        x, e = _two_atanh_recip(2 * q - 1, self.prec)
-        for r, k in self.factor(q - 1):
+        if q == 2:
+            self._logs[2] = _two_atanh_split(3, self.prec)
+            return
+        lo, width = _two_atanh_split(2 * q * q - 1, self.prec)
+        for r, k in self.factor(q - 1) + self.factor(q + 1):
             if r not in self._logs:
                 self._add(r)
-            xr, er = self._logs[r]
-            x += k * xr
-            e += k * er
-        self._logs[q] = (x, e)
+            lo_r, width_r = self._logs[r]
+            lo += k * lo_r
+            width += k * width_r
+        # [lo, lo + width] encloses 2^P 2 ln q; halve it, rounding outward
+        half = lo >> 1
+        self._logs[q] = (half, ((lo + width + 1) >> 1) - half)
 
     def _rebuild(self, prec: int) -> None:
         # entries come back on demand, from the primes asked for next
@@ -515,21 +548,27 @@ class PrimeLogTable:
                 self._rebuild(w + _FLOOR_MARGIN)
 
     def floor_logs(self, primes: Iterable[int], w: int) -> Dict[int, int]:
-        """{q: floor(2^w ln q)} for primes q, exactly."""
+        """{q: floor(2^w ln q)} for primes q, exactly, in the order of primes.
+
+        With s = P - w, floor(2^w ln q) is lo_q >> s unless the enclosure
+        crosses a multiple of 2^s, that is unless
+        ((lo_q mod 2^s) + width_q) >> s is nonzero.
+        """
         with self._lock:
             if self.prec < w + _FLOOR_MARGIN:
                 self._rebuild(max(w + _FLOOR_MARGIN, 2 * self.prec))
             while True:
                 shift = self.prec - w
+                mask = (1 << shift) - 1
+                logs = self._logs
                 out = {}
                 for q in primes:
-                    if q not in self._logs:
+                    if q not in logs:
                         self._add(q)
-                    x, e = self._logs[q]
-                    lo = (x - e) >> shift
-                    if lo != (x + e) >> shift:
-                        break  # x_q +- e_q straddles a multiple of 2^shift
-                    out[q] = lo
+                    lo, width = logs[q]
+                    if ((lo & mask) + width) >> shift:
+                        break  # the enclosure straddles a multiple of 2^shift
+                    out[q] = lo >> shift
                 else:
                     return out
                 self._rebuild(2 * self.prec)
@@ -620,20 +659,23 @@ def _factorial_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
     return den, {q: c for q, c in acc.items() if c}
 
 
-def _prime_dot(vec: IntVec, p: int) -> Bounded:
-    """sum_q (a_q / D) ln q for a prime vector (D, {q: a_q}), rounded to p bits.
+def _prime_dot(vec: IntVec, p: int, g: int = 1) -> Bounded:
+    """sum_q (g a_q / D) ln q for a prime vector (D, {q: a_q}) times a
+    common integer factor g >= 1, rounded to p bits.
 
     With f_q = floor(2^w ln q), each 2^w ln q - f_q lies in [0, 1), so
-    s = sum_q a_q f_q is within sum_q |a_q| of D 2^w sum_q (a_q / D) ln q.
-    The bound is that, over D 2^w, plus the rounding of s / (D 2^w) to p
-    bits.  Scaling D and every a_q by one integer leaves both rationals, and
-    so the result, unchanged.
+    s = g sum_q a_q f_q is within e = g sum_q |a_q| of
+    D 2^w sum_q (g a_q / D) ln q.  The bound is e over D 2^w, plus the
+    rounding of s / (D 2^w) to p bits.  These are the integers the
+    multiplied-out vector (D, {q: g a_q}) gives, so the result is the same;
+    scaling D and every a_q by one integer leaves both rationals, and so the
+    result, unchanged.
     """
     den, ints = vec
     w = p + _DOT_GUARD
     logs = _TABLE.floor_logs(ints, w) if ints else {}
-    s = sum(a * logs[q] for q, a in ints.items())
-    e = sum(abs(a) for a in ints.values())
+    s = g * sum(map(mul, ints.values(), logs.values()))
+    e = g * sum(map(abs, ints.values()))
     v = _raw_ratio(s, den << w, p, "n")
     err = _up_add(_ratio_to_raw_up(e, den << w), _rnd_bound(v, p))
     return Bounded(v, err)

@@ -125,36 +125,35 @@ def L_from_factorial_logs(n: int, p: int) -> Bounded:
     return _prime_dot(L_vector(n), p)
 
 
-def log_S_exponents(n: int) -> List[int]:
-    """Integer exponents E_k with log S_n = sum_{k=1..n} E_k ln(n+k).
+def _log_S_scaled(n: int) -> Tuple[int, List[int]]:
+    """(g, [E'_1, ..., E'_n]) with g = 2 d_2n / d_n and E_k = g E'_k.
 
     E_k collapses the triple product over (k, i, j) with per-factor
-    exponent (2 d_{2n}/j) C(n,i)^2; each 2 d_{2n}/j is checked to be an
-    exact integer (j <= 2n divides d_{2n}, so a failure means a bug).
+    exponent (2 d_2n / j) C(n,i)^2, so E_k = sum_i C(n,i)^2 2 d_2n
+    (H_{n-i} - H_i) over i < min(k, n+1-k).  As 2 d_2n H_j = g (d_n H_j),
+    the E'_k are the same sums over the scaled harmonics d_n H_j, which are
+    integers; g is checked to be one (d_n divides d_2n, so a failure means
+    a bug).
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    d2 = 2 * exact.lcm_upto(2 * n)
-    quot = [0] * (n + 1)
-    for j in range(1, n + 1):
-        q, r = divmod(d2, j)
-        if r:
-            raise exact.IdentityViolation(f"2*d_2n not divisible by j={j} at n={n}")
-        quot[j] = q
-    # prefix[j] = sum_{q<=j} 2*d2n/q ; the quotient depends on j alone, so
-    # checking j = 1..n above covers every (k, i, j) triple.
-    prefix = list(accumulate(quot))
-    # weight of ln(n+k) for a given i: sum_{j=i+1..n-i} quot[j]
-    half = [0] * (n // 2 + 1)
-    acc = 0
+    d, h = exact.scaled_harmonics(n)
+    g, r = divmod(2 * exact.lcm_upto(2 * n), d)
+    if r:
+        raise exact.IdentityViolation(f"d_n does not divide 2*d_2n at n={n}")
+    # weight of ln(n+k) for a given i: C(n,i)^2 (d_n H_{n-i} - d_n H_i),
+    # zero at i = n/2
     row = exact.binomial_row(n)
-    for i in range(n // 2 + 1):
-        if i + 1 <= n - i:
-            acc += row[i] ** 2 * (prefix[n - i] - prefix[i])
-        half[i] = acc
-    # E_k = half[min(k - 1, n - k)]: rising over k <= m, then mirrored
+    half = list(accumulate(row[i] ** 2 * (h[n - i] - h[i]) for i in range(n // 2 + 1)))
+    # E'_k = half[min(k - 1, n - k)]: rising over k <= m, then mirrored
     m = (n + 1) // 2
-    return half[:m] + half[:n - m][::-1]
+    return g, half[:m] + half[:n - m][::-1]
+
+
+def log_S_exponents(n: int) -> List[int]:
+    """Integer exponents E_k with log S_n = sum_{k=1..n} E_k ln(n+k)."""
+    g, scaled = _log_S_scaled(n)
+    return [g * e for e in scaled]
 
 
 def log_S_vector(n: int) -> IntVec:
@@ -162,25 +161,38 @@ def log_S_vector(n: int) -> IntVec:
     return _range_log_pair(1, n + 1, log_S_exponents(n))
 
 
+def _log_S_pair(n: int) -> Tuple[int, IntVec]:
+    """(g, (1, {q: c'_q})) with c_q = g c'_q: the vector of log S_n over its
+    common factor g = 2 d_2n / d_n, from the exponents E'_k = E_k / g.
+
+    The c'_q are about two thirds of the bits of the c_q at n = 460, and
+    ``_prime_dot(vec, p, g)`` gives what the multiplied-out vector gives.
+    """
+    g, scaled = _log_S_scaled(n)
+    return g, _range_log_pair(1, n + 1, scaled)
+
+
 def log_S(n: int, p: int) -> Bounded:
     """log S_n as a certified float (S_n itself is astronomically large)."""
-    return _prime_dot(log_S_vector(n), p)
+    g, vec = _log_S_pair(n)
+    return _prime_dot(vec, p, g)
 
 
 def check_L_identity(n: int, l_vec: Optional[IntVec] = None,
-                     s_vec: Optional[IntVec] = None) -> None:
+                     s_pair: Optional[Tuple[int, IntVec]] = None) -> None:
     """Raise IdentityViolation unless d_2n * vec(L_n) == vec(log S_n).
 
     Both sides are exact prime vectors (D, {q: a_q}), so the two L_n routes
     are compared with zero tolerance by cross-multiplying integers; the
-    numeric ``l_agree`` check remains beside it.  ``l_vec`` and ``s_vec``
-    are the two vectors when the caller has them.
+    numeric ``l_agree`` check remains beside it.  ``l_vec`` and ``s_pair``
+    (the scaled pair of log S_n, g times a vector) are the two sides when
+    the caller has them.
     """
     dl, l_ints = L_vector(n) if l_vec is None else l_vec
-    ds, s_ints = log_S_vector(n) if s_vec is None else s_vec
-    d2n = exact.lcm_upto(2 * n)
+    g, (ds, s_ints) = _log_S_pair(n) if s_pair is None else s_pair
+    left, right = exact.lcm_upto(2 * n) * ds, g * dl
     if l_ints.keys() != s_ints.keys() or any(
-            d2n * a * ds != s_ints[q] * dl for q, a in l_ints.items()):
+            a * left != s_ints[q] * right for q, a in l_ints.items()):
         raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
 
 
@@ -277,6 +289,19 @@ def _tree_sum(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
     return pairs[0]
 
 
+@lru_cache(maxsize=None)
+def _corr_coefficients(K: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """(pc, qc, dq): B_2j / (2j(2j-1)) and B_2j / (2j) for j = 1..K as
+    integers over the lcm dq of their denominators.  They depend on K
+    alone, so each K of a run is computed once."""
+    bern = [exact.bernoulli(2 * j) for j in range(1, K + 1)]
+    pc = [b / (2 * j * (2 * j - 1)) for j, b in enumerate(bern, 1)]
+    qc = [b / (2 * j) for j, b in enumerate(bern, 1)]
+    dq = math.lcm(*(c.denominator for c in pc + qc))
+    return (tuple(c.numerator * (dq // c.denominator) for c in pc),
+            tuple(c.numerator * (dq // c.denominator) for c in qc), dq)
+
+
 class _EMKernel:
     """Exact sums over the kernel g(x) = sum_k As_k/(x+k) + Cs_k/(x+k)^2.
 
@@ -299,12 +324,7 @@ class _EMKernel:
 
     def _corr_tops(self, a: int, K: int) -> Tuple[List[int], int]:
         # numerators over b^(2K), b = a + k, of den dq em_corr(a, K), and dq
-        bern = [exact.bernoulli(2 * j) for j in range(1, K + 1)]
-        pc = [b / (2 * j * (2 * j - 1)) for j, b in enumerate(bern, 1)]
-        qc = [b / (2 * j) for j, b in enumerate(bern, 1)]
-        dq = math.lcm(*(c.denominator for c in pc + qc))
-        pc = [c.numerator * (dq // c.denominator) for c in pc]
-        qc = [c.numerator * (dq // c.denominator) for c in qc]
+        pc, qc, dq = _corr_coefficients(K)
         d = self.den
         tops = []
         for b, A, c in zip(count(a), self.num, self.cs):
@@ -642,12 +662,12 @@ def criterion_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
 
 
 def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
-                    s_vec: Optional[IntVec] = None) -> CriterionPoint:
+                    s_pair: Optional[Tuple[int, IntVec]] = None) -> CriterionPoint:
     """Certified {log S_n} and Q_n, with distances to 0 and pi/(6 ln 2).
 
     The probe reports both distances and asserts neither limit; {log S_n}
-    is certified to ``policy.frac_bits`` bits.  ``s_vec`` is the prime
-    vector of log S_n when the caller has it.
+    is certified to ``policy.frac_bits`` bits.  ``s_pair`` is the scaled
+    prime vector of log S_n (:func:`_log_S_pair`) when the caller has it.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -659,10 +679,9 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
             f"criterion at n={n} needs {p} working bits, ceiling is "
             f"{policy.max_bits}")
     frac_target = Fraction(1, 1 << frac_bits)
-    if s_vec is None:
-        s_vec = log_S_vector(n)
+    g, s_vec = _log_S_pair(n) if s_pair is None else s_pair
     while True:
-        ls = _prime_dot(s_vec, p)
+        ls = _prime_dot(s_vec, p, g)
         try:
             floor_part, frac = frac_part_certified(ls)
             if frac.err_fraction() <= frac_target:
@@ -810,10 +829,10 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
 
     t0 = time.perf_counter()
     l_vec = L_vector(n)
-    s_vec = log_S_vector(n)
-    check_L_identity(n, l_vec, s_vec)
+    s_pair = _log_S_pair(n)
+    check_L_identity(n, l_vec, s_pair)
     l_log = _prime_dot(l_vec, p)
-    ls = _prime_dot(s_vec, p)
+    ls = _prime_dot(s_pair[1], p, s_pair[0])
     l_prod = b_div(ls, Bounded.exact_int(d2n), p)
     l_agree = agrees(l_log, l_prod)
     timings["L"] = time.perf_counter() - t0
@@ -826,7 +845,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["I"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cp = criterion_point(n, policy, s_vec)
+    cp = criterion_point(n, policy, s_pair)
     timings["criterion"] = time.perf_counter() - t0
 
     return SeqRecord(

@@ -144,6 +144,39 @@ def range_log_vector(den: int, lo: int, weights) -> tuple:
     return den, {q: c for q, c in acc.items() if c}
 
 
+def term_by_term_prime_logs(q_max: int, p: int) -> dict:
+    """{q: (x_q, e_q)} with |2^p ln q - x_q| <= e_q for every prime q <= q_max.
+
+    The prime-log table's earlier algorithm, kept as an oracle for its
+    floors: ln 2 = 2 atanh(1/3) and ln q = ln(q-1) + 2 atanh(1/(2q-1)),
+    each atanh summed term by term with floor divisions at p + g bits.
+    Each of the J floors loses less than 1 and the omitted tail is below 1,
+    so the sum is within J + 1 of 2^(p+g) atanh(1/m); shifting twice it
+    down by g bits adds less than one ulp.
+    """
+    def two_atanh_recip(m):
+        g = p.bit_length() + 2
+        m2 = m * m
+        term = (1 << (p + g)) // m
+        s = j = 0
+        while term:
+            s += term // (2 * j + 1)
+            term //= m2
+            j += 1
+        return (2 * s) >> g, 1 + (-(-(2 * j + 2) >> g))
+
+    logs = {}
+    for q in range(2, q_max + 1):
+        if factor_oracle(q) != {q: 1}:
+            continue
+        x, e = two_atanh_recip(2 * q - 1)
+        for r, k in factor_oracle(q - 1).items():
+            x += k * logs[r][0]
+            e += k * logs[r][1]
+        logs[q] = (x, e)
+    return logs
+
+
 def factorial_log_vector(den: int, lo: int, weights) -> tuple:
     """(den, {q: c_q}) with sum_i weights[i] ln((lo + i)!) = sum_q c_q ln q,
     from the factorisation of every factor of every (lo + i)!."""

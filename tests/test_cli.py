@@ -221,12 +221,15 @@ def test_reserve_holds_gamma_for_the_largest_row(monkeypatch):
 
 @pytest.mark.parametrize("args, guard", [
     (["criterion", "--n", "1..30", "--max-bits", "256"], mn._DOT_GUARD),
-    (["table", "--n", "1..3", "--frac-bits", "800"], mn._BM_GUARD + mn._DOT_GUARD),
+    (["table", "--n", "1..3", "--frac-bits", "800", "--max-bits", "900"],
+     mn._BM_GUARD + mn._GAMMA_MARGIN),
 ])
 def test_reservation_stays_under_max_bits(args, guard, tmp_path, monkeypatch):
-    # the criterion plan of n = 30 asks for more than 256 bits; the rows
+    # the criterion plan of n = 30 asks for more than 256 bits, and the
+    # record precision of n = 1 at --frac-bits 800 is 902 bits; the rows
     # that need it are flagged, and the table holds no more than a row may
-    # ask for
+    # ask for: the cap plus the largest guard of the plan, the ln n of
+    # gamma's enclosure
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     out = tmp_path / "x.csv"
     assert run(args + ["--jobs", "1", "--out", str(out)]) == 2
@@ -490,6 +493,8 @@ _GOLDEN = {
                           "32fbfbed65506a15ed0e50e77c713e9b6e9dcc8e268e4d0b9c3c9fd43c3f532a"),
     "criterion_1_60.csv": (["criterion", "--n", "1..60"],
                            "7d9d33d1e978541d62afcd24e966a3088006d0d3ebd237dd573e3056898426fd"),
+    "criterion_1_460.csv": (["criterion", "--n", "1..460"],
+                            "74110e7b16f2e07aa70dcc20c0634ee9aeae0df2d5f6a362d9a5a9ef5a7ee47f"),
     "asym.json": (["asym", "--format", "json"],
                   "fa4375a2aeaa0f3d6e2973e879db550df207ca7c010c81627c2a7adb440854bb"),
     "gamma_60.txt": (["gamma", "--digits", "60"],

@@ -493,16 +493,69 @@ def test_prime_table_entries_contain_mpmath(p):
     for q in primes:
         ref = _mpmath_ln(q, big + 64)
         slack = Fraction(1, 2 ** (big + 60))  # mpmath's own rounding
-        x, e = table._logs[q]
-        assert abs(Fraction(x, 2 ** big) - ref) <= Fraction(e, 2 ** big) + slack, q
+        lo, width = table._logs[q]
+        assert Fraction(lo, 2 ** big) - slack <= ref <= Fraction(lo + width, 2 ** big) + slack, q
         assert floors[q] <= ref * 2 ** p < floors[q] + 1, q
+
+
+@pytest.mark.parametrize("big, q_max, count", [(2400, 3000, 24), (18240, 3000, 8),
+                                               (39310, 16000, 3)])
+def test_prime_table_entries_at_reach_contain_mpmath(big, q_max, count):
+    # the table precisions of criterion rows up to n = 460, of
+    # build_record(3000) and of criterion_point(8000)
+    table = mn.PrimeLogTable()
+    table.reserve(big - mn._FLOOR_MARGIN)
+    primes = _sample_primes(count, q_max, seed=big)
+    table.floor_logs(primes, big - mn._FLOOR_MARGIN)
+    assert table.prec == big and table.builds == 1
+    slack = Fraction(1, 2 ** (big + 60))  # mpmath's own rounding
+    for q in primes:
+        ref = _mpmath_ln(q, big + 64)
+        lo, width = table._logs[q]
+        assert Fraction(lo, 2 ** big) - slack <= ref <= Fraction(lo + width, 2 ** big) + slack, q
+
+
+def test_prime_table_floors_equal_term_by_term_oracle():
+    # every prime up to 1,000 at the table precision of build_record(3000)
+    big = 18240
+    want = oracles.term_by_term_prime_logs(1000, big)
+    table = mn.PrimeLogTable()
+    table.reserve(big - mn._FLOOR_MARGIN)
+    for w in (big - mn._FLOOR_MARGIN, 2420):
+        got = table.floor_logs(sorted(want), w)
+        for q, (x, e) in want.items():
+            lo = (x - e) >> (big - w)
+            assert lo == (x + e) >> (big - w), q  # the oracle decides too
+            assert got[q] == lo, q
+    assert table.builds == 1
+
+
+def test_prime_table_entries_enclose_their_inputs():
+    # 2 [lo_q, lo_q + width_q] holds the atanh enclosure plus the
+    # neighbours' enclosures: ln(q-1) + ln(q+1) + 2 atanh(1/(2q^2-1))
+    for big in (100, 2420):
+        table = mn.PrimeLogTable()
+        table.floor_logs(_SMALL_PRIMES, big - mn._FLOOR_MARGIN)
+        assert table.prec == big
+        assert table._logs[2] == mn._two_atanh_split(3, big)
+        for q in _SMALL_PRIMES[1:]:
+            t, width = mn._two_atanh_split(2 * q * q - 1, big)
+            lo, hi = t, t + width
+            for k in (q - 1, q + 1):
+                for r, e in oracles.factor_oracle(k).items():
+                    lo += e * table._logs[r][0]
+                    hi += e * sum(table._logs[r])
+            lo_q, width_q = table._logs[q]
+            assert 2 * lo_q <= lo and hi <= 2 * (lo_q + width_q), q
+            assert width_q <= (hi - lo) // 2 + 1, q
 
 
 def test_two_atanh_recip_against_fraction_oracle():
     for m, p in [(3, 64), (5, 200), (101, 333), (4001, 150)]:
-        t, e = mn._two_atanh_recip(m, p)
+        t, e = mn._two_atanh_split(m, p)
         ref = 2 * oracles.atanh_oracle(Fraction(1, m), p + 40)
         assert abs(Fraction(t, 2 ** p) - ref) <= Fraction(e, 2 ** p) + Fraction(1, 2 ** (p + 38))
+        assert Fraction(t, 2 ** p) <= ref + Fraction(1, 2 ** (p + 38))
         assert e <= 2
 
 
@@ -567,13 +620,15 @@ def test_prime_table_rebuild_is_lazy():
     assert table._logs == {} and table.builds == 2
     asked = [13, 101, 499, 1999]
     got = table.floor_logs(asked, 200)
-    # only the primes asked for since, and the primes of each q-1 chain
+    # only the primes asked for since, and the primes of each q-1 and q+1
+    # chain (ln 2 has none)
     chain, todo = set(), list(asked)
     while todo:
         q = todo.pop()
         if q not in chain:
             chain.add(q)
-            todo += _prime_factors(q - 1)
+            if q > 2:
+                todo += _prime_factors(q - 1) | _prime_factors(q + 1)
     assert set(table._logs) == chain
     fresh = mn.PrimeLogTable()
     assert got == fresh.floor_logs(asked, 200)
@@ -594,6 +649,16 @@ def test_prime_dot_of_scaled_pair_equals_fraction_dict(vec, k, p):
     ints = {q: c.numerator * (den // c.denominator) for q, c in vec.items()}
     got = mn._prime_dot((k * den, {q: k * a for q, a in ints.items()}), p)
     want = mn._prime_dot((den, ints), p)
+    assert (got.val, got.err) == (want.val, want.err)
+
+
+@given(st.dictionaries(st.sampled_from(_SMALL_PRIMES),
+                       st.integers(-10 ** 30, 10 ** 30).filter(bool), max_size=12),
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 40), st.sampled_from([64, 192, 700]))
+@settings(max_examples=40, deadline=None)
+def test_prime_dot_with_factor_equals_multiplied_out_vector(ints, den, g, p):
+    got = mn._prime_dot((den, ints), p, g)
+    want = mn._prime_dot((den, {q: g * a for q, a in ints.items()}), p)
     assert (got.val, got.err) == (want.val, want.err)
 
 

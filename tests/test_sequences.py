@@ -93,6 +93,13 @@ def test_prime_vectors_small():
     assert sq.log_S_vector(2) == (1, {2: 72, 3: 36})  # S_2 = 12^36
 
 
+def test_log_S_vector_equals_scaled_pair_multiplied_out():
+    for n in range(1, 201):
+        g, (den, ints) = sq._log_S_pair(n)
+        assert den == 1 and g == 2 * exact.lcm_upto(2 * n) // exact.lcm_upto(n)
+        assert sq.log_S_vector(n) == (1, {q: g * c for q, c in ints.items()}), n
+
+
 def test_L_identity_exact():
     for n in range(1, 41):
         sq.check_L_identity(n)
@@ -490,7 +497,7 @@ def test_build_record_computes_L_once(monkeypatch):
             return real(n)
         return wrapper
 
-    for name in ("L_vector", "log_S_vector"):
+    for name in ("L_vector", "_log_S_pair"):
         monkeypatch.setattr(sq, name, counted(name))
     real_a = exact.A_exact
 
@@ -500,7 +507,7 @@ def test_build_record_computes_L_once(monkeypatch):
 
     monkeypatch.setattr(exact, "A_exact", counted_a)
     rec = sq.build_record(3)
-    assert calls == [("A_exact", 3), ("L_vector", 3), ("log_S_vector", 3)]
+    assert calls == [("A_exact", 3), ("L_vector", 3), ("_log_S_pair", 3)]
     p = rec.precision_bits
     direct = sq.I_closed_form(3, p)
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
