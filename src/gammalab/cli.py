@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import to_str
 
-from . import __version__, exact, mpnum, sequences
+from . import __version__, exact, sequences
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -214,20 +214,16 @@ def _criterion_cells(n: int, policy: PrecisionPolicy) -> Dict[str, str]:
                           exact.lcm_upto(2 * n).bit_length())
 
 
-# the row subcommands: their columns, their "n, policy -> row" function,
-# their precision plan (the working bits of a row's largest dot product)
-# and the precision a row asks gamma for, if it does
+# the row subcommands: their columns and their "n, policy -> row" function
 _ROW_COMMANDS = {
-    "table": (TABLE_COLUMNS, _table_cells, sequences.record_plan,
-              sequences.record_gamma_plan),
-    "criterion": (CRITERION_COLUMNS, _criterion_cells, sequences.criterion_plan,
-                  None),
+    "table": (TABLE_COLUMNS, _table_cells),
+    "criterion": (CRITERION_COLUMNS, _criterion_cells),
 }
 
 
 def _row_task(task) -> Dict[str, str]:
     command, n, policy = task
-    columns, cells, _, _ = _ROW_COMMANDS[command]
+    columns, cells = _ROW_COMMANDS[command]
     try:
         return cells(n, policy)
     except (PrecisionExhausted, PrecisionInsufficient):
@@ -238,12 +234,6 @@ def _row_task(task) -> Dict[str, str]:
 
 def _row_stripe(tasks) -> List[Dict[str, str]]:
     return [_row_task(t) for t in tasks]
-
-
-def _reserve(bits: int, gamma_bits: Optional[int]) -> None:
-    mpnum._TABLE.reserve(bits)
-    if gamma_bits is not None:
-        euler_gamma(gamma_bits)  # every smaller precision reads its floor
 
 
 def _write_rows(path: str, fmt: str, columns: Sequence[str],
@@ -308,25 +298,24 @@ def _cmd_rows(args) -> int:
     t0 = time.perf_counter()
     lo, hi = args.n
     policy = _policy(args)
-    columns, _, plan, gamma_plan = _ROW_COMMANDS[args.command]
-    tasks = [(args.command, n, policy) for n in range(lo, hi + 1)]
-    # the largest n has the largest plans; every process reserves them once
-    reserved = (plan(hi, policy), gamma_plan(hi, policy) if gamma_plan else None)
+    columns, _ = _ROW_COMMANDS[args.command]
+    # largest n first: a row's requests of the prime-log table and of gamma
+    # grow with n, so each process's first row sizes them for all the rest
+    tasks = [(args.command, n, policy) for n in range(hi, lo - 1, -1)]
     k = min(args.jobs, len(tasks))
     if k <= 1:
-        _reserve(*reserved)
         rows = _row_stripe(tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # one stripe n = lo+i, lo+i+k, ... per worker: neighbouring n cost
+        # one stripe n = hi-i, hi-i-k, ... per worker: neighbouring n cost
         # about the same, so the stripes stay balanced
-        with ProcessPoolExecutor(max_workers=k, initializer=_reserve,
-                                 initargs=reserved) as pool:
+        with ProcessPoolExecutor(max_workers=k) as pool:
             stripes = list(pool.map(_row_stripe, [tasks[i::k] for i in range(k)]))
         rows = [None] * len(tasks)
         for i, stripe in enumerate(stripes):
             rows[i::k] = stripe
+    rows.reverse()
     _write_rows(args.out, args.format, columns, rows)
     bad = sum(1 for r in rows if r["status"] != "ok")
     _write_manifest(args.out, args, {

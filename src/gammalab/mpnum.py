@@ -449,21 +449,20 @@ def _spf_sieve(limit: int) -> Tuple[array, List[int]]:
 class PrimeLogTable:
     """Certified fixed-point logs of the primes seen so far, and a sieve.
 
-    A run reserves the table once, at the largest precision its dot
-    products will ask for (:meth:`reserve`, from the precision plan of its
-    largest n).  After that the precision doubles only when a dot asks for
-    more (a precision escalation) or when an entry straddles a multiple of
-    the floor it must certify; without a reservation it starts at the first
-    dot's needs and doubles the same way.  The sieve doubles only when a
-    larger integer must be factored (integers from ``_SIEVE_CAP`` on need
-    it only up to their square root).  ``builds`` and ``sieves`` count the
-    rebuilds.  Entries are added one prime at a time, each from entries
-    already present.  A rebuild drops every entry, so it costs only the
-    primes (and their q-1 and q+1 chains) asked for after it.
+    The first dot product sizes the table; after that its precision
+    doubles only when a dot asks for more (a precision escalation) or when
+    an entry straddles a multiple of the floor it must certify.  A run
+    that asks for its widest dot first, as the row subcommands do by
+    computing their largest n first, builds the table once.  The sieve
+    doubles only when a larger integer must be factored (integers from
+    ``_SIEVE_CAP`` on need it only up to their square root).  ``builds``
+    and ``sieves`` count the rebuilds.  Entries are added one prime at a
+    time, each from entries already present.  A rebuild drops every entry,
+    so it costs only the primes (and their q-1 and q+1 chains) asked for
+    after it.
 
     The table also keeps Euler's constant as an enclosure of 2^W gamma
-    (:meth:`floor_gamma`), since its Brent-McMillan split takes ln n from
-    the table: a fresh table computes gamma afresh.
+    (:meth:`floor_gamma`), so a fresh table computes gamma afresh.
     """
 
     def __init__(self) -> None:
@@ -491,9 +490,10 @@ class PrimeLogTable:
         """Prime factorisation [(q, v_q(k)), ...] of an integer k >= 1."""
         out = []
         if k >= _SIEVE_CAP:
-            # trial division; a cofactor with no prime factor up to its
-            # square root is 1 or a prime
-            for q in self._sieve_upto(min(math.isqrt(k), _SIEVE_CAP))[1]:
+            # trial division by the primes up to L; a cofactor with no prime
+            # factor up to L is 1 or a prime when it is below (L+1)^2
+            L = min(math.isqrt(k), _SIEVE_CAP)
+            for q in self._sieve_upto(L)[1]:
                 if q * q > k:
                     break
                 e = 0
@@ -502,8 +502,8 @@ class PrimeLogTable:
                     e += 1
                 if e:
                     out.append((q, e))
-            if q * q <= k:
-                raise ValueError(f"{k} has no prime factor up to {q}; "
+            if (L + 1) ** 2 <= k:
+                raise ValueError(f"{k} has no prime factor up to {L}; "
                                  "it is too large to factor by trial division")
             return out + [(k, 1)] if k > 1 else out
         spf = self._sieve_upto(k)[0]
@@ -540,12 +540,6 @@ class PrimeLogTable:
         self.prec = prec
         self.builds += 1
         self._logs = {}
-
-    def reserve(self, w: int) -> None:
-        """Hold enough bits for dot products at up to w working bits."""
-        with self._lock:
-            if self.prec < w + _FLOOR_MARGIN:
-                self._rebuild(w + _FLOOR_MARGIN)
 
     def floor_logs(self, primes: Iterable[int], w: int) -> Dict[int, int]:
         """{q: floor(2^w ln q)} for primes q, exactly, in the order of primes.
@@ -589,7 +583,7 @@ class PrimeLogTable:
                 if W >= w and lo >> (W - w) == hi >> (W - w):
                     return lo >> (W - w)
                 W = max(w + _GAMMA_MARGIN, 2 * W)
-                self._gamma = (W,) + _bm_enclosure(W, self)
+                self._gamma = (W,) + _bm_enclosure(W)
 
 
 _TABLE = PrimeLogTable()
@@ -806,11 +800,19 @@ def _bm_params(w: int) -> Tuple[int, int]:
     return n, K
 
 
-def _bm_enclosure(bits: int, table: PrimeLogTable) -> Tuple[int, int]:
-    """(lo, hi) with lo <= 2^bits gamma <= hi, from one split (see above)."""
+def _bm_enclosure(bits: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits gamma <= hi, from one split (see above).
+
+    The floors of ln n come from a fresh table of its own, which stays
+    small: n is about bits / 5.77, with a few small primes.  bits is
+    _BM_GUARD + _GAMMA_MARGIN above the precision asked of gamma, so on the
+    shared table ln n would be the widest request of a row that asks for
+    gamma, and would size that table for it.
+    """
     n, K = _bm_params(bits)
     P, Q, D, _, T, W = _bm_split(n * n, 1, K + 1)
     x = (W << bits) // (D * (Q + T))
+    table = PrimeLogTable()
     n_exps = dict(table.factor(n))
     logs = table.floor_logs(n_exps, bits)
     l = sum(e * logs[q] for q, e in n_exps.items())

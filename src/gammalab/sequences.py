@@ -52,10 +52,7 @@ from .mpnum import (
     pi_const,
     ln2_const,
     IntVec,
-    _BM_GUARD,
-    _DOT_GUARD,
     _EPREC,
-    _GAMMA_MARGIN,
     _factorial_log_pair,
     _fraction_to_raw_up,
     _prime_dot,
@@ -88,9 +85,6 @@ __all__ = [
     "build_record",
     "closed_form_floor",
     "default_series_eps",
-    "record_plan",
-    "record_gamma_plan",
-    "criterion_plan",
 ]
 
 
@@ -513,17 +507,6 @@ def default_series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
     return Fraction(1, n << (4 * n + policy.frac_bits + 52))
 
 
-def _series_eps(n: int, policy: PrecisionPolicy) -> Fraction:
-    if policy.tail_eps is None:
-        return default_series_eps(n, policy)
-    return Fraction(policy.tail_eps)
-
-
-def _series_precision(n: int, eps: Fraction, policy: PrecisionPolicy) -> int:
-    # first-attempt working bits of I_series for a budget eps
-    return max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
-
-
 def I_series(
     n: int,
     eps: Optional[Fraction] = None,
@@ -539,7 +522,9 @@ def I_series(
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    eps = _series_eps(n, policy) if eps is None else Fraction(eps)
+    if eps is None:
+        eps = policy.tail_eps
+    eps = default_series_eps(n, policy) if eps is None else Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
 
@@ -570,7 +555,7 @@ def I_series(
     main_logs = _factorial_log_pair(d, n, fact_w)
     int_logs = _range_log_pair(d, a, wlog)
 
-    p = _series_precision(n, eps, policy)
+    p = max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
     if p > policy.max_bits:
         raise PrecisionExhausted(
             f"series at n={n} needs {p} working bits, ceiling is {policy.max_bits}")
@@ -645,22 +630,6 @@ def _criterion_precision(n: int, policy: PrecisionPolicy) -> int:
                + policy.frac_bits + 64)
 
 
-def _threshold_precision(policy: PrecisionPolicy) -> int:
-    # working bits of pi / (6 ln 2) beside a criterion point
-    return max(policy.frac_bits + 96, 192)
-
-
-def criterion_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
-    """Working bits of the largest dot product of criterion_point(n)'s
-    first attempt, no more than ``policy.max_bits`` allows a row.
-
-    Reserving the prime-log table at this many bits for the largest n of a
-    run leaves it to rebuild only on an escalation or a straddle.
-    """
-    p = max(_criterion_precision(n, policy), _threshold_precision(policy))
-    return min(p, policy.max_bits) + _DOT_GUARD
-
-
 def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
                     s_pair: Optional[Tuple[int, IntVec]] = None) -> CriterionPoint:
     """Certified {log S_n} and Q_n, with distances to 0 and pi/(6 ln 2).
@@ -695,7 +664,7 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
                 f"criterion at n={n} exhausted at {policy.max_bits} bits")
         p = nxt
     q = b_scale(frac, Fraction((16 ** n) * n, d2n), p)
-    thr = sondow_threshold(_threshold_precision(policy))
+    thr = sondow_threshold(max(frac_bits + 96, 192))
     return CriterionPoint(
         n=n,
         precision_bits=p,
@@ -783,49 +752,26 @@ class SeqRecord:
     timings: Dict[str, float] = field(default_factory=dict)
 
 
-def _record_precision(n: int, policy: PrecisionPolicy) -> int:
-    # the record's own working bits: L_n, log S_n and the closed form
-    return max(policy.base_bits, 6 * n + policy.frac_bits + 96)
-
-
-def record_gamma_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
-    """The precision build_record(n) asks gamma for, no more than
-    ``policy.max_bits`` allows a row.
-
-    Asking for gamma at this precision for the largest n of a run first
-    leaves the whole run one Brent-McMillan split.
-    """
-    return min(_record_precision(n, policy), policy.max_bits)
-
-
-def record_plan(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
-    """Working bits of the largest dot product of build_record(n)'s first
-    attempts, no more than ``policy.max_bits`` allows a row.
-
-    The stages are the record's own precision (and the ln n of gamma's
-    enclosure, _BM_GUARD + _GAMMA_MARGIN bits above it), I_series and
-    criterion_point.  Reserving the prime-log table at this many bits for
-    the largest n of a run leaves it to rebuild only on an escalation or a
-    straddle.
-    """
-    cap = policy.max_bits
-    return max(record_gamma_plan(n, policy) + _BM_GUARD + _GAMMA_MARGIN,
-               min(_series_precision(n, _series_eps(n, policy), policy), cap)
-               + _DOT_GUARD,
-               criterion_plan(n, policy))
-
-
 def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqRecord:
     """Populate every per-n quantity; deterministic for fixed (n, policy)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     timings: Dict[str, float] = {}
-    p = _record_precision(n, policy)
+    # the working bits of L_n, log S_n and the closed form
+    p = max(policy.base_bits, 6 * n + policy.frac_bits + 96)
 
     t0 = time.perf_counter()
     a_ex = exact.A_exact(n)
     d2n = exact.lcm_upto(2 * n)
     timings["exact"] = time.perf_counter() - t0
+
+    # The series goes first: at the default eps it works at p + 18 +
+    # bitlen(n) bits, the widest dot product of the record, so its requests
+    # size the prime-log table once.  Run after L_n, it would find the table
+    # too narrow and rebuild it at twice the width.
+    t0 = time.perf_counter()
+    i_ser, tail = I_series(n, policy=policy)
+    t_series = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     l_vec = L_vector(n)
@@ -839,10 +785,9 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
 
     t0 = time.perf_counter()
     i_closed = I_closed_form(n, p, l_log, a_ex)
-    i_ser, tail = I_series(n, policy=policy)
     i_agree = agrees(i_closed, i_ser)
     i_positive = i_ser.value_fraction() - i_ser.err_fraction() > 0
-    timings["I"] = time.perf_counter() - t0
+    timings["I"] = t_series + time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cp = criterion_point(n, policy, s_pair)

@@ -158,6 +158,18 @@ def test_table_parallel_matches_serial(tmp_path):
     assert read_bytes(a) == read_bytes(b)
 
 
+@pytest.mark.parametrize("args", [["table", "--n", "1..9", "--jobs", "1"],
+                                  ["table", "--n", "1..9", "--jobs", "4"],
+                                  ["criterion", "--n", "1..7", "--jobs", "1"],
+                                  ["criterion", "--n", "1..7", "--jobs", "3"]])
+def test_rows_are_written_in_order_of_n(args, tmp_path):
+    # every process computes its rows largest n first
+    out = tmp_path / "x.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    lo, hi = cli._parse_range(args[2])
+    assert [r["n"] for r in read_csv(out)] == [str(n) for n in range(lo, hi + 1)]
+
+
 @pytest.mark.parametrize("args", [["table", "--n", "1..9", "--jobs", "4"],
                                   ["criterion", "--n", "1..7", "--jobs", "3"],
                                   ["criterion", "--n", "1..2", "--jobs", "4"]])
@@ -170,11 +182,19 @@ def test_striped_pool_matches_one_process(args, tmp_path):
     assert read_bytes(one) == read_bytes(pool)
 
 
-@pytest.mark.parametrize("args", [["criterion", "--n", "1..460"],  # 5 builds before
-                                  ["table", "--n", "400..401"],    # 2 before
-                                  ["table", "--n", "1..120"]])     # 3 before
+@pytest.mark.parametrize("args", [
+    ["criterion", "--n", "1..460"],
+    ["table", "--n", "400..401"],
+    ["table", "--n", "1..120"],
+    # the three options that move the series' working bits
+    ["table", "--n", "1..30", "--tail-eps", "1e-120"],
+    ["table", "--n", "1..3", "--frac-bits", "400"],
+    ["table", "--n", "1..60", "--bits", "1000"],
+])
 def test_one_table_build_per_run(args, tmp_path, monkeypatch):
-    # the table is reserved once at the plan of the run's largest n
+    # rows run largest n first, and a row's first request is its widest (in
+    # a table row, the series), so the first request sizes the table for
+    # the whole run
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     assert run(args + ["--jobs", "1", "--out", str(tmp_path / "x.csv")]) == 0
     assert mn._TABLE.builds == 1
@@ -184,9 +204,10 @@ def test_one_table_build_per_run(args, tmp_path, monkeypatch):
                                           (["criterion", "--n", "1..30"], 0)])
 def test_one_gamma_split_and_no_exact_correction_per_run(args, splits, tmp_path,
                                                          monkeypatch):
-    # table reserves gamma at its largest row's precision and every row
-    # reads a floor of that one enclosure; every series correction is
-    # rounded from an enclosure; criterion asks for neither
+    # the first table row, the largest n, asks gamma at the run's largest
+    # precision, and every later row reads a floor of that one enclosure;
+    # every series correction is rounded from an enclosure; criterion asks
+    # for neither
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     counts = {"split": 0, "corr": 0}
 
@@ -204,38 +225,23 @@ def test_one_gamma_split_and_no_exact_correction_per_run(args, splits, tmp_path,
     assert mn._TABLE.builds == 1
 
 
-def test_reserve_holds_gamma_for_the_largest_row(monkeypatch):
-    # what a pool worker's initializer does: later rows read floors of the
-    # kept enclosure
-    table = mn.PrimeLogTable()
-    monkeypatch.setattr(mn, "_TABLE", table)
-    policy = mn.PrecisionPolicy()
-    cli._reserve(sequences.record_plan(120, policy),
-                 sequences.record_gamma_plan(120, policy))
-    assert table._gamma[0] == (sequences.record_gamma_plan(120, policy)
-                               + mn._BM_GUARD + mn._GAMMA_MARGIN)
-    assert table.builds == 1
-    cli._reserve(sequences.criterion_plan(30, policy), None)
-    assert table._gamma[0] > 0 and table.builds == 1
-
-
 @pytest.mark.parametrize("args, guard", [
     (["criterion", "--n", "1..30", "--max-bits", "256"], mn._DOT_GUARD),
     (["table", "--n", "1..3", "--frac-bits", "800", "--max-bits", "900"],
      mn._BM_GUARD + mn._GAMMA_MARGIN),
 ])
 def test_reservation_stays_under_max_bits(args, guard, tmp_path, monkeypatch):
-    # the criterion plan of n = 30 asks for more than 256 bits, and the
-    # record precision of n = 1 at --frac-bits 800 is 902 bits; the rows
-    # that need it are flagged, and the table holds no more than a row may
-    # ask for: the cap plus the largest guard of the plan, the ln n of
-    # gamma's enclosure
+    # criterion rows from n = 27 on ask for more than 256 bits, and the
+    # series of n = 1 at --frac-bits 800 for 921 bits; those rows are
+    # flagged before their first dot product, so the table is built once,
+    # by the largest row under the cap, or not at all, and holds no more
+    # than a row may ask for: the cap plus a guard
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     out = tmp_path / "x.csv"
     assert run(args + ["--jobs", "1", "--out", str(out)]) == 2
     policy = cli._policy(cli.build_parser().parse_args(args + ["--out", str(out)]))
     assert mn._TABLE.prec <= policy.max_bits + guard + mn._FLOOR_MARGIN
-    assert mn._TABLE.builds == 1
+    assert mn._TABLE.builds == any(r["status"] == "ok" for r in read_csv(out))
 
 
 # --- criterion -------------------------------------------------------------------

@@ -199,15 +199,18 @@ def test_gamma_floor_equals_mpmath(p):
 
 
 def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):
+    ws = (1000, 64, 999, 700)
+    fresh = [mn.PrimeLogTable().floor_gamma(w) for w in ws]
+    fresh_5000 = mn.PrimeLogTable().floor_gamma(5000)
     table = mn.PrimeLogTable()
     splits = []
     enclosure = mn._bm_enclosure
-    monkeypatch.setattr(mn, "_bm_enclosure", lambda bits, tab: (
-        tab is table and splits.append(bits)) or enclosure(bits, tab))
-    first = [table.floor_gamma(w) for w in (1000, 64, 999, 700)]
+    monkeypatch.setattr(mn, "_bm_enclosure",
+                        lambda bits: splits.append(bits) or enclosure(bits))
+    first = [table.floor_gamma(w) for w in ws]
     W = 1000 + mn._GAMMA_MARGIN
     assert splits == [W] and table._gamma[0] == W
-    assert first == [mn.PrimeLogTable().floor_gamma(w) for w in (1000, 64, 999, 700)]
+    assert first == fresh
     # widen the kept enclosure until it straddles at w = 1000: still true,
     # but undecided, so the store recomputes at 2W
     _, lo, hi = table._gamma
@@ -215,7 +218,7 @@ def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):
     assert table.floor_gamma(1000) == first[0]
     assert splits == [W, 2 * W]
     # asking beyond the enclosure recomputes at w + margin if that is more
-    assert table.floor_gamma(5000) == mn.PrimeLogTable().floor_gamma(5000)
+    assert table.floor_gamma(5000) == fresh_5000
     assert table._gamma[0] == 5000 + mn._GAMMA_MARGIN
 
 
@@ -503,8 +506,8 @@ def test_prime_table_entries_contain_mpmath(p):
 def test_prime_table_entries_at_reach_contain_mpmath(big, q_max, count):
     # the table precisions of criterion rows up to n = 460, of
     # build_record(3000) and of criterion_point(8000)
+    # the first request sizes the table
     table = mn.PrimeLogTable()
-    table.reserve(big - mn._FLOOR_MARGIN)
     primes = _sample_primes(count, q_max, seed=big)
     table.floor_logs(primes, big - mn._FLOOR_MARGIN)
     assert table.prec == big and table.builds == 1
@@ -520,8 +523,7 @@ def test_prime_table_floors_equal_term_by_term_oracle():
     big = 18240
     want = oracles.term_by_term_prime_logs(1000, big)
     table = mn.PrimeLogTable()
-    table.reserve(big - mn._FLOOR_MARGIN)
-    for w in (big - mn._FLOOR_MARGIN, 2420):
+    for w in (big - mn._FLOOR_MARGIN, 2420):  # the first request sizes the table
         got = table.floor_logs(sorted(want), w)
         for q, (x, e) in want.items():
             lo = (x - e) >> (big - w)
@@ -592,6 +594,22 @@ def test_ln_int_beyond_the_sieve(monkeypatch):
     for k in (2 ** 61 - 1, 6 * (10 ** 9 + 7) ** 2):
         with pytest.raises(ValueError):
             mn.ln_int(k, 200)
+
+
+def test_ln_int_factors_primes_past_the_sieve_cap(monkeypatch):
+    # trial division stops at L = min(isqrt(k), _SIEVE_CAP), so a cofactor
+    # below (L+1)^2 is prime, even when the last prime tried is below L;
+    # a fresh table's sieve reaches only L
+    for k in (1048583, 1099511627689):  # 2^20 + 7, the largest prime below 2^40
+        table = mn.PrimeLogTable()
+        monkeypatch.setattr(mn, "_TABLE", table)
+        assert table.factor(k) == [(k, 1)]
+        got = mn.ln_int(k, 64)
+        assert abs(frac(got) - _mpmath_ln(k, 128)) <= got.err_fraction() + Fraction(1, 2 ** 114)
+    # two prime factors above 2^20: the cofactor may be composite
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    with pytest.raises(ValueError):
+        mn.ln_int(1048583 * 1048589, 64)
 
 
 def test_prime_table_grows_geometrically(monkeypatch):
@@ -714,21 +732,6 @@ def test_range_log_pair_factors_only_where_the_shape_calls_for_it(monkeypatch):
     monkeypatch.setattr(mn, "_SIEVE_CAP", 1000)
     mn._range_log_pair(1, 500, [1] * 501)            # reaches the cap
     assert factored == list(range(500, 1001))
-
-
-def test_reserve_holds_dots_up_to_the_reserved_bits(monkeypatch):
-    table = mn.PrimeLogTable()
-    monkeypatch.setattr(mn, "_TABLE", table)
-    table.reserve(3000)
-    assert table.builds == 1 and table.prec == 3000 + mn._FLOOR_MARGIN
-    table.reserve(1000)  # never shrinks
-    asks = [(97, 64), (1001, 2000), (7919, 3000 - mn._DOT_GUARD)]
-    vals = [mn.ln_int(k, p) for k, p in asks]
-    assert table.builds == 1
-    fresh = mn.PrimeLogTable()
-    monkeypatch.setattr(mn, "_TABLE", fresh)
-    assert vals == [mn.ln_int(k, p) for k, p in asks]
-    assert fresh.builds > 1
 
 
 def test_prime_vectors_exact():

@@ -453,6 +453,15 @@ def test_tail_probe_closed_form_n1():
     assert vals[2] < vals[1] < vals[0]
 
 
+def test_tail_probe_past_the_sieve_cap(monkeypatch):
+    # n + r + 1 = 2^20 + 7 is a prime, factored by trial division
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    r = 1048582
+    got = sq.tail_probe(1, r, 64)
+    ref = oracles.ln_oracle(Fraction(1 + r, 2 + r), 160)
+    assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(1, 2 ** 150)
+
+
 def test_tail_probe_decay_grid():
     for n in (1, 2, 3, 5):
         mags = [abs(float(sq.tail_probe(n, r, 128).mpf))
@@ -516,23 +525,24 @@ def test_build_record_computes_L_once(monkeypatch):
 @pytest.mark.parametrize("n, frac_bits", [(1, 64), (7, 64), (60, 64), (401, 64),
                                           (1, 256), (7, 256)])
 def test_precision_plan_covers_every_stage(n, frac_bits, monkeypatch):
-    # reserved at its plan, a fresh table serves every dot product of the
-    # stage without a rebuild, and the plan is the working bits of one of
-    # them: a stage formula that drifts from its plan fails one of the two.
-    # At small n a large frac_bits makes pi / (6 ln 2) the largest dot.
+    # a stage's first dot product is its widest, so a fresh table sized by
+    # that request serves every later one without a rebuild; build_record
+    # runs I_series first for this.  At n = 1 a large frac_bits makes
+    # pi / (6 ln 2) wider than the criterion row, which then builds twice.
     policy = PrecisionPolicy(frac_bits=frac_bits)
-    for plan, stage in [(sq.record_plan, sq.build_record),
-                        (sq.criterion_plan, sq.criterion_point)]:
+    for stage in (sq.build_record, sq.criterion_point):
         table = mn.PrimeLogTable()
         monkeypatch.setattr(mn, "_TABLE", table)
         asked = []
         floor_logs = table.floor_logs
         monkeypatch.setattr(table, "floor_logs",
                             lambda primes, w: asked.append(w) or floor_logs(primes, w))
-        table.reserve(plan(n, policy))
         stage(n, policy)
+        if stage is sq.criterion_point and (n, frac_bits) == (1, 256):
+            assert table.builds == 2 and asked[0] < max(asked)
+            continue
         assert table.builds == 1, (stage.__name__, n)
-        assert max(asked) == plan(n, policy), (stage.__name__, n)
+        assert asked[0] == max(asked), (stage.__name__, n)
 
 
 def test_build_record_deterministic():
