@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,17 +73,25 @@ def _parse_jobs(text: str) -> int:
 
 
 def _parse_points(text: str) -> List[int]:
-    pts = sorted({int(t) for t in text.split(",") if t.strip()})
+    try:
+        pts = sorted({int(t) for t in text.split(",") if t.strip()})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of integers") from None
     if not pts or pts[0] < 1:
-        raise ValueError("points must be positive integers")
+        raise argparse.ArgumentTypeError("points must be positive integers")
     return pts
 
 
 def _parse_eps(text: str) -> Fraction:
-    v = Fraction(Decimal(text))
-    if v <= 0:
-        raise ValueError("--tail-eps must be positive")
-    return v
+    try:
+        v = Decimal(text)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a decimal number") from None
+    if not v.is_finite() or v <= 0:
+        raise argparse.ArgumentTypeError("must be a positive decimal number")
+    return Fraction(v)
 
 
 def _policy_fields(args) -> Dict[str, int]:
@@ -428,8 +436,8 @@ _OPTIONS = {
 
 def _add_options(p: argparse.ArgumentParser, *flags: str) -> None:
     """Register the named shared options; each subcommand takes only the
-    ones it reads, plus --jobs everywhere."""
-    for flag in flags + ("--jobs",):
+    ones it reads."""
+    for flag in flags:
         p.add_argument(flag, **_OPTIONS[flag])
 
 
@@ -454,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute series budget (decimal string)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    _add_options(p, "--bits", "--frac-bits", "--max-bits")
+    _add_options(p, "--bits", "--frac-bits", "--max-bits", "--jobs")
     p.set_defaults(fn=_cmd_rows)
 
     p = sub.add_parser("criterion", help="irrationality-criterion probe rows")
     p.add_argument("--n", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    _add_options(p, "--bits", "--frac-bits", "--max-bits")
+    _add_options(p, "--bits", "--frac-bits", "--max-bits", "--jobs")
     p.set_defaults(fn=_cmd_rows)
 
     p = sub.add_parser("asym", help="asymptotic-law convergence reports")
@@ -477,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="Euler's constant, truncated digits")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--out", default=None)
-    _add_options(p, "--max-bits")
+    # gamma runs in one process; it takes --jobs because bench/run.py passes
+    # --jobs 1 to every workload
+    _add_options(p, "--max-bits", "--jobs")
     p.set_defaults(fn=_cmd_gamma)
 
     return ap

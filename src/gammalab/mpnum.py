@@ -13,7 +13,10 @@ every log inside the per-n quantities) have proven bounds: each is an
 exact vector over the primes dotted with a fixed-point table of ``ln q``
 built from ``2 ln q = ln(q-1) + ln(q+1) + 2 atanh(1/(2q^2-1))``, the atanh
 summed by binary splitting, with an explicit bound per entry
-(:class:`PrimeLogTable`).  Only ``pi`` and
+(:class:`PrimeLogTable`).  Euler's constant has one algorithm,
+Brent-McMillan binary splitting (:func:`euler_gamma`), with a proven bound
+on its tails; the test suite checks it against an Euler-Maclaurin oracle
+that shares no code with it.  Only ``pi`` and
 ``b_ln``/``b_sqrt`` of non-integer arguments remain trusted: they are
 evaluated with 10 guard bits and claimed accurate to
 ``2^(1-p) * max(1, |result|)``; the backend is accurate to a couple of
@@ -45,7 +48,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_log,
     mpf_mul,
-    mpf_neg,
     mpf_pi,
     mpf_pos,
     mpf_shift,
@@ -55,8 +57,6 @@ from mpmath.libmp import (
     to_str,
 )
 
-from . import exact
-
 __all__ = [
     "Bounded",
     "PrecisionPolicy",
@@ -64,7 +64,6 @@ __all__ = [
     "PrecisionExhausted",
     "b_add",
     "b_sub",
-    "b_neg",
     "b_abs",
     "b_mul",
     "b_mul_int",
@@ -77,9 +76,7 @@ __all__ = [
     "ln2_const",
     "pi_const",
     "euler_gamma",
-    "euler_gamma_pair",
     "log_factorial",
-    "digamma_int",
     "frac_part_certified",
     "agrees",
     "raw_to_fraction",
@@ -276,10 +273,6 @@ def b_add(x: Bounded, y: Bounded, p: int) -> Bounded:
     v = mpf_add(x.val, y.val, p, "n")
     e = _up_add(_up_add(x.err, y.err), _rnd_bound(v, p))
     return Bounded(v, e)
-
-
-def b_neg(x: Bounded) -> Bounded:
-    return Bounded(mpf_neg(x.val), x.err)
 
 
 def b_abs(x: Bounded) -> Bounded:
@@ -829,88 +822,6 @@ def euler_gamma(p: int) -> Bounded:
     w = p + _BM_GUARD, within 2^-w, from the table's enclosure."""
     w = p + _BM_GUARD
     return Bounded(from_man_exp(_TABLE.floor_gamma(w), -w), from_man_exp(1, -w))
-
-
-# --- Euler-Maclaurin, the independent cross-check ------------------------
-#
-#   gamma = H_N - ln N - 1/(2N) + sum_{k=1..K} B_{2k} / (2k N^{2k}) + R,
-#   |R| <= first omitted term.
-#
-# H_N and the correction sum are exact rationals; with N a power of two,
-# ln N = m * ln 2.  The error bound is the remainder plus conversion and
-# rounding dust.  The exact H_N costs more than O(N), so N is capped at
-# 2^18, which reaches p = 5,384 bits (N = 2^18 takes about 5 s and 2^20
-# about 40 s with CPython 3.11 on a 2-vCPU x86 guest).
-
-_EM_MAX_LOG2_N = 18
-
-
-def _em_gamma_params(p: int) -> Tuple[int, int]:
-    """Pick (m, K) with N = 2^m so the remainder is below 2^-(p+8).
-
-    The scan sizes |B_{2K+2}| from Stirling's formula (2 bits of slack
-    covers the zeta factor); only the chosen K ever computes an exact
-    Bernoulli number.  Raises :class:`PrecisionExhausted` when the
-    cheapest choice needs N > 2^18.
-    """
-    target = p + 8
-    best = None
-    log2_2pi = math.log2(2 * math.pi)
-    for K in range(6, 201, 2):
-        log2_b = 1 + math.lgamma(2 * K + 3) / math.log(2) \
-            - (2 * K + 2) * log2_2pi + 2
-        need = target + max(int(log2_b) + 1, 0)
-        m = max(3, -(-need // (2 * K + 2)))
-        cost = (1 << m) + 48 * K
-        if best is None or cost < best[0]:
-            best = (cost, m, K)
-    if best[1] > _EM_MAX_LOG2_N:
-        raise PrecisionExhausted(
-            f"Euler-Maclaurin gamma at {p} bits needs N = 2^{best[1]}, "
-            f"above the budget 2^{_EM_MAX_LOG2_N}")
-    return best[1], best[2]
-
-
-def _euler_gamma_at(p: int, m: int, K: int) -> Bounded:
-    wp = p + 24
-    N = 1 << m
-    R = exact.harmonic(N) - Fraction(1, 2 * N)
-    npow = 1
-    n2 = N * N
-    for k in range(1, K + 1):
-        npow *= n2
-        R += exact.bernoulli(2 * k) / (2 * k * npow)
-    remainder = abs(exact.bernoulli(2 * K + 2)) / ((2 * K + 2) * (npow * n2))
-    ln_n = b_mul_int(ln2_const(wp), m, wp)
-    g = b_sub(Bounded.from_fraction(R, wp), ln_n, wp)
-    return Bounded(g.val, _up_add(g.err, _fraction_to_raw_up(remainder)))
-
-
-def euler_gamma_pair(p: int) -> Tuple[Bounded, Bounded, int]:
-    """gamma by Brent-McMillan and by Euler-Maclaurin, and their agreement.
-
-    Returns both values and the number of agreeing bits of the difference
-    (absolute: agreement to ``b`` bits means |g1 - g2| <= 2^-b).  Raises
-    :class:`PrecisionExhausted`, before any summing, when p is beyond the
-    Euler-Maclaurin budget.
-    """
-    m, K = _em_gamma_params(p)
-    g1 = euler_gamma(p)
-    g2 = _euler_gamma_at(p, m, K)
-    diff = abs(g1.value_fraction() - g2.value_fraction())
-    if diff == 0:
-        bits = p + 64
-    else:
-        bits = -(diff.numerator.bit_length() - diff.denominator.bit_length())
-    return g1, g2, bits
-
-
-def digamma_int(k: int, p: int) -> Bounded:
-    """psi(k+1) = H_k - gamma, from the exact harmonic number."""
-    if k < 0:
-        raise ValueError("digamma_int needs k >= 0")
-    wp = p + 8
-    return b_sub(Bounded.from_fraction(exact.harmonic(k), wp), euler_gamma(wp), p)
 
 
 def frac_part_certified(x: Bounded) -> Tuple[int, Bounded]:

@@ -69,12 +69,9 @@ __all__ = [
     "sondow_threshold",
     "L_from_factorial_logs",
     "L_vector",
-    "log_S_exponents",
-    "log_S_vector",
     "log_S",
     "check_L_identity",
     "L_from_power_product",
-    "L_consistency",
     "I_closed_form",
     "I_series",
     "series_term",
@@ -144,17 +141,6 @@ def _log_S_scaled(n: int) -> Tuple[int, List[int]]:
     return g, half[:m] + half[:n - m][::-1]
 
 
-def log_S_exponents(n: int) -> List[int]:
-    """Integer exponents E_k with log S_n = sum_{k=1..n} E_k ln(n+k)."""
-    g, scaled = _log_S_scaled(n)
-    return [g * e for e in scaled]
-
-
-def log_S_vector(n: int) -> IntVec:
-    """Exact prime vector (1, {q: c_q}) of log S_n: c_q = sum_k E_k v_q(n+k)."""
-    return _range_log_pair(1, n + 1, log_S_exponents(n))
-
-
 def _log_S_pair(n: int) -> Tuple[int, IntVec]:
     """(g, (1, {q: c'_q})) with c_q = g c'_q: the vector of log S_n over its
     common factor g = 2 d_2n / d_n, from the exponents E'_k = E_k / g.
@@ -193,14 +179,6 @@ def check_L_identity(n: int, l_vec: Optional[IntVec] = None,
 def L_from_power_product(n: int, p: int) -> Bounded:
     """L_n = log(S_n) / d_{2n}; independent of the log-factorial route."""
     return b_div(log_S(n, p), Bounded.exact_int(exact.lcm_upto(2 * n)), p)
-
-
-def L_consistency(n: int, p: int) -> Tuple[Bounded, bool]:
-    """Relative difference of the two L_n routes and the certified verdict."""
-    l1 = L_from_factorial_logs(n, p)
-    l2 = L_from_power_product(n, p)
-    rel = b_div(b_abs(b_sub(l1, l2, p)), b_abs(l2), p)
-    return rel, agrees(l1, l2)
 
 
 def closed_form_floor(n: int) -> int:

@@ -3,7 +3,9 @@
 Everything here is computed in pure Fraction arithmetic with explicit
 truncation bounds, so these values owe nothing to the mpmath backend the
 package uses: ln via argument reduction plus the atanh series, pi via the
-Machin formula with alternating-series remainders.  The Euler-Maclaurin
+Machin formula with alternating-series remainders, and Euler's constant by
+Euler-Maclaurin over the exact H_N (the cross-check of the package's
+Brent-McMillan split, with which it shares no log code).  The Euler-Maclaurin
 kernel sums, the residue weights and A_n are the per-term Fraction
 formulas over the harmonic table, one term (and one order) at a time.
 """
@@ -79,6 +81,45 @@ def pi_oracle(bits: int) -> Fraction:
     """Machin: pi = 16 atan(1/5) - 4 atan(1/239)."""
     return 16 * atan_oracle(Fraction(1, 5), bits + 5) - 4 * atan_oracle(
         Fraction(1, 239), bits + 5)
+
+
+def em_gamma(p: int) -> tuple:
+    """(g, e) with |gamma - g| <= e < 2^-(p+7), by Euler-Maclaurin:
+
+        gamma = H_N - ln N - 1/(2N) + sum_{k=1..K} B_2k / (2k N^2k) + R,
+        |R| <= |B_{2K+2}| / ((2K+2) N^(2K+2)), the first omitted term.
+
+    H_N and the Bernoulli numbers are exact, and N = 2^m, so ln N = m ln 2
+    from ln2_oracle.  (m, K) is the cheapest pair, by N + 48 K, whose
+    remainder Stirling's formula puts below 2^-(p+8) (2 bits of slack cover
+    the zeta factor of |B_{2K+2}|); e is the exact remainder plus the error
+    of m ln 2.
+    """
+    target = p + 8
+
+    def params(K):
+        log2_b = (1 + math.lgamma(2 * K + 3) / math.log(2)
+                  - (2 * K + 2) * math.log2(2 * math.pi) + 2)
+        m = max(3, -(-(target + max(int(log2_b) + 1, 0)) // (2 * K + 2)))
+        return (1 << m) + 48 * K, m, K
+
+    _, m, K = min(params(K) for K in range(6, 201, 2))
+    N = 1 << m
+    g = exact.harmonic(N) - Fraction(1, 2 * N)
+    for k in range(1, K + 1):
+        g += exact.bernoulli(2 * k) / (2 * k * N ** (2 * k))
+    ln2_bits = target + m.bit_length()
+    g -= m * ln2_oracle(ln2_bits)
+    rem = abs(exact.bernoulli(2 * K + 2)) / ((2 * K + 2) * N ** (2 * K + 2))
+    return g, rem + Fraction(m, 2 ** ln2_bits)
+
+
+def agreeing_bits(x: Fraction, y: Fraction, cap: int) -> int:
+    """-log2 |x - y| to within one bit, or cap when x == y."""
+    d = abs(Fraction(x) - Fraction(y))
+    if d == 0:
+        return cap
+    return d.denominator.bit_length() - d.numerator.bit_length()
 
 
 def close_to(value: Fraction, target: Fraction, bits: int) -> bool:

@@ -7,6 +7,7 @@ Tolerances are frozen here, not tuned at runtime.
 import time
 from fractions import Fraction
 
+import oracles
 from gammalab import asymptotics as asy
 from gammalab import cli, exact
 from gammalab import mpnum as mn
@@ -99,10 +100,11 @@ def test_criterion_07_gamma_roundtrip():
     ref = mn.euler_gamma(512)
     diff = abs(est.value_fraction() - ref.value_fraction())
     assert diff < Fraction(1, 10 ** 30)
-    g1, g2, bits = mn.euler_gamma_pair(192)
+    ref, _ = oracles.em_gamma(192)
+    bits = oracles.agreeing_bits(mn.euler_gamma(192).value_fraction(), ref, 192 + 64)
     assert bits >= 120
     _report(7, f"(I_20 + A_20 - L_20)/C(40,20) hits gamma to 30+ digits; "
-               f"dual-parameter gamma agreement {bits} bits at p=192")
+               f"Euler-Maclaurin oracle agrees to {bits} bits at p=192")
 
 
 def test_criterion_08_I_decay_trend():

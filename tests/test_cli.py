@@ -412,6 +412,25 @@ def test_jobs_below_one_exit_code(args, tmp_path, capsys):
     assert not out.exists()
 
 
+_EPS_MESSAGE = "must be a positive decimal number"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["table", "--n", "1", "--tail-eps", "abc"], "'abc' is not a decimal number"),
+    (["table", "--n", "1", "--tail-eps", "inf"], _EPS_MESSAGE),
+    (["table", "--n", "1", "--tail-eps", "nan"], _EPS_MESSAGE),
+    (["table", "--n", "1", "--tail-eps", "0"], _EPS_MESSAGE),
+    (["table", "--n", "1", "--tail-eps", "-1"], _EPS_MESSAGE),
+    (["asym", "--points", "0"], "points must be positive integers"),
+], ids=["eps-abc", "eps-inf", "eps-nan", "eps-0", "eps-neg", "points-0"])
+def test_bad_option_text_exit_code(args, message, tmp_path, capsys):
+    # a configuration error with the parser's own message, not a traceback
+    out = tmp_path / "x.out"
+    assert run(args + ["--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threshold_computed_once_per_run(tmp_path):
     sequences._threshold.cache_clear()
     out = tmp_path / "c.csv"
@@ -470,10 +489,10 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     options = {"--bits", "--frac-bits", "--max-bits", "--seed", "--jobs",
                "--cache-dir"}
     wanted = {
-        "verify": {"--seed", "--jobs"},
+        "verify": {"--seed"},
         "table": {"--bits", "--frac-bits", "--max-bits", "--jobs"},
         "criterion": {"--bits", "--frac-bits", "--max-bits", "--jobs"},
-        "asym": {"--bits", "--max-bits", "--jobs"},
+        "asym": {"--bits", "--max-bits"},
         "gamma": {"--max-bits", "--jobs"},
     }
     subparsers = next(a for a in cli.build_parser()._actions
@@ -483,6 +502,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         flags = {s for a in p._actions for s in a.option_strings}
         assert flags & options == wanted[name], name
     assert run(["gamma", "--digits", "5", "--seed", "0"]) == 3
+    assert run(["verify", "--n-max", "3", "--jobs", "1"]) == 3
+    assert run(["asym", "--jobs", "1", "--out", "/dev/null"]) == 3
 
 
 # --- golden bytes ------------------------------------------------------------------
@@ -491,19 +512,19 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 # for a given command and policy, so a hash here may change only together
 # with a declared change of the rows it produces.
 _GOLDEN = {
-    "table_1_20.csv": (["table", "--n", "1..20"],
+    "table_1_20.csv": (["table", "--n", "1..20", "--jobs", "1"],
                        "bce5ffbea32000bfcdbfab12aa81f98e44e5704f2491ce67d72b3b1f91fdeaad"),
-    "table_1_120.csv": (["table", "--n", "1..120"],
+    "table_1_120.csv": (["table", "--n", "1..120", "--jobs", "1"],
                         "3aa311beed2dfd6634ec001a52c3456fd385b666a0ff2b4689d5c5d16ba183ac"),
-    "table_398_399.csv": (["table", "--n", "398..399"],
+    "table_398_399.csv": (["table", "--n", "398..399", "--jobs", "1"],
                           "32fbfbed65506a15ed0e50e77c713e9b6e9dcc8e268e4d0b9c3c9fd43c3f532a"),
-    "criterion_1_60.csv": (["criterion", "--n", "1..60"],
+    "criterion_1_60.csv": (["criterion", "--n", "1..60", "--jobs", "1"],
                            "7d9d33d1e978541d62afcd24e966a3088006d0d3ebd237dd573e3056898426fd"),
-    "criterion_1_460.csv": (["criterion", "--n", "1..460"],
+    "criterion_1_460.csv": (["criterion", "--n", "1..460", "--jobs", "1"],
                             "74110e7b16f2e07aa70dcc20c0634ee9aeae0df2d5f6a362d9a5a9ef5a7ee47f"),
     "asym.json": (["asym", "--format", "json"],
                   "fa4375a2aeaa0f3d6e2973e879db550df207ca7c010c81627c2a7adb440854bb"),
-    "gamma_60.txt": (["gamma", "--digits", "60"],
+    "gamma_60.txt": (["gamma", "--digits", "60", "--jobs", "1"],
                      "5c5f00ab18ed4e240bfcda1d98ec182e6a5b4be4159a23ff347e9908d8b54f43"),
 }
 
@@ -511,7 +532,7 @@ _GOLDEN = {
 def test_data_files_match_golden_hashes(tmp_path):
     for name, (args, digest) in _GOLDEN.items():
         out = tmp_path / name
-        assert run(args + ["--jobs", "1", "--out", str(out)]) == 0, name
+        assert run(args + ["--out", str(out)]) == 0, name
         assert hashlib.sha256(read_bytes(out)).hexdigest() == digest, name
 
 

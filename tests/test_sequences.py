@@ -39,9 +39,21 @@ def test_L_weight_symmetry_relabelling():
         assert [-w[n - j] for j in range(n + 1)] == w
 
 
+def log_S_exponents(n):
+    """E_k of log S_n = sum_k E_k ln(n+k): the scaled E'_k times g."""
+    g, scaled = sq._log_S_scaled(n)
+    return [g * e for e in scaled]
+
+
+def log_S_vector(n):
+    """The prime vector of log S_n: the scaled pair multiplied out by g."""
+    g, (den, ints) = sq._log_S_pair(n)
+    return den, {q: g * c for q, c in ints.items()}
+
+
 def test_log_S_exponents_small():
-    assert sq.log_S_exponents(1) == [4]          # S_1 = 2^4
-    assert sq.log_S_exponents(2) == [36, 36]     # S_2 = 12^36
+    assert log_S_exponents(1) == [4]          # S_1 = 2^4
+    assert log_S_exponents(2) == [36, 36]     # S_2 = 12^36
 
 
 def test_log_S_value_small():
@@ -59,14 +71,14 @@ def test_log_S_exponent_integrality(n):
     d2 = 2 * exact.lcm_upto(2 * n)
     for j in range(1, n + 1):
         assert d2 % j == 0
-    expo = sq.log_S_exponents(n)
+    expo = log_S_exponents(n)
     assert all(isinstance(e, int) and e > 0 for e in expo)
 
 
 def test_log_S_exponents_past_str_digit_limit():
     # d_10000 has about 4,340 digits, past str()'s default 4,300-digit limit
     n = 5000
-    expo = sq.log_S_exponents(n)
+    expo = log_S_exponents(n)
     assert len(expo) == n and expo == expo[::-1]
     assert expo[0] == sum(2 * exact.lcm_upto(2 * n) // j for j in range(1, n + 1))
 
@@ -82,22 +94,24 @@ def test_log_S_exponents_equal_min_index_form():
             acc += row[i] ** 2 * sum(d2 // j for j in range(i + 1, n - i + 1))
             half.append(acc)
         old = [half[min(k - 1, n - k, n // 2)] for k in range(1, n + 1)]
-        assert sq.log_S_exponents(n) == old, n
+        assert log_S_exponents(n) == old, n
 
 
 def test_prime_vectors_small():
     # (D, {q: a_q}) over D = d_n for L_n and D = 1 for log S_n
     assert sq.L_vector(1) == (1, {2: 2})              # L_1 = 2 ln 2
     assert sq.L_vector(2) == (2, {2: 12, 3: 6})       # L_2 = 3 ln 12
-    assert sq.log_S_vector(1) == (1, {2: 4})          # S_1 = 2^4
-    assert sq.log_S_vector(2) == (1, {2: 72, 3: 36})  # S_2 = 12^36
+    assert log_S_vector(1) == (1, {2: 4})          # S_1 = 2^4
+    assert log_S_vector(2) == (1, {2: 72, 3: 36})  # S_2 = 12^36
 
 
 def test_log_S_vector_equals_scaled_pair_multiplied_out():
+    # the vector of the multiplied-out exponents E_k against the scaled pair
     for n in range(1, 201):
         g, (den, ints) = sq._log_S_pair(n)
         assert den == 1 and g == 2 * exact.lcm_upto(2 * n) // exact.lcm_upto(n)
-        assert sq.log_S_vector(n) == (1, {q: g * c for q, c in ints.items()}), n
+        assert (mn._range_log_pair(1, n + 1, log_S_exponents(n))
+                == (1, {q: g * c for q, c in ints.items()})), n
 
 
 def test_L_identity_exact():
@@ -124,8 +138,11 @@ def test_L_identity_violation_raises(monkeypatch):
 @given(st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_L_cross_method(n):
-    rel, ok = sq.L_consistency(n, 224)
-    assert ok
+    p = 224
+    l1 = sq.L_from_factorial_logs(n, p)
+    l2 = sq.L_from_power_product(n, p)
+    assert mn.agrees(l1, l2)
+    rel = mn.b_div(mn.b_abs(mn.b_sub(l1, l2, p)), mn.b_abs(l2), p)
     assert float(rel.mpf) < 1e-40
 
 
