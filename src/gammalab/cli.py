@@ -21,8 +21,6 @@ Exit codes: 0 ok, 1 verification failure, 2 precision exhaustion,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -31,8 +29,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath.libmp import to_str
-
 from . import __version__, exact, sequences
 from .mpnum import (
     Bounded,
@@ -40,6 +36,8 @@ from .mpnum import (
     PrecisionInsufficient,
     PrecisionPolicy,
     euler_gamma,
+    load_formatter,
+    to_str,
     _fraction_to_raw_up,
 )
 
@@ -244,17 +242,25 @@ def _row_stripe(tasks) -> List[Dict[str, str]]:
     return [_row_task(t) for t in tasks]
 
 
+def _write_json(path: str, obj: Dict) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_rows(path: str, fmt: str, columns: Sequence[str],
                 rows: List[Dict[str, str]]) -> None:
     if fmt == "csv":
+        import csv
+
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.DictWriter(fh, fieldnames=list(columns))
             w.writeheader()
             w.writerows(rows)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {"rows": rows})
 
 
 def _write_manifest(out_path: str, args, extra: Dict) -> None:
@@ -268,9 +274,17 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
     if hasattr(args, "seed"):
         manifest["seed"] = args.seed
     manifest.update(extra)
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path + ".manifest.json", manifest)
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise OSError unless path's directory exists and is writable, so that
+    a bad --out fails before any work, not after it."""
+    d = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(d):
+        raise OSError(f"--out directory {d} does not exist")
+    if not os.access(d, os.W_OK):
+        raise OSError(f"--out directory {d} is not writable")
 
 
 def _cmd_verify(args) -> int:
@@ -291,9 +305,7 @@ def _cmd_verify(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"suites": counts}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, {"suites": counts})
         _write_manifest(args.out, args, {
             "n_range": [1, args.n_max],
             "timings": {"wall_s": time.perf_counter() - t0},
@@ -315,6 +327,10 @@ def _cmd_rows(args) -> int:
         rows = _row_stripe(tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
+
+        # the forked workers inherit the formatter instead of each
+        # importing mpmath for it
+        load_formatter()
 
         # one stripe n = hi-i, hi-i-k, ... per worker: neighbouring n cost
         # about the same, so the stripes stay balanced
@@ -370,10 +386,7 @@ def _cmd_asym(args) -> int:
     if args.format == "csv":
         _write_rows(args.out, "csv", ASYM_COLUMNS, rows)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "summaries": summaries}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, {"rows": rows, "summaries": summaries})
     _write_manifest(args.out, args, {
         "laws": law_ids,
         "points": args.points,
@@ -419,13 +432,15 @@ def _cmd_gamma(args) -> int:
     return EXIT_OK
 
 
+_DEFAULTS = PrecisionPolicy()
+
 _OPTIONS = {
     "--bits": dict(type=int, dest="base_bits", metavar="BITS",
-                   default=PrecisionPolicy.base_bits,
+                   default=_DEFAULTS.base_bits,
                    help="base working precision in bits (default %(default)s)"),
-    "--frac-bits": dict(type=int, default=PrecisionPolicy.frac_bits,
+    "--frac-bits": dict(type=int, default=_DEFAULTS.frac_bits,
                         help="certified fractional-part bits (default %(default)s)"),
-    "--max-bits": dict(type=int, default=PrecisionPolicy.max_bits,
+    "--max-bits": dict(type=int, default=_DEFAULTS.max_bits,
                        help="escalation ceiling in bits (default %(default)s)"),
     "--seed": dict(type=int, default=0,
                    help="seed of the sampled rational points (default %(default)s)"),
@@ -503,6 +518,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_IO
     args._argv = argv
     try:
+        if getattr(args, "out", None):
+            _check_out_dir(args.out)
         return args.fn(args)
     except (PrecisionExhausted, PrecisionInsufficient) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 Nat = int
 Rat = Fraction
@@ -213,21 +212,26 @@ def stirling_low_order_residuals(m: int) -> Tuple[Fraction, Fraction, Fraction]:
     return (r0, r1, r2)
 
 
-@dataclass(frozen=True)
-class PartialFractionCoeffs:
+class _CoeffFields(NamedTuple):
+    n: int
+    a: Tuple[Fraction, ...]
+    b: Tuple[Fraction, ...]
+
+
+class PartialFractionCoeffs(_CoeffFields):
     """Coefficients of 1/(x(x+1)...(x+n))^2 = sum a_k/(x+k) + b_k/(x+k)^2.
 
     a_k = 2(H_k - H_{n-k}) / (k!(n-k)!)^2  (simple-pole residues),
     b_k = 1 / (k!(n-k)!)^2                 (double-pole coefficients).
     """
 
-    n: int
-    a: Tuple[Fraction, ...]
-    b: Tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sum(self.a, Fraction(0)) != 0:
             raise IdentityViolation(f"residues do not sum to zero at n={self.n}")
+        return self
 
 
 def partial_fraction_coeffs(n: int) -> PartialFractionCoeffs:

@@ -1,8 +1,11 @@
 """Arbitrary-precision values carrying certified absolute error bounds.
 
-Values are raw mpmath floats (``(sign, mantissa, exponent, bitcount)``
-tuples) manipulated through ``mpmath.libmp`` at an explicit precision that
-is always passed as an argument -- there is no global precision state.
+Values are raw dyadic floats in mpmath's format, ``(sign, mantissa,
+exponent, bitcount)`` tuples, but this module computes them itself: its
+own add, subtract, multiply and divide round the exact result correctly at
+a precision that is always passed as an argument -- there is no global
+precision state.  mpmath is imported only to print a decimal string
+(:func:`to_str`), for ``Bounded.mpf`` and for ``b_ln``/``b_sqrt``.
 Every operation propagates an absolute error bound alongside the value;
 bound arithmetic is done at coarse precision with *upward* rounding, so
 for each :class:`Bounded` the true real number lies in
@@ -13,15 +16,17 @@ every log inside the per-n quantities) have proven bounds: each is an
 exact vector over the primes dotted with a fixed-point table of ``ln q``
 built from ``2 ln q = ln(q-1) + ln(q+1) + 2 atanh(1/(2q^2-1))``, the atanh
 summed by binary splitting, with an explicit bound per entry
-(:class:`PrimeLogTable`).  Euler's constant has one algorithm,
-Brent-McMillan binary splitting (:func:`euler_gamma`), with a proven bound
-on its tails; the test suite checks it against an Euler-Maclaurin oracle
-that shares no code with it.  Only ``pi`` and
-``b_ln``/``b_sqrt`` of non-integer arguments remain trusted: they are
-evaluated with 10 guard bits and claimed accurate to
-``2^(1-p) * max(1, |result|)``; the backend is accurate to a couple of
-ulp, so the claim has orders of magnitude of slack.  Independent series
-oracles in the test suite check this on samples.
+(:class:`PrimeLogTable`).  ``pi`` comes from Machin's formula with its
+alternating-series bound (:func:`pi_const`).  Euler's constant has one
+algorithm, Brent-McMillan binary splitting (:func:`euler_gamma`), with a
+proven bound on its tails; the test suite checks it against an
+Euler-Maclaurin oracle that shares no code with it.  Only ``b_ln`` and
+``b_sqrt`` of non-integer arguments, which the ``asym`` reports use,
+remain trusted: they are evaluated by mpmath with 10 guard bits and
+claimed accurate to ``2^(1-p) * max(1, |result|)``; the backend is
+accurate to a couple of ulp, so the claim has orders of magnitude of
+slack.  Independent series oracles in the test suite check this on
+samples.
 """
 
 from __future__ import annotations
@@ -30,32 +35,10 @@ import math
 import threading
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from mpmath import mp
-from mpmath.libmp import (
-    fone,
-    fzero,
-    from_int,
-    from_man_exp,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_log,
-    mpf_mul,
-    mpf_pi,
-    mpf_pos,
-    mpf_shift,
-    mpf_sqrt,
-    mpf_sub,
-    round_down,
-    to_str,
-)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Bounded",
@@ -81,6 +64,143 @@ __all__ = [
     "agrees",
     "raw_to_fraction",
 ]
+
+# --- dyadic arithmetic ---------------------------------------------------
+#
+# A raw value (sign, man, exp, bc) stands for (-1)^sign man 2^exp.  It is
+# normalized as mpmath normalizes it: man is odd, bc is its bit length, and
+# zero is (0, 0, 0, 0), so equal values are equal tuples.  Each operation
+# computes its result exactly, or exactly enough to decide the rounding, and
+# rounds it to prec bits in one of three modes: "n" to nearest with ties to
+# even, "u" away from zero, "d" toward zero.  prec 0 keeps the result exact.
+# Correct rounding depends on the value alone, so these are the tuples that
+# mpmath's correctly rounded operations give.  (mpmath's mpf_add is not
+# correctly rounded in one case: for speed it replaces an operand lying far
+# below the other by a perturbation, which misrounds when that operand still
+# overlaps the other's mantissa; tests/test_dyadic.py shows one.)
+
+fzero = (0, 0, 0, 0)
+fone = (0, 1, 0, 1)
+round_down = "d"
+
+
+def _normalize(sign: int, man: int, exp: int, prec: int, rnd: str):
+    """(-1)^sign man 2^exp for an integer man >= 0, rounded to prec bits."""
+    if not man:
+        return fzero
+    n = man.bit_length() - prec
+    if prec and n > 0:
+        if rnd == "n":
+            half = man >> (n - 1)  # the kept bits and the first dropped one
+            up = half & 1 and (half & 2 or man & ((1 << (n - 1)) - 1))
+            man = (half >> 1) + (1 if up else 0)
+        elif rnd == "u":
+            man = -(-man >> n)
+        elif rnd == "d":
+            man >>= n
+        else:
+            raise ValueError(f"unknown rounding mode {rnd!r}")
+        exp += n
+    tz = (man & -man).bit_length() - 1
+    man >>= tz
+    return sign, man, exp + tz, man.bit_length()
+
+
+def from_man_exp(man: int, exp: int, prec: int = 0, rnd: str = "d"):
+    """man 2^exp for any integer man."""
+    return _normalize(1 if man < 0 else 0, abs(man), exp, prec, rnd)
+
+
+def from_int(n: int, prec: int = 0, rnd: str = "d"):
+    return from_man_exp(n, 0, prec, rnd)
+
+
+def mpf_pos(s, prec: int = 0, rnd: str = "d"):
+    """s rounded to prec bits."""
+    return _normalize(s[0], s[1], s[2], prec, rnd) if prec else s
+
+
+def mpf_abs(s):
+    return (0,) + s[1:] if s[0] else s
+
+
+def mpf_shift(s, n: int):
+    """s 2^n, exactly."""
+    sign, man, exp, bc = s
+    return (sign, man, exp + n, bc) if man else s
+
+
+def mpf_add(s, t, prec: int = 0, rnd: str = "d"):
+    """s + t rounded to prec bits."""
+    if not t[1]:
+        return mpf_pos(s, prec, rnd)
+    if not s[1]:
+        return mpf_pos(t, prec, rnd)
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    e = min(sexp, texp)
+    a = sman << (sexp - e)
+    b = tman << (texp - e)
+    v = (-a if ssign else a) + (-b if tsign else b)
+    return _normalize(1 if v < 0 else 0, abs(v), e, prec, rnd)
+
+
+def mpf_sub(s, t, prec: int = 0, rnd: str = "d"):
+    """s - t rounded to prec bits."""
+    return mpf_add(s, (t[0] ^ 1,) + t[1:] if t[1] else t, prec, rnd)
+
+
+def mpf_mul(s, t, prec: int = 0, rnd: str = "d"):
+    """s t rounded to prec bits."""
+    return _normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec, rnd)
+
+
+def mpf_div(s, t, prec: int, rnd: str = "d"):
+    """s / t rounded to prec >= 1 bits.
+
+    The quotient q of man_s 2^extra by man_t has at least prec + 3 bits, so
+    rounding drops at least three of them.  A nonzero remainder puts the
+    exact quotient strictly between q and q + 1; appending a sticky bit 1,
+    2q + 1 lies strictly between the same neighbours, where no point at
+    which the rounding changes can fall, so both round alike.
+    """
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not tman:
+        raise ZeroDivisionError("division by a zero raw value")
+    if not sman:
+        return fzero
+    extra = max(0, prec - sbc + tbc + 3)
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        quot, extra = (quot << 1) | 1, extra + 1
+    return _normalize(ssign ^ tsign, quot, sexp - texp - extra, prec, rnd)
+
+
+def mpf_cmp(s, t) -> int:
+    """The sign of s - t: -1, 0 or 1."""
+    d = mpf_sub(s, t, 1)  # rounding toward zero keeps the sign
+    return (-1 if d[0] else 1) if d[1] else 0
+
+
+_to_str = None
+
+
+def load_formatter():
+    """mpmath's decimal formatter, imported on the first call, so that a run
+    which prints no decimal never loads mpmath."""
+    global _to_str
+    if _to_str is None:
+        from mpmath.libmp import to_str as mpmath_to_str
+
+        _to_str = mpmath_to_str
+    return _to_str
+
+
+def to_str(x, dps: int) -> str:
+    """The decimal string of a raw value, to dps digits, as mpmath prints it."""
+    return (_to_str or load_formatter())(x, dps)
+
 
 # precision for bound arithmetic; bounds are always rounded upward
 _EPREC = 48
@@ -149,17 +269,10 @@ def raw_to_fraction(x) -> Fraction:
     return Fraction(n, 1 << -exp)
 
 
-def _raw_int(x: int):
-    # from_int strips trailing zero bits a byte per step, in time quadratic
-    # in their number; x & -x finds them in one step
-    tz = (x & -x).bit_length() - 1 if x else 0
-    return from_man_exp(x >> tz, tz)
-
-
 def _raw_ratio(num: int, den: int, p: int, rnd: str):
     # from_rational for any integers with den > 0, reduced or not: the
     # division rounds the exact quotient, so only the value matters
-    return mpf_div(_raw_int(num), _raw_int(den), p, rnd)
+    return mpf_div(from_int(num), from_int(den), p, rnd)
 
 
 def _cmp_ratio(v, num: int, den: int) -> int:
@@ -184,8 +297,7 @@ def _fraction_to_raw_up(q: Fraction):
     return _ratio_to_raw_up(q.numerator, q.denominator)
 
 
-@dataclass(frozen=True)
-class Bounded:
+class Bounded(NamedTuple):
     """An arbitrary-precision value with a certified absolute error bound."""
 
     val: tuple
@@ -229,6 +341,8 @@ class Bounded:
 
     @property
     def mpf(self):
+        from mpmath import mp
+
         return mp.make_mpf(self.val)
 
     def __float__(self) -> float:
@@ -326,6 +440,8 @@ def b_ln(x: Bounded, p: int) -> Bounded:
         raise PrecisionInsufficient("log argument not certified positive")
     if x.err == fzero and x.val == fone:
         return Bounded(fzero, fzero)
+    from mpmath.libmp import mpf_log
+
     v = mpf_log(x.val, p + 10, "n")
     e = _fn_err(v, p)
     if x.err != fzero:
@@ -337,6 +453,8 @@ def b_sqrt(x: Bounded, p: int) -> Bounded:
     x_lo = _down_sub(x.val, x.err)
     if mpf_cmp(x_lo, fzero) < 0:
         raise PrecisionInsufficient("sqrt argument not certified nonnegative")
+    from mpmath.libmp import mpf_sqrt
+
     v = mpf_sqrt(x.val, p + 10, "n")
     e = mpf_shift(mpf_abs(v), 1 - p)
     if x.err != fzero:
@@ -646,9 +764,11 @@ def _factorial_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
     return den, {q: c for q, c in acc.items() if c}
 
 
-def _prime_dot(vec: IntVec, p: int, g: int = 1) -> Bounded:
+def _prime_dot(vec: IntVec, p: int, g: int = 1,
+               table: Optional[PrimeLogTable] = None) -> Bounded:
     """sum_q (g a_q / D) ln q for a prime vector (D, {q: a_q}) times a
-    common integer factor g >= 1, rounded to p bits.
+    common integer factor g >= 1, rounded to p bits, with the floors read
+    from ``table`` (the shared one by default).
 
     With f_q = floor(2^w ln q), each 2^w ln q - f_q lies in [0, 1), so
     s = g sum_q a_q f_q is within e = g sum_q |a_q| of
@@ -660,7 +780,7 @@ def _prime_dot(vec: IntVec, p: int, g: int = 1) -> Bounded:
     """
     den, ints = vec
     w = p + _DOT_GUARD
-    logs = _TABLE.floor_logs(ints, w) if ints else {}
+    logs = (table or _TABLE).floor_logs(ints, w) if ints else {}
     s = g * sum(map(mul, ints.values(), logs.values()))
     e = g * sum(map(abs, ints.values()))
     v = _raw_ratio(s, den << w, p, "n")
@@ -691,14 +811,72 @@ def log_factorial(m: int, p: int) -> Bounded:
     return _prime_dot(_factorial_log_pair(1, m, [1]), p + 8)
 
 
-def ln2_const(p: int) -> Bounded:
+def ln2_const(p: int, table: Optional[PrimeLogTable] = None) -> Bounded:
     """ln 2, the table's first entry."""
-    return _prime_dot((1, {2: 1}), p)
+    return _prime_dot((1, {2: 1}), p, table=table)
+
+
+# --- pi by Machin's formula ----------------------------------------------
+#
+#     pi = 16 atan(1/5) - 4 atan(1/239).
+#
+# For m >= 2, atan(1/m) = sum_{j>=0} (-1)^j / ((2j+1) m^(2j+1)) is an
+# alternating series of decreasing terms, so its partial sum over j < J is
+# within the first omitted term, 1 / ((2J+1) m^(2J+1)).  With M = -m^2 the
+# atanh split above sums sum_{j<J} 1 / ((2j+1) M^(j+1)) = -atan_J(1/m) / m,
+# so t = floor(-2^P m T / (B Q)) has t <= 2^P atan_J(1/m) < t + 1.  J is the
+# least with (2J+1) m^(2J+1) >= 2^P, so the omitted terms are at most 2^-P
+# and
+#
+#     t - 1 <= 2^P atan(1/m) <= t + 2.
+#
+# Hence, with s = 16 t_5 - 4 t_239,
+#
+#     s - 24 <= 2^P pi <= s + 36.
+
+
+def _atan_floor(m: int, P: int) -> int:
+    """t with t - 1 <= 2^P atan(1/m) <= t + 2, for an integer m >= 2."""
+    # start at or above the least J, then step down to it
+    J = max(1, math.ceil((P / math.log2(m) - 1) / 2))
+    while J > 1 and (2 * J - 1) * m ** (2 * J - 1) >= 1 << P:
+        J -= 1
+    while (2 * J + 1) * m ** (2 * J + 1) < 1 << P:
+        J += 1
+    Q, B, T = _atanh_split(-m * m, 0, J)
+    return (-m * T << P) // (B * Q)
+
+
+def _pi_enclosure(P: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2^P pi <= hi (see above)."""
+    s = 16 * _atan_floor(5, P) - 4 * _atan_floor(239, P)
+    return s - 24, s + 36
 
 
 def pi_const(p: int) -> Bounded:
-    v = mpf_pi(p + 10)
-    return Bounded(v, _fn_err(v, p))
+    """pi truncated to p + 10 bits, with a published error of 2^(1-p) v.
+
+    pi lies in [2, 4), so the value is floor(2^F pi) 2^-F with F = p + 8,
+    read from an enclosure at F + guard bits whose two ends agree on it;
+    the guard doubles until they do.  That is mpmath's ``mpf_pi(p + 10)``,
+    which rounds its constants toward zero.  The published error is the one
+    a trusted primitive would claim, 2^(1-p) max(1, |v|), so printed bounds
+    keep their width; it is checked to cover the enclosure, which is within
+    2^-F once its ends agree.
+    """
+    F, guard = p + 8, 32
+    while True:
+        lo, hi = _pi_enclosure(F + guard)
+        if lo >> guard == hi >> guard:
+            break
+        guard *= 2
+    v = from_man_exp(lo >> guard, -F)
+    err = _fn_err(v, p)
+    # 0 <= pi - v <= hi 2^-(F+guard) - v, which is below 2^-F
+    if mpf_cmp(mpf_sub(from_man_exp(hi, -(F + guard)), v), err) > 0:
+        raise ArithmeticError(f"pi's enclosure at {F + guard} bits exceeds "
+                              "its published bound")
+    return Bounded(v, err)
 
 
 # --- Euler's constant by Brent-McMillan ----------------------------------
@@ -831,46 +1009,51 @@ def frac_part_certified(x: Bounded) -> Tuple[int, Bounded]:
     also for negative x.  Raises :class:`PrecisionInsufficient` (with an
     estimate of the missing bits) when [x-err, x+err] contains an integer
     boundary.
+
+    Value and error are read as integers v and e over 2^k, so floor(x) is
+    v >> k and {x} is f = v - (floor(x) << k) over 2^k; the interval stays
+    within [floor(x), floor(x) + 1) unless e > f or f + e >= 2^k.
     """
-    q = raw_to_fraction(x.val)
-    e = raw_to_fraction(x.err)
-    fl = math.floor(q)
-    if e > 0 and (math.floor(q - e) != fl or math.floor(q + e) != fl):
-        frac = q - fl
-        dist = min(frac, 1 - frac)
+    sign, man, exp, _ = x.val
+    _, eman, eexp, _ = x.err
+    k = max(0, -exp, -eexp)
+    v = (-man if sign else man) << (exp + k)
+    e = eman << (eexp + k)
+    fl = v >> k
+    f = v - (fl << k)
+    if e > f or (f + e) >> k:
+        dist = min(f, (1 << k) - f)
         if dist == 0:
             extra = None
         else:
-            ratio = e / dist
+            ratio = Fraction(e, dist)
             extra = max(1, (ratio.numerator.bit_length()
                             - ratio.denominator.bit_length()) + 1) + 8
         raise PrecisionInsufficient(
             f"certified interval straddles an integer near {fl}", extra)
-    frac = q - fl
-    if frac == 0:
-        v = fzero
-    else:
-        shift = frac.denominator.bit_length() - 1  # exact power of two
-        v = from_man_exp(frac.numerator, -shift)
-    return fl, Bounded(v, x.err)
+    return fl, Bounded(from_man_exp(f, -k), x.err)
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Working-precision knobs shared by the per-n computations.
-
-    ``base_bits`` is the floor for every derived working precision;
-    ``frac_bits`` is the certified resolution of fractional parts;
-    escalation doubles the working precision until the target bound is
-    met or ``max_bits`` is hit.
-    """
-
+class _PolicyFields(NamedTuple):
     base_bits: int = 192
     frac_bits: int = 64
     max_bits: int = 1 << 16
     tail_eps: Optional[Fraction] = None  # override for the series cutoff
 
-    def __post_init__(self):
+
+class PrecisionPolicy(_PolicyFields):
+    """Working-precision knobs shared by the per-n computations.
+
+    ``base_bits`` is the floor for every derived working precision;
+    ``frac_bits`` is the certified resolution of fractional parts;
+    escalation doubles the working precision until the target bound is
+    met or ``max_bits`` is hit.  ``PrecisionPolicy()`` holds the defaults.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.base_bits < 64:
             raise ValueError("base_bits must be at least 64")
         if self.max_bits < self.base_bits:
@@ -879,3 +1062,4 @@ class PrecisionPolicy:
             raise ValueError("frac_bits must be nonnegative")
         if self.tail_eps is not None and self.tail_eps <= 0:
             raise ValueError("tail_eps must be positive")
+        return self

@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from typing import Dict, List, Optional, Tuple
-
-from mpmath.libmp import fzero
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import exact, mpnum
 from .mpnum import (
@@ -43,6 +40,7 @@ from .mpnum import (
     b_abs,
     b_add,
     b_div,
+    b_mul,
     b_mul_int,
     b_scale,
     b_sub,
@@ -52,6 +50,7 @@ from .mpnum import (
     pi_const,
     ln2_const,
     IntVec,
+    fzero,
     _EPREC,
     _factorial_log_pair,
     _fraction_to_raw_up,
@@ -87,15 +86,17 @@ __all__ = [
 
 def sondow_threshold(p: int) -> Bounded:
     """pi / (6 ln 2), the reference limit of the irrationality criterion."""
-    return _threshold(p, mpnum._TABLE)
+    return _threshold(p)
 
 
 @lru_cache(maxsize=1)
-def _threshold(p: int, table: mpnum.PrimeLogTable) -> Bounded:
+def _threshold(p: int) -> Bounded:
     # every row of a run asks at the same precision, so the last value is
-    # kept (Bounded is frozen); keyed on the table that serves ln 2 as well,
-    # so a fresh table computes it afresh
-    return b_div(pi_const(p), b_mul_int(ln2_const(p), 6, p), p)
+    # kept (Bounded is immutable).  ln 2 comes from a small table of its
+    # own: on the shared one, a threshold wider than the row's dots would
+    # rebuild it, and a floor read depends on its width alone
+    ln2 = ln2_const(p, mpnum.PrimeLogTable())
+    return b_div(pi_const(p), b_mul_int(ln2, 6, p), p)
 
 
 def L_vector(n: int) -> IntVec:
@@ -215,8 +216,7 @@ def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None,
 # --- series route --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(NamedTuple):
     """Certificate for the series tail summed past cutoff v = V.
 
     ``remainder`` bounds everything not explicitly computed: it is the
@@ -587,8 +587,7 @@ def gamma_roundtrip(n: int, p: int,
 # --- irrationality-criterion probe ---------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionPoint:
+class CriterionPoint(NamedTuple):
     """One row of the criterion table: Q_n = (16^n n / d_{2n}) {log S_n}."""
 
     n: int
@@ -625,13 +624,13 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
         raise PrecisionExhausted(
             f"criterion at n={n} needs {p} working bits, ceiling is "
             f"{policy.max_bits}")
-    frac_target = Fraction(1, 1 << frac_bits)
+    frac_target = mpnum.from_man_exp(1, -frac_bits)
     g, s_vec = _log_S_pair(n) if s_pair is None else s_pair
     while True:
         ls = _prime_dot(s_vec, p, g)
         try:
             floor_part, frac = frac_part_certified(ls)
-            if frac.err_fraction() <= frac_target:
+            if mpnum.mpf_cmp(frac.err, frac_target) <= 0:
                 break
             needed = frac_bits
         except PrecisionInsufficient as e:
@@ -641,7 +640,12 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
             raise PrecisionExhausted(
                 f"criterion at n={n} exhausted at {policy.max_bits} bits")
         p = nxt
-    q = b_scale(frac, Fraction((16 ** n) * n, d2n), p)
+    # Q_n's factor is an integer only at n = 1 (it is 8); otherwise it is
+    # rounded from the unreduced pair, with no gcd of ~2,000-bit integers
+    num = (16 ** n) * n
+    c, r = divmod(num, d2n)
+    q = (b_mul(frac, Bounded.from_ratio(num, d2n, p + 8), p) if r
+         else b_mul_int(frac, c, p))
     thr = sondow_threshold(max(frac_bits + 96, 192))
     return CriterionPoint(
         n=n,
@@ -704,9 +708,9 @@ def A_approx(n: int, p: int) -> Bounded:
 # --- full per-n record ----------------------------------------------------
 
 
-@dataclass
-class SeqRecord:
-    """Everything the workbench knows about one n."""
+class SeqRecord(NamedTuple):
+    """Everything the workbench knows about one n; ``timings`` holds the
+    per-stage seconds of this record's computation."""
 
     n: int
     a_exact: Fraction
@@ -727,7 +731,7 @@ class SeqRecord:
     q_dist_zero: Bounded
     q_dist_threshold: Bounded
     q_precision_bits: int
-    timings: Dict[str, float] = field(default_factory=dict)
+    timings: Dict[str, float]
 
 
 def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqRecord:

@@ -3,7 +3,6 @@ codes, big-integer formatting, per-subcommand options, manifests, golden
 data-file bytes and the criterion scan script."""
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -354,22 +353,20 @@ _BIG_LOG_S = mn.Bounded(from_man_exp(7 * 10 ** 4400 + 1, -132),
 
 
 def test_table_row_formats_5000_digit_integers():
-    rec = dataclasses.replace(sequences.build_record(1),
-                              a_exact=Fraction(_BIG_NUM, 3),
-                              d2n=10 ** 5000 - 1, log_s_floor=_BIG_NUM,
-                              log_s=_BIG_LOG_S)
+    rec = sequences.build_record(1)._replace(a_exact=Fraction(_BIG_NUM, 3),
+                                             d2n=10 ** 5000 - 1, log_s_floor=_BIG_NUM,
+                                             log_s=_BIG_LOG_S)
     row = cli._table_row(rec)
     assert row["log_s"].startswith("1.2856969462") and row["log_s"].endswith("e+4361")
     assert row["a_exact"] == _BIG_NUM_TEXT + "/3"
     assert row["d2n"] == "9" * 5000
     assert row["log_s_floor"] == _BIG_NUM_TEXT
-    whole = cli._table_row(dataclasses.replace(rec, a_exact=Fraction(_BIG_NUM)))
+    whole = cli._table_row(rec._replace(a_exact=Fraction(_BIG_NUM)))
     assert whole["a_exact"] == _BIG_NUM_TEXT
 
 
 def test_criterion_row_formats_5000_digit_floor():
-    cp = dataclasses.replace(sequences.criterion_point(1),
-                             log_s_floor=_BIG_NUM, log_s=_BIG_LOG_S)
+    cp = sequences.criterion_point(1)._replace(log_s_floor=_BIG_NUM, log_s=_BIG_LOG_S)
     row = cli._criterion_row(cp, 2)
     assert row["log_s_floor"] == _BIG_NUM_TEXT
     assert row["log_s"].endswith("e+4361")
@@ -438,21 +435,59 @@ def test_threshold_computed_once_per_run(tmp_path):
     assert sequences._threshold.cache_info().misses == 1
 
 
-def test_cli_import_loads_only_what_rows_and_gamma_run():
-    # no process pool, asymptotics or verify until a subcommand needs them;
-    # exact, mpnum and sequences stay eager for the benchmark's tracer
-    code = ("import gammalab.cli, sys; print(' '.join(sorted(sys.modules)))")
+def _modules_after(code):
+    """The names in sys.modules of a fresh interpreter after running code."""
+    code += "\nimport sys; sys.stderr.write(' '.join(sorted(sys.modules)))"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                capture_output=True, text=True).stdout.split())
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stderr.split())
+
+
+def test_cli_import_loads_only_what_rows_and_gamma_run():
+    # no process pool, asymptotics or verify until a subcommand needs them;
+    # exact, mpnum and sequences stay eager for the benchmark's tracer
+    loaded = _modules_after("import gammalab.cli")
     for name in ("concurrent.futures.process", "multiprocessing",
                  "gammalab.asymptotics", "gammalab.verify"):
         assert name not in loaded, name
     for name in ("gammalab.exact", "gammalab.mpnum", "gammalab.sequences"):
         assert name in loaded, name
+
+
+def test_cli_starts_without_mpmath_dataclasses_json_or_csv():
+    # start-up guard: mpmath is loaded only to print a decimal (and by asym),
+    # json and csv only to write a file
+    heavy = ("mpmath", "dataclasses", "inspect", "json", "csv")
+    loaded = _modules_after("import gammalab.cli")
+    assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
+    loaded = _modules_after("from gammalab.cli import main; "
+                            "main(['gamma', '--digits', '60'])")
+    assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == []
+
+
+@pytest.mark.parametrize("args, module, work", [
+    (["table", "--n", "1"], "gammalab.sequences", "build_record"),
+    (["criterion", "--n", "1"], "gammalab.sequences", "criterion_point"),
+    (["gamma", "--digits", "1"], "gammalab.cli", "euler_gamma"),
+    (["asym"], "gammalab.asymptotics", "convergence_report"),
+    (["verify", "--n-max", "5"], "gammalab.verify", "run_exact_suite"),
+], ids=["table", "criterion", "gamma", "asym", "verify"])
+def test_missing_out_directory_fails_before_any_work(args, module, work, tmp_path,
+                                                     capsys, monkeypatch):
+    import importlib
+
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), work,
+                        lambda *a, **k: calls.append(a))
+    missing = tmp_path / "missing"
+    assert run(args + ["--out", str(missing / "x.out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(missing) in captured.err
+    assert captured.out == ""
+    assert calls == [] and not missing.exists()
 
 
 def test_package_serves_asymptotics_names_lazily():

@@ -1,0 +1,207 @@
+"""mpnum's own dyadic arithmetic and certified pi, against mpmath.libmp.
+
+Every operation rounds its exact result correctly, so it must give the
+tuple mpmath's correctly rounded operation gives.  The one place mpmath is
+not correctly rounded is its far-apart shortcut in ``mpf_add`` (see
+``_mpmath_add_misrounds``); there an exact rational rounding decides.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import libmpf as ml
+from mpmath.libmp import mpf_pi
+
+from gammalab import mpnum as mn
+
+MODES = ("n", "u", "d")
+
+
+def _raw(sign, man, exp):
+    return ml.from_man_exp(-man if sign else man, exp)
+
+
+# mantissas of every width up to 5,000 bits; exponents near each other (the
+# operands overlap) or anywhere within 10^5
+mantissas = st.integers(1, 5000).flatmap(
+    lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+exponents = st.one_of(st.integers(-100, 100), st.integers(-10 ** 5, 10 ** 5))
+raws = st.builds(_raw, st.integers(0, 1), mantissas, exponents)
+raws_or_zero = st.one_of(st.just(ml.fzero), raws)
+precs = st.integers(1, 3000)
+modes = st.sampled_from(MODES)
+
+
+def _round_fraction(q: Fraction, prec: int, rnd: str):
+    """q rounded to prec bits, from the exact rational (the oracle)."""
+    if q == 0:
+        return ml.fzero
+    a = abs(q)
+    e = a.numerator.bit_length() - a.denominator.bit_length() - prec
+    while a >= Fraction(1 << prec) * Fraction(2) ** e:
+        e += 1
+    while a < Fraction(1 << (prec - 1)) * Fraction(2) ** e:
+        e -= 1
+    m = a / Fraction(2) ** e  # in [2^(prec-1), 2^prec)
+    k, r = divmod(m.numerator, m.denominator)
+    if r and (rnd == "u" or (rnd == "n" and (2 * r > m.denominator
+                                             or (2 * r == m.denominator and k & 1)))):
+        k += 1
+    return ml.from_man_exp(-k if q < 0 else k, e)
+
+
+def _mpmath_add_misrounds(s, t, prec):
+    # mpmath's mpf_add replaces the smaller operand by a perturbation once
+    # the exponents differ by over 100 and the tops by over prec + 4; that
+    # is exact only when the smaller one lies wholly below the larger one's
+    # last bit
+    if not s[1] or not t[1]:
+        return False
+    if s[2] + s[3] < t[2] + t[3]:
+        s, t = t, s
+    return (s[2] - t[2] > 100 and (s[2] + s[3]) - (t[2] + t[3]) > prec + 4
+            and t[2] + t[3] > s[2])
+
+
+def test_mpmath_add_shortcut_is_not_correctly_rounded_where_ours_is():
+    # 2^5000 + 2^4900 - 1 is just below a midpoint at 100 bits, and t
+    # (about 2^3999) carries it past; mpmath's perturbation does not
+    s = ml.from_man_exp((1 << 5000) + (1 << 4900) - 1, 0)
+    t = ml.from_man_exp((1 << 4100) + 1, -101)
+    assert _mpmath_add_misrounds(s, t, 100)
+    exact = mn.raw_to_fraction(s) + mn.raw_to_fraction(t)
+    assert mn.mpf_add(s, t, 100, "n") == _round_fraction(exact, 100, "n")
+    assert mn.raw_to_fraction(mn.mpf_add(s, t, 100, "n")) == (1 << 5000) + (1 << 4901)
+    assert mn.raw_to_fraction(ml.mpf_add(s, t, 100, "n")) == 1 << 5000
+
+
+@given(raws_or_zero, raws_or_zero, precs, modes)
+@settings(max_examples=150, deadline=None)
+@example(ml.from_int(3), ml.from_int(2), 2, "n")      # 5 -> 4, a tie kept even
+@example(ml.from_int(7), ml.from_int(2), 3, "n")      # 9 -> 8
+@example(ml.from_int(11), ml.from_int(2), 3, "n")     # 13 -> 12
+@example(ml.from_int(13), ml.from_int(2), 3, "n")     # 15 -> 16, a carry
+@example(ml.from_int(255), ml.from_man_exp(1, -1), 8, "u")  # 256: a carry into bit 9
+@example(ml.from_int(-9), ml.from_int(-2), 2, "d")    # -11 -> -8 toward zero
+@example(ml.from_int(-9), ml.from_int(-2), 2, "u")    # -11 -> -12 away from it
+@example(ml.from_int(-9), ml.from_int(2), 1, "u")     # -7 -> -8
+@example(ml.from_man_exp(3, -7), ml.from_man_exp(-3, -7), 10, "n")  # cancels to 0
+@example(ml.from_int(1 << 200), ml.from_man_exp(-1, -300), 50, "d")  # far below
+@example(ml.from_int(1 << 200), ml.from_man_exp(-1, -300), 50, "u")
+def test_add_sub_equal_mpmath(s, t, prec, rnd):
+    for ours, theirs, u in ((mn.mpf_add, ml.mpf_add, t),
+                            (mn.mpf_sub, ml.mpf_sub, ml.mpf_neg(t))):
+        got = ours(s, t, prec, rnd)
+        if _mpmath_add_misrounds(s, u, prec):
+            exact = mn.raw_to_fraction(s) + mn.raw_to_fraction(u)
+            assert got == _round_fraction(exact, prec, rnd)
+        else:
+            assert got == theirs(s, t, prec, rnd)
+
+
+@given(raws_or_zero, raws_or_zero, st.integers(0, 3000), modes)
+@settings(max_examples=100, deadline=None)
+@example(ml.from_int(3), ml.from_int(3), 3, "n")      # 9 at 3 bits: a tie, to 8
+@example(ml.from_int(5), ml.from_int(3), 3, "n")      # 15 -> 16, a carry
+@example(ml.from_int(-5), ml.from_int(3), 2, "d")     # -15 -> -12
+@example(ml.from_int(-5), ml.from_int(3), 2, "u")     # -15 -> -16
+def test_mul_equals_mpmath(s, t, prec, rnd):
+    assert mn.mpf_mul(s, t, prec, rnd) == ml.mpf_mul(s, t, prec, rnd)
+
+
+@given(raws_or_zero, raws, precs, modes)
+@settings(max_examples=150, deadline=None)
+@example(ml.from_int(3073), ml.from_int(3), 4, "u")   # 1024 + 1/3: only the sticky bit rounds up
+@example(ml.from_int(3073), ml.from_int(3), 4, "n")
+@example(ml.from_int(-3073), ml.from_int(3), 4, "u")
+@example(ml.from_int(-3073), ml.from_int(3), 4, "d")
+@example(ml.from_int(1), ml.from_int(3), 1, "n")
+@example(ml.from_int(7), ml.from_int(5), 1, "u")
+@example(ml.from_int(-1 << 300), ml.from_int(3), 2, "n")  # 1.0101..: just below a tie
+def test_div_equals_mpmath(s, t, prec, rnd):
+    assert mn.mpf_div(s, t, prec, rnd) == ml.mpf_div(s, t, prec, rnd)
+
+
+@given(st.integers(-(1 << 5000), 1 << 5000), st.integers(-10 ** 5, 10 ** 5),
+       st.integers(0, 3000), modes)
+@settings(max_examples=100, deadline=None)
+@example(12, 0, 2, "n")  # 12 = 1100b at 2 bits: exact
+@example(10, 0, 2, "n")  # 1010b -> 1000b, a tie to even
+@example(14, 0, 2, "n")  # 1110b -> 10000b, a tie to even with a carry
+@example(-14, 0, 2, "d")
+@example(-14, 0, 2, "u")
+def test_from_man_exp_and_pos_equal_mpmath(man, exp, prec, rnd):
+    ours = mn.from_man_exp(man, exp, prec, rnd)
+    assert ours == ml.from_man_exp(man, exp, prec or None, rnd)
+    exact = mn.from_man_exp(man, exp)
+    assert mn.mpf_pos(exact, prec, rnd) == ml.mpf_pos(exact, prec, rnd)
+    assert mn.from_int(man) == ml.from_int(man)
+
+
+@given(raws_or_zero, raws_or_zero, st.integers(-10 ** 5, 10 ** 5))
+@settings(max_examples=100, deadline=None)
+@example(ml.from_int(1 << 200), ml.from_man_exp((1 << 400) + 1, -200), 0)
+@example(ml.from_man_exp(-1, -300), ml.fzero, 0)
+def test_cmp_abs_shift_equal_mpmath(s, t, n):
+    assert mn.mpf_cmp(s, t) == ml.mpf_cmp(s, t)
+    assert mn.mpf_cmp(s, s) == 0
+    assert mn.mpf_abs(s) == ml.mpf_abs(s)
+    assert mn.mpf_shift(s, n) == ml.mpf_shift(s, n)
+
+
+def test_constants_and_modes():
+    assert (mn.fzero, mn.fone, mn.round_down) == (ml.fzero, ml.fone, ml.round_down)
+    with pytest.raises(ValueError):
+        mn.from_man_exp(3, 0, 1, "f")
+    with pytest.raises(ZeroDivisionError):
+        mn.mpf_div(mn.fone, mn.fzero, 53)
+
+
+def test_pi_const_equals_mpmath_and_its_enclosure_holds_pi():
+    # one reference for every p: mpmath's pi at 2,100 + 72 bits, rounded
+    # toward zero, so within 2^-2170 of pi
+    ref_prec = 2100 + 72
+    ref = mn.raw_to_fraction(mpf_pi(ref_prec))
+    slack = Fraction(1, 1 << (ref_prec - 2))
+    for p in range(64, 2101):
+        got = mn.pi_const(p)
+        assert got.val == mpf_pi(p + 10), p
+        assert got.err == mn._fn_err(got.val, p)
+        lo, hi = mn._pi_enclosure(p)
+        assert lo <= (ref + slack) * (1 << p) and (ref - slack) * (1 << p) <= hi, p
+        assert hi - lo == 60
+
+
+@pytest.mark.parametrize("m", [5, 239])
+def test_atan_floor_against_the_exact_series(m):
+    # the first 40 terms at 100 bits leave far less than 2^-100 out
+    s = sum(Fraction((-1) ** j, (2 * j + 1) * m ** (2 * j + 1)) for j in range(40))
+    for P in (8, 53, 100):
+        t = mn._atan_floor(m, P)
+        assert t - 1 <= s * (1 << P) <= t + 2
+
+
+def test_pi_const_widens_when_the_enclosure_straddles(monkeypatch):
+    calls = []
+    real = mn._pi_enclosure
+
+    def straddling_first(P):
+        lo, hi = real(P)
+        calls.append(P)
+        if len(calls) == 1:
+            return lo, hi + (1 << 40)  # wide enough to straddle any floor
+        return lo, hi
+
+    monkeypatch.setattr(mn, "_pi_enclosure", straddling_first)
+    got = mn.pi_const(100)
+    assert got.val == mpf_pi(110) and calls == [108 + 32, 108 + 64]
+
+
+def test_pi_const_raises_when_its_bound_would_not_cover(monkeypatch):
+    # the enclosure is within 2^-(p+8) of the value; a published bound
+    # below that must be refused
+    monkeypatch.setattr(mn, "_fn_err", lambda v, p: mn.from_man_exp(1, -(p + 40)))
+    with pytest.raises(ArithmeticError):
+        mn.pi_const(64)

@@ -355,6 +355,30 @@ def test_policy_validation():
         == Fraction(1, 10 ** 30)
 
 
+def test_records_are_immutable_hashable_and_pickle():
+    # pool tasks carry the policy, and each record its own timings
+    import pickle
+
+    from gammalab import sequences
+
+    pol = mn.PrecisionPolicy(frac_bits=96)
+    assert pickle.loads(pickle.dumps(pol)) == pol and hash(pol) == hash(
+        mn.PrecisionPolicy(frac_bits=96))
+    assert mn.PrecisionPolicy() == mn.PrecisionPolicy(192, 64, 1 << 16, None)
+    b = Bounded.from_ratio(1, 3, 64)
+    assert pickle.loads(pickle.dumps(b)) == b and hash(b) == hash(Bounded(b.val, b.err))
+    cp = sequences.criterion_point(2)
+    assert pickle.loads(pickle.dumps(cp)) == cp
+    for obj, field in ((pol, "frac_bits"), (b, "val"), (cp, "n")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    r1, r2 = sequences.build_record(1), sequences.build_record(2)
+    assert set(r1.timings) == {"exact", "L", "I", "criterion"}
+    assert r1.timings is not r2.timings
+    with pytest.raises(exact.IdentityViolation):
+        exact.PartialFractionCoeffs(n=1, a=(Fraction(1), Fraction(0)), b=(Fraction(1),) * 2)
+
+
 _BIG = 1 << 10000
 
 

@@ -544,8 +544,9 @@ def test_build_record_computes_L_once(monkeypatch):
 def test_precision_plan_covers_every_stage(n, frac_bits, monkeypatch):
     # a stage's first dot product is its widest, so a fresh table sized by
     # that request serves every later one without a rebuild; build_record
-    # runs I_series first for this.  At n = 1 a large frac_bits makes
-    # pi / (6 ln 2) wider than the criterion row, which then builds twice.
+    # runs I_series first for this.  pi / (6 ln 2) reads ln 2 from a table
+    # of its own, so a threshold wider than the row (n = 1 at frac_bits 256)
+    # does not rebuild the shared one.
     policy = PrecisionPolicy(frac_bits=frac_bits)
     for stage in (sq.build_record, sq.criterion_point):
         table = mn.PrimeLogTable()
@@ -555,9 +556,6 @@ def test_precision_plan_covers_every_stage(n, frac_bits, monkeypatch):
         monkeypatch.setattr(table, "floor_logs",
                             lambda primes, w: asked.append(w) or floor_logs(primes, w))
         stage(n, policy)
-        if stage is sq.criterion_point and (n, frac_bits) == (1, 256):
-            assert table.builds == 2 and asked[0] < max(asked)
-            continue
         assert table.builds == 1, (stage.__name__, n)
         assert asked[0] == max(asked), (stage.__name__, n)
 
