@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from . import exact
+from . import exact, mpnum
 from .mpnum import (
     Bounded,
     PrecisionPolicy,
@@ -71,7 +71,7 @@ class ConvergenceReport:
 
 def _gauss_envelope(n: int, with_gamma: bool, p: int) -> Bounded:
     # 4^n / sqrt(pi n) * ([gamma] + ln(3/2) + ln n)
-    bracket = b_ln(Bounded.from_fraction(Fraction(3, 2), p), p)
+    bracket = b_ln((3, 2), p)
     bracket = b_add(bracket, ln_int(n, p), p)
     if with_gamma:
         bracket = b_add(bracket, euler_gamma(p), p)
@@ -79,60 +79,53 @@ def _gauss_envelope(n: int, with_gamma: bool, p: int) -> Bounded:
     return b_div(b_mul_int(bracket, 4 ** n, p), denom, p)
 
 
-def _measure_A(n: int, p: int) -> Bounded:
-    if n <= _A_EXACT_MAX:
-        return Bounded.from_fraction(exact.A_exact(n), p)
-    return A_approx(n, p)
+def _ratio_row(n: int, measured: Bounded, model: Bounded, p: int) -> LawRow:
+    ratio = float(b_div(measured, model, p))
+    return LawRow(n, measured, model, ratio, ratio - 1.0)
 
 
 def _point_i_decay(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
     # I_n * n * 16^n against pi/(6 ln 2); eps only needs scan accuracy
-    eps = Fraction(1, n << (4 * n + 64))
-    i_val, _ = I_series(n, eps, policy)
+    i_val, _ = I_series(n, Fraction(1, n << (4 * n + 64)), policy)
     measured = b_mul_int(i_val, n * 16 ** n, p)
-    model = sondow_threshold(p)
-    ratio = float(b_div(measured, model, p).mpf)
-    return LawRow(n, measured, model, ratio, ratio - 1.0)
+    return _ratio_row(n, measured, sondow_threshold(p), p)
 
 
 def _point_l_log(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
     l = L_from_factorial_logs(n, p)
     c = math.comb(2 * n, n)
-    ln_model = b_ln(Bounded.from_fraction(Fraction(3 * n, 2), p), p)
+    ln_model = b_ln((3 * n, 2), p)
     model = b_mul_int(ln_model, c, p)
-    ratio = float(b_div(l, model, p).mpf)
+    ratio = float(b_div(l, model, p))
     per_binom = b_div(l, Bounded.exact_int(c), p)
-    residual = float(b_mul_int(b_sub(per_binom, ln_model, p), n, p).mpf)
+    residual = float(b_mul_int(b_sub(per_binom, ln_model, p), n, p))
     return LawRow(n, l, model, ratio, residual)
 
 
 def _point_a_growth(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
-    a = _measure_A(n, p)
-    model = _gauss_envelope(n, True, p)
-    ratio = float(b_div(a, model, p).mpf)
-    return LawRow(n, a, model, ratio, ratio - 1.0)
+    a = (Bounded.from_fraction(exact.A_exact(n), p) if n <= _A_EXACT_MAX
+         else A_approx(n, p))
+    return _ratio_row(n, a, _gauss_envelope(n, True, p), p)
 
 
 def _point_l_growth(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
-    l = L_from_factorial_logs(n, p)
-    model = _gauss_envelope(n, False, p)
-    ratio = float(b_div(l, model, p).mpf)
-    return LawRow(n, l, model, ratio, ratio - 1.0)
+    return _ratio_row(n, L_from_factorial_logs(n, p),
+                      _gauss_envelope(n, False, p), p)
 
 
 def _point_central_binom(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
-    measured = Bounded.exact_int(math.comb(2 * n, n))
     model = b_div(Bounded.exact_int(4 ** n),
                   b_sqrt(b_mul_int(pi_const(p), n, p), p), p)
-    ratio = float(b_div(measured, model, p).mpf)
-    return LawRow(n, measured, model, ratio, ratio - 1.0)
+    return _ratio_row(n, Bounded.exact_int(math.comb(2 * n, n)), model, p)
 
 
 def _point_lcm_growth(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
-    measured = b_ln(Bounded.exact_int(exact.lcm_upto(2 * n)), p)
-    model = Bounded.exact_int(2 * n)
-    ratio = float(b_div(measured, model, p).mpf)
-    return LawRow(n, measured, model, ratio, ratio - 1.0)
+    # ln d_m = sum_{q <= m} floor(log_q m) ln q, without factoring d_m
+    m = 2 * n
+    vec = dict.fromkeys(mpnum._TABLE.primes_upto(m), 1)
+    for q in mpnum._TABLE.primes_upto(math.isqrt(m)):
+        vec[q] = max(e for e in range(2, m.bit_length()) if q ** e <= m)
+    return _ratio_row(n, b_ln((1, vec), p), Bounded.exact_int(m), p)
 
 
 def _point_mean_square(n: int, p: int, policy: PrecisionPolicy) -> LawRow:

@@ -500,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="Euler's constant, truncated digits")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--out", default=None)
-    # gamma runs in one process; it takes --jobs because bench/run.py passes
-    # --jobs 1 to every workload
+    # gamma runs in one process; it keeps --jobs only because bench/run.py's
+    # traced run (--trace 1) passes --jobs 1 to it; the timed runs pass none
     _add_options(p, "--max-bits", "--jobs")
     p.set_defaults(fn=_cmd_gamma)
 

@@ -22,8 +22,6 @@ import threading
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
-Nat = int
-Rat = Fraction
 StirlingRow = List[int]  # row m: unsigned first-kind numbers [m,0], ..., [m,m]
 
 __all__ = [

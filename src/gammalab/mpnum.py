@@ -1,32 +1,22 @@
 """Arbitrary-precision values carrying certified absolute error bounds.
 
 Values are raw dyadic floats in mpmath's format, ``(sign, mantissa,
-exponent, bitcount)`` tuples, but this module computes them itself: its
-own add, subtract, multiply and divide round the exact result correctly at
-a precision that is always passed as an argument -- there is no global
-precision state.  mpmath is imported only to print a decimal string
-(:func:`to_str`), for ``Bounded.mpf`` and for ``b_ln``/``b_sqrt``.
+exponent, bitcount)`` tuples, which this module computes itself: add,
+subtract, multiply, divide and square root round the exact result
+correctly at a precision passed as an argument (there is no global
+precision state).  mpmath only prints a decimal string (:func:`to_str`).
 Every operation propagates an absolute error bound alongside the value;
 bound arithmetic is done at coarse precision with *upward* rounding, so
 for each :class:`Bounded` the true real number lies in
 ``[value - err, value + err]``.
 
-Logarithms of integers (``ln_int``, ``log_factorial``, ``ln2_const`` and
-every log inside the per-n quantities) have proven bounds: each is an
-exact vector over the primes dotted with a fixed-point table of ``ln q``
-built from ``2 ln q = ln(q-1) + ln(q+1) + 2 atanh(1/(2q^2-1))``, the atanh
-summed by binary splitting, with an explicit bound per entry
-(:class:`PrimeLogTable`).  ``pi`` comes from Machin's formula with its
-alternating-series bound (:func:`pi_const`).  Euler's constant has one
-algorithm, Brent-McMillan binary splitting (:func:`euler_gamma`), with a
-proven bound on its tails; the test suite checks it against an
-Euler-Maclaurin oracle that shares no code with it.  Only ``b_ln`` and
-``b_sqrt`` of non-integer arguments, which the ``asym`` reports use,
-remain trusted: they are evaluated by mpmath with 10 guard bits and
-claimed accurate to ``2^(1-p) * max(1, |result|)``; the backend is
-accurate to a couple of ulp, so the claim has orders of magnitude of
-slack.  Independent series oracles in the test suite check this on
-samples.
+No transcendental is taken on trust.  Every logarithm is the log of a
+rational: an exact vector over the primes dotted with a fixed-point table
+of ``ln q`` with an explicit bound per entry (:class:`PrimeLogTable`).
+``pi`` comes from Machin's formula with its alternating-series bound
+(:func:`pi_const`), and Euler's constant from Brent-McMillan binary
+splitting with a proven bound on its tails (:func:`euler_gamma`), which
+the test suite checks against an independent Euler-Maclaurin oracle.
 """
 
 from __future__ import annotations
@@ -177,6 +167,25 @@ def mpf_div(s, t, prec: int, rnd: str = "d"):
     return _normalize(ssign ^ tsign, quot, sexp - texp - extra, prec, rnd)
 
 
+def mpf_sqrt(s, prec: int, rnd: str = "d"):
+    """sqrt(s) rounded to prec >= 1 bits, for s >= 0.
+
+    m = man 2^shift, with exp - shift even, has at least 2 prec + 6 bits, so
+    r = isqrt(m) has at least prec + 3; when r^2 < m, the sticky bit 2r + 1
+    rounds like the exact root, by the argument of mpf_div.
+    """
+    sign, man, exp, bc = s
+    if sign:
+        raise ValueError("square root of a negative raw value")
+    shift = max(0, 2 * prec + 6 - bc)
+    shift += (exp - shift) & 1
+    m = man << shift
+    r = math.isqrt(m)
+    if r * r != m:
+        r, shift = (r << 1) | 1, shift + 2
+    return _normalize(0, r, (exp - shift) >> 1, prec, rnd)
+
+
 def mpf_cmp(s, t) -> int:
     """The sign of s - t: -1, 0 or 1."""
     d = mpf_sub(s, t, 1)  # rounding toward zero keeps the sign
@@ -223,10 +232,6 @@ class PrecisionExhausted(Exception):
     """Auto-escalation hit the policy's precision ceiling."""
 
 
-def _is_special(x) -> bool:
-    return x[1] == 0 and x != fzero
-
-
 def _up_add(a, b):
     return mpf_add(a, b, _EPREC, "u")
 
@@ -249,7 +254,7 @@ def _rnd_bound(val, p: int):
 
 
 def _fn_err(val, p: int):
-    # claimed bound for transcendental primitives: 2^(1-p) * max(1, |val|)
+    # published error of pi_const and b_ln, each checked to cover its enclosure
     a = mpf_abs(val)
     if mpf_cmp(a, fone) < 0:
         a = fone
@@ -258,15 +263,9 @@ def _fn_err(val, p: int):
 
 def raw_to_fraction(x) -> Fraction:
     """Exact rational value of a raw mpf (they are all dyadic)."""
-    if _is_special(x):
-        raise ValueError("non-finite value cannot be converted exactly")
     sign, man, exp, _ = x
-    n = int(man)
-    if sign:
-        n = -n
-    if exp >= 0:
-        return Fraction(n << exp)
-    return Fraction(n, 1 << -exp)
+    n = -man if sign else man
+    return Fraction(n << exp) if exp >= 0 else Fraction(n, 1 << -exp)
 
 
 def _raw_ratio(num: int, den: int, p: int, rnd: str):
@@ -339,14 +338,8 @@ class Bounded(NamedTuple):
             return None
         return cls(v, _rnd_bound(v, p))
 
-    @property
-    def mpf(self):
-        from mpmath import mp
-
-        return mp.make_mpf(self.val)
-
     def __float__(self) -> float:
-        return float(self.mpf)
+        return float(self.value_fraction())
 
     def __repr__(self) -> str:
         return f"Bounded({to_str(self.val, 20)} ± {to_str(self.err, 3)})"
@@ -372,9 +365,6 @@ class Bounded(NamedTuple):
     def contains(self, q: Fraction) -> bool:
         """True iff the exact rational q lies inside [val - err, val + err]."""
         return abs(self.value_fraction() - Fraction(q)) <= self.err_fraction()
-
-    def is_exact(self) -> bool:
-        return self.err == fzero
 
 
 def agrees(x: Bounded, y: Bounded) -> bool:
@@ -431,30 +421,12 @@ def b_div(x: Bounded, y: Bounded, p: int) -> Bounded:
     return Bounded(v, e)
 
 
-def b_ln(x: Bounded, p: int) -> Bounded:
-    """Natural log of a value certified positive."""
-    x_lo = _down_sub(x.val, x.err)
-    if mpf_cmp(x_lo, fzero) <= 0:
-        if mpf_cmp(x.val, fzero) <= 0:
-            raise ValueError("log of a non-positive value")
-        raise PrecisionInsufficient("log argument not certified positive")
-    if x.err == fzero and x.val == fone:
-        return Bounded(fzero, fzero)
-    from mpmath.libmp import mpf_log
-
-    v = mpf_log(x.val, p + 10, "n")
-    e = _fn_err(v, p)
-    if x.err != fzero:
-        e = _up_add(e, _up_div(x.err, x_lo))
-    return Bounded(v, e)
-
-
 def b_sqrt(x: Bounded, p: int) -> Bounded:
+    """sqrt(x) rounded to nearest at p + 10 bits, published within 2^(1-p) |v|
+    plus x's error over 2 sqrt(x - err)."""
     x_lo = _down_sub(x.val, x.err)
     if mpf_cmp(x_lo, fzero) < 0:
         raise PrecisionInsufficient("sqrt argument not certified nonnegative")
-    from mpmath.libmp import mpf_sqrt
-
     v = mpf_sqrt(x.val, p + 10, "n")
     e = mpf_shift(mpf_abs(v), 1 - p)
     if x.err != fzero:
@@ -474,7 +446,7 @@ def b_sum(items, p: int) -> Bounded:
 
 # --- prime-log table -----------------------------------------------------
 #
-# Every logarithm gammalab takes is the log of an integer, so it is an
+# Every logarithm gammalab takes is the log of a rational, so it is an
 # exact vector (D, {q: a_q}) over the primes (``IntVec`` below), and its
 # value is sum_q (a_q / D) ln q.
 # One table per process holds each 2^P ln q as a fixed-point enclosure of
@@ -814,6 +786,41 @@ def log_factorial(m: int, p: int) -> Bounded:
 def ln2_const(p: int, table: Optional[PrimeLogTable] = None) -> Bounded:
     """ln 2, the table's first entry."""
     return _prime_dot((1, {2: 1}), p, table=table)
+
+
+def b_ln(x, p: int) -> Bounded:
+    """ln x for a prime vector x = (D, {q: a_q}) or a pair x = (num, den) of
+    positive integers that ``factor`` accepts, rounded to nearest at p + 10
+    bits and published within 2^(1-p) max(1, |v|).
+
+    As in _prime_dot, s - e <= D 2^w ln x <= s + e; w doubles until both
+    ends round to the same v.  That ends: ln 1 is returned exact, and the
+    log of any other rational is irrational.
+    """
+    if not isinstance(x[1], dict):
+        if min(x) < 1:
+            raise ValueError("log of a non-positive value")
+        ints = dict(_TABLE.factor(x[0]))
+        for q, e in _TABLE.factor(x[1]):
+            ints[q] = ints.get(q, 0) - e
+        x = (1, ints)
+    den, ints = x[0], {q: a for q, a in x[1].items() if a}
+    if not ints:
+        return Bounded(fzero, fzero)
+    e, w = sum(map(abs, ints.values())), p + 10 + _DOT_GUARD
+    while True:
+        s = sum(map(mul, ints.values(), _TABLE.floor_logs(ints, w).values()))
+        b = Bounded.from_enclosure(s - e, s + e, den << w, p + 10)
+        if b is not None:
+            break
+        w *= 2
+    # both ends round to v, so they lie within 2^-(p+10) |v| of it
+    err = _fn_err(b.val, p)
+    if (_cmp_ratio(mpf_sub(b.val, err), s - e, den << w) > 0
+            or _cmp_ratio(mpf_add(b.val, err), s + e, den << w) < 0):
+        raise ArithmeticError(f"ln's enclosure at {w} bits exceeds its "
+                              "published bound")
+    return Bounded(b.val, err)
 
 
 # --- pi by Machin's formula ----------------------------------------------

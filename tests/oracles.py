@@ -1,13 +1,14 @@
 """Independent slow-but-exact oracles used only by the tests.
 
 Everything here is computed in pure Fraction arithmetic with explicit
-truncation bounds, so these values owe nothing to the mpmath backend the
-package uses: ln via argument reduction plus the atanh series, pi via the
-Machin formula with alternating-series remainders, and Euler's constant by
-Euler-Maclaurin over the exact H_N (the cross-check of the package's
-Brent-McMillan split, with which it shares no log code).  The Euler-Maclaurin
-kernel sums, the residue weights and A_n are the per-term Fraction
-formulas over the harmonic table, one term (and one order) at a time.
+truncation bounds, so these values owe nothing to the package's own
+arithmetic or to mpmath: ln via argument reduction plus the atanh series,
+pi via the Machin formula with alternating-series remainders, and Euler's
+constant by Euler-Maclaurin over the exact H_N (the cross-check of the
+package's Brent-McMillan split, with which it shares no log code).  The
+Euler-Maclaurin kernel sums, the residue weights and A_n are the per-term
+Fraction formulas over the harmonic table, one term (and one order) at a
+time.
 """
 
 from __future__ import annotations

@@ -91,13 +91,46 @@ def test_l_log_residual_bounded():
     assert all(math.isfinite(x) for x in res)
 
 
+def test_ln_of_every_default_input_equals_mpmath(monkeypatch):
+    # asym's logs, ln(3/2), ln(3n/2) and ln d_2n, are rounded correctly at
+    # p + 10 bits, as mpmath's mpf_log rounds them
+    from mpmath.libmp import from_int, from_rational, mpf_log
+
+    from gammalab import mpnum as mn
+
+    seen = []
+
+    def recording(x, p):
+        got = mn.b_ln(x, p)
+        seen.append((x, p, got))
+        return got
+
+    monkeypatch.setattr(asy, "b_ln", recording)
+    for law in asy.LAWS:
+        asy.convergence_report(law)
+    inputs = set()
+    for x, p, got in seen:
+        if isinstance(x[1], dict):
+            assert x[0] == 1
+            raw = from_int(math.prod(q ** a for q, a in x[1].items()))
+        else:
+            assert x[1] & (x[1] - 1) == 0  # dyadic, so exactly representable
+            raw = from_rational(x[0], x[1], x[0].bit_length())
+        assert got.val == mpf_log(raw, p + 10, "n"), x
+        assert got.err == mn._fn_err(got.val, p)
+        inputs.add(raw)
+    # ln(3/2), four ln(3n/2) and six ln d_2n (d_2 = 2 and d_10 = 2520 appear
+    # once each)
+    assert len(inputs) == 11
+
+
 def test_a_vs_l_models_differ_by_gamma_term():
     # the two envelope models differ only through the gamma inside the
     # bracket; their quotient trend is reported, not assumed
     n = 200
     ra = asy.law_point("a_growth", n)
     rl = asy.law_point("l_growth", n)
-    q = float(ra.model.mpf) / float(rl.model.mpf)
+    q = float(ra.model) / float(rl.model)
     expected = (0.5772156649015329 + math.log(1.5) + math.log(n)) / (
         math.log(1.5) + math.log(n))
     assert q == pytest.approx(expected, rel=1e-9)

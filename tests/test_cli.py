@@ -458,13 +458,22 @@ def test_cli_import_loads_only_what_rows_and_gamma_run():
 
 
 def test_cli_starts_without_mpmath_dataclasses_json_or_csv():
-    # start-up guard: mpmath is loaded only to print a decimal (and by asym),
-    # json and csv only to write a file
+    # start-up guard: mpmath is loaded only to print a decimal, json and csv
+    # only to write a file
     heavy = ("mpmath", "dataclasses", "inspect", "json", "csv")
     loaded = _modules_after("import gammalab.cli")
     assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
     loaded = _modules_after("from gammalab.cli import main; "
                             "main(['gamma', '--digits', '60'])")
+    assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == []
+
+
+def test_asym_reports_compute_without_mpmath():
+    # mpmath only prints: every law at its default points, logs and square
+    # roots included, computes with mpnum's own arithmetic
+    loaded = _modules_after("from gammalab import asymptotics as a\n"
+                            "for law in a.LAWS: a.convergence_report(law)")
+    assert "gammalab.asymptotics" in loaded
     assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == []
 
 

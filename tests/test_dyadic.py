@@ -124,6 +124,26 @@ def test_div_equals_mpmath(s, t, prec, rnd):
     assert mn.mpf_div(s, t, prec, rnd) == ml.mpf_div(s, t, prec, rnd)
 
 
+@given(raws_or_zero, precs, modes)
+@settings(max_examples=150, deadline=None)
+@example(ml.from_int(17), 1, "u")   # isqrt 10000b: only the sticky bit rounds up
+@example(ml.from_int(17), 1, "n")
+@example(ml.from_int(16), 1, "u")   # 4 exactly
+@example(ml.from_int(2), 1, "n")
+@example(ml.from_man_exp(1, -1), 53, "d")  # an odd exponent
+@example(ml.from_man_exp(9, -3), 3, "u")
+@example(ml.from_man_exp((1 << 4000) + 1, -7), 10, "d")  # mantissa past 2 prec + 6
+@example(ml.fzero, 5, "n")
+def test_sqrt_equals_mpmath(s, prec, rnd):
+    s = ml.mpf_abs(s)
+    assert mn.mpf_sqrt(s, prec, rnd) == ml.mpf_sqrt(s, prec, rnd)
+
+
+def test_sqrt_of_a_negative_value_raises():
+    with pytest.raises(ValueError):
+        mn.mpf_sqrt(ml.from_int(-4), 10, "n")
+
+
 @given(st.integers(-(1 << 5000), 1 << 5000), st.integers(-10 ** 5, 10 ** 5),
        st.integers(0, 3000), modes)
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,6 @@
 """Certified-arithmetic tests: containment properties, functional
 equations, and frozen constants checked against independent series
-oracles (see oracles.py) rather than the backend."""
+oracles (see oracles.py) rather than mpmath."""
 
 import math
 import random
@@ -55,36 +55,130 @@ def test_div_containment(a, b, p):
     assert mn.b_div(x, y, p).contains(a / b)
 
 
-@given(positive_rationals)
+# b_ln factors its pairs, and PrimeLogTable.factor accepts every integer
+# below 2^40
+ln_ints = st.one_of(st.integers(1, 10 ** 6), st.integers(1, (1 << 40) - 1))
+
+
+@given(ln_ints, ln_ints)
 @settings(max_examples=30, deadline=None)
-def test_ln_containment_via_oracle(q):
+@example(3, 2)
+@example(1, 1 << 39)
+@example((1 << 40) - 87, 1)  # the largest prime below 2^40
+def test_ln_containment_via_oracle(num, den):
     p = 128
-    got = mn.b_ln(Bounded.from_fraction(q, p), p)
-    ref = oracles.ln_oracle(q, 160)
+    got = mn.b_ln((num, den), p)
+    ref = oracles.ln_oracle(Fraction(num, den), 160)
     # |got - ln q| <= err  =>  |got - ref| <= err + oracle truncation
     assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(1, 2 ** 160)
+    assert got.err == (mn._fn_err(got.val, p) if num != den else mn.fzero)
+
+
+def test_ln_of_a_prime_vector():
+    # (D, {q: a_q}) is sum_q (a_q / D) ln q: here ln(2^5 / 3^3) / 2
+    p = 128
+    got = mn.b_ln((2, {2: 5, 3: -3}), p)
+    ref = oracles.ln_oracle(Fraction(32, 27), 160) / 2
+    assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(1, 2 ** 160)
+    assert got == mn.b_ln((4, {2: 10, 3: -6}), p)  # the same rational vector
 
 
 def test_ln_exact_one_and_domain():
-    assert mn.b_ln(Bounded.exact_int(1), 128).is_exact()
-    with pytest.raises(ValueError):
-        mn.b_ln(Bounded.exact_int(0), 128)
-    with pytest.raises(mn.PrecisionInsufficient):
-        # interval [-1, 3] is not certified positive
-        mn.b_ln(Bounded(Bounded.exact_int(1).val,
-                        Bounded.exact_int(2).val), 128)
+    for one in ((1, 1), (7, 7), (1, {}), (3, {2: 0})):
+        assert mn.b_ln(one, 128) == Bounded(mn.fzero, mn.fzero)
+    # factor(0) is [], so without the check ln 0 would come out as 0
+    for bad in ((0, 1), (1, 0), (-3, 2), (3, -2), (-3, -2)):
+        with pytest.raises(ValueError):
+            mn.b_ln(bad, 128)
 
 
 def test_ln_functional_equation_seeded():
     rng = random.Random(7)
     p = 128
     for _ in range(100):
-        x = Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 3))
-        y = Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 3))
-        lx = mn.b_ln(Bounded.from_fraction(x, p), p)
-        ly = mn.b_ln(Bounded.from_fraction(y, p), p)
-        lxy = mn.b_ln(Bounded.from_fraction(x * y, p), p)
-        assert mn.agrees(lxy, mn.b_add(lx, ly, p))
+        a, b = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 3)
+        c, d = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 3)
+        lxy = mn.b_ln((a * c, b * d), p)
+        assert mn.agrees(lxy, mn.b_add(mn.b_ln((a, b), p), mn.b_ln((c, d), p), p))
+
+
+def test_ln_doubles_w_until_the_enclosure_decides(monkeypatch):
+    widths = []
+    real = mn.PrimeLogTable.floor_logs
+
+    def recording(self, primes, w):
+        widths.append(w)
+        return real(self, primes, w)
+
+    first = mn.Bounded.from_enclosure
+    calls = []
+
+    def undecided_first(lo, hi, den, p):
+        calls.append(p)
+        return None if len(calls) == 1 else first(lo, hi, den, p)
+
+    want = mn.b_ln((3, 2), 100)
+    monkeypatch.setattr(mn.PrimeLogTable, "floor_logs", recording)
+    monkeypatch.setattr(mn.Bounded, "from_enclosure", undecided_first)
+    assert mn.b_ln((3, 2), 100) == want
+    assert widths == [126, 252] and calls == [110, 110]
+
+
+def test_ln_of_a_wide_vector_near_one():
+    # 2^a / 3^b for the convergent a/b = 187363077/118212940 of log2 3 is
+    # within 1e-8 of 1, and e = a + b is about 2^28, so the enclosure at
+    # the first w (2^28 / 2^90) cannot decide the rounding of a value near
+    # 2^-27 to 74 bits, and w doubles once
+    a, b, p = 187363077, 118212940, 64
+    got = mn.b_ln((1, {2: a, 3: -b}), p)
+    ref = a * oracles.ln2_oracle(240) - b * oracles.ln_oracle(Fraction(3), 240)
+    assert abs(ref) < Fraction(1, 10 ** 8)
+    assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(1, 2 ** 200)
+    assert abs(frac(got) - ref) < abs(ref) / 2 ** 70
+
+
+def test_ln_raises_if_the_published_error_misses_the_enclosure(monkeypatch):
+    monkeypatch.setattr(mn, "_fn_err", lambda val, p: mn.fzero)
+    with pytest.raises(ArithmeticError, match="published bound"):
+        mn.b_ln((3, 2), 64)
+
+
+def _sqrt_encloses(got, lo, hi):
+    # every sqrt(X), X in [lo, hi], lies in [v - e, v + e]: compare squares
+    v, e = frac(got), got.err_fraction()
+    return max(v - e, 0) ** 2 <= lo and hi <= (v + e) ** 2
+
+
+@pytest.mark.parametrize("x, root", [
+    (0, 0), (1, 1), (4, 2), (Fraction(9, 4), Fraction(3, 2)),
+    (Fraction(1, 1 << 41), None), (2, None), (3, None), (10 ** 40 + 1, None)])
+def test_sqrt_of_exact_arguments(x, root):
+    p = 128
+    x_exact = Bounded.from_fraction(x, 4096)
+    assert x_exact.err == mn.fzero
+    got = mn.b_sqrt(x_exact, p)
+    assert got.err == mn.mpf_shift(mn.mpf_abs(got.val), 1 - p)
+    if root is not None:
+        assert frac(got) == root  # a perfect square's root is exact
+    assert _sqrt_encloses(got, x, x)
+
+
+@given(positive_rationals, st.sampled_from([64, 128, 192]))
+@settings(max_examples=40, deadline=None)
+def test_sqrt_containment_of_inexact_arguments(q, p):
+    # from_fraction rounds most q, and pi n carries pi's error
+    for x in (Bounded.from_fraction(q, p), mn.b_mul_int(mn.pi_const(p), 7, p)):
+        got = mn.b_sqrt(x, p)
+        lo, hi = frac(x) - x.err_fraction(), frac(x) + x.err_fraction()
+        assert _sqrt_encloses(got, lo, hi)
+
+
+def test_sqrt_precision_insufficient_branches():
+    one, two = Bounded.exact_int(1).val, Bounded.exact_int(2).val
+    with pytest.raises(mn.PrecisionInsufficient, match="nonnegative"):
+        mn.b_sqrt(Bounded(one, two), 128)  # [-1, 3]
+    with pytest.raises(mn.PrecisionInsufficient, match="positive"):
+        mn.b_sqrt(Bounded(one, one), 128)  # [0, 2]: no bound on the slope at 0
 
 
 def test_ln_twelve_against_oracle():
@@ -239,7 +333,7 @@ def test_gamma_reference_is_consistent_with_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.prec = 256
     g = mn.euler_gamma(224)
-    assert abs(mpmath.mpf(g.mpf) - mpmath.mp.euler) < mpmath.mpf(2) ** -215
+    assert abs(mpmath.mp.make_mpf(g.val) - mpmath.mp.euler) < mpmath.mpf(2) ** -215
 
 
 def test_harmonic_minus_log_approaches_gamma():
@@ -247,9 +341,9 @@ def test_harmonic_minus_log_approaches_gamma():
     p = 128
     n = 10 ** 4
     h = Bounded.from_fraction(exact.harmonic(n), p)
-    d = mn.b_sub(mn.b_sub(h, mn.b_ln(Bounded.exact_int(n), p), p),
+    d = mn.b_sub(mn.b_sub(h, mn.ln_int(n, p), p),
                  mn.euler_gamma(p), p)
-    scaled = float(mn.b_mul_int(d, 2 * n, p).mpf)
+    scaled = float(mn.b_mul_int(d, 2 * n, p))
     assert abs(scaled - 1.0) < 1e-3
 
 
@@ -257,7 +351,7 @@ def test_harmonic_minus_log_approaches_gamma():
 
 def test_log_factorial_edges_and_telescoping():
     p = 128
-    assert mn.log_factorial(0, p).is_exact()
+    assert mn.log_factorial(0, p).err == mn.fzero
     assert frac(mn.log_factorial(0, p)) == 0
     assert mn.agrees(mn.log_factorial(2, p), mn.ln2_const(p))
     diff = mn.b_sub(mn.log_factorial(24, p), mn.log_factorial(23, p), p)
@@ -269,7 +363,7 @@ def test_log_factorial_edges_and_telescoping():
 def test_log_factorial_stirling_sandwich(m):
     import math
 
-    v = float(mn.log_factorial(m, 64).mpf)
+    v = float(mn.log_factorial(m, 64))
     assert m * math.log(m) - m <= v <= m * math.log(m)
 
 
@@ -322,11 +416,11 @@ def test_frac_part_reconstruction(q):
 
 # --- escalation soundness -------------------------------------------------------
 
-@given(positive_rationals, st.sampled_from([64, 128, 256]))
+@given(ln_ints, ln_ints, st.sampled_from([64, 128, 256]))
 @settings(max_examples=30, deadline=None)
-def test_escalation_soundness_ln(q, p):
-    a = mn.b_ln(Bounded.from_fraction(q, p), p)
-    b = mn.b_ln(Bounded.from_fraction(q, p + 64), p + 64)
+def test_escalation_soundness_ln(num, den, p):
+    a = mn.b_ln((num, den), p)
+    b = mn.b_ln((num, den), p + 64)
     assert mn.agrees(a, b)
 
 

@@ -143,7 +143,7 @@ def test_L_cross_method(n):
     l2 = sq.L_from_power_product(n, p)
     assert mn.agrees(l1, l2)
     rel = mn.b_div(mn.b_abs(mn.b_sub(l1, l2, p)), mn.b_abs(l2), p)
-    assert float(rel.mpf) < 1e-40
+    assert float(rel) < 1e-40
 
 
 # --- I_n ----------------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_series_term_quadrature_oracle():
         quad = mpmath.quad(
             lambda x: (mpmath.factorial(n) / mpmath.rf(x, n + 1)) ** 2,
             [v, mpmath.inf])
-        assert abs(mpmath.mpf(term.mpf) - quad) < mpmath.mpf(10) ** -25
+        assert abs(mpmath.mp.make_mpf(term.val) - quad) < mpmath.mpf(10) ** -25
 
 
 def test_series_partial_sum_oracle():
@@ -431,15 +431,15 @@ def test_criterion_first_points():
     cp1 = sq.criterion_point(1)
     assert cp1.log_s_floor == 2
     assert cp1.frac.decimal(8).startswith("0.7725887")
-    assert abs(float(cp1.q.mpf) - 6.180710) < 1e-5
+    assert abs(float(cp1.q) - 6.180710) < 1e-5
     cp2 = sq.criterion_point(2)
     assert cp2.frac.decimal(7).startswith("0.456639")
-    assert abs(float(cp2.q.mpf) - 19.48328) < 1e-4
+    assert abs(float(cp2.q) - 19.48328) < 1e-4
     # distances are certified and coherent
-    assert float(cp2.dist_zero.mpf) == pytest.approx(float(cp2.q.mpf))
+    assert float(cp2.dist_zero) == pytest.approx(float(cp2.q))
     thr = sq.sondow_threshold(192)
-    assert abs(float(cp2.dist_threshold.mpf)
-               - abs(float(cp2.q.mpf) - float(thr.mpf))) < 1e-9
+    assert abs(float(cp2.dist_threshold)
+               - abs(float(cp2.q) - float(thr))) < 1e-9
 
 
 @given(st.integers(1, 40))
@@ -466,7 +466,7 @@ def test_tail_probe_closed_form_n1():
         got = sq.tail_probe(1, r, 128)
         ref = oracles.ln_oracle(Fraction(1 + r, 2 + r), 180)
         assert abs(frac(got) - ref) < Fraction(1, 2 ** 100)
-    vals = [abs(float(sq.tail_probe(1, r, 128).mpf)) for r in (10, 10 ** 3, 10 ** 6)]
+    vals = [abs(float(sq.tail_probe(1, r, 128))) for r in (10, 10 ** 3, 10 ** 6)]
     assert vals[2] < vals[1] < vals[0]
 
 
@@ -481,7 +481,7 @@ def test_tail_probe_past_the_sieve_cap(monkeypatch):
 
 def test_tail_probe_decay_grid():
     for n in (1, 2, 3, 5):
-        mags = [abs(float(sq.tail_probe(n, r, 128).mpf))
+        mags = [abs(float(sq.tail_probe(n, r, 128)))
                 for r in (100, 1000, 10 ** 4)]
         assert mags[2] < mags[1] < mags[0], n
 
@@ -506,8 +506,8 @@ def test_build_record_content_and_flags():
     assert rec.l_agree and rec.i_agree and rec.i_positive
     assert rec.tail.cutoff > 2
     assert 0 <= frac(rec.frac_log_s) < 1
-    assert abs(float(rec.I_series.mpf) - 0.0013472721) < 1e-9
-    assert abs(float(rec.L_logfact.mpf) - 7.4547199494) < 1e-9
+    assert abs(float(rec.I_series) - 0.0013472721) < 1e-9
+    assert abs(float(rec.L_logfact) - 7.4547199494) < 1e-9
 
 
 def test_build_record_computes_L_once(monkeypatch):
