@@ -12,9 +12,8 @@ assertion and is emitted report-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import exact, mpnum
 from .mpnum import (
@@ -49,8 +48,7 @@ _MODEL_BITS = 160
 _A_EXACT_MAX = 300
 
 
-@dataclass(frozen=True)
-class LawRow:
+class LawRow(NamedTuple):
     n: int
     measured: Bounded
     model: Bounded
@@ -58,8 +56,7 @@ class LawRow:
     residual: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     law: str
     description: str
     report_only: bool
@@ -142,12 +139,10 @@ def _point_mean_square(n: int, p: int, policy: PrecisionPolicy) -> LawRow:
                   Bounded.exact_int(c), ratio, ratio - 1.0)
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(NamedTuple):
     point: Callable[[int, int, PrecisionPolicy], LawRow]
     description: str
     default_ns: Tuple[int, ...]
-    trend_pair: Optional[Tuple[int, int]]
     report_only: bool = False
 
 
@@ -156,44 +151,37 @@ LAWS: Dict[str, _Law] = {
         _point_i_decay,
         "I_n * n * 16^n -> pi/(6 ln 2)",
         (5, 10, 20, 40),
-        (10, 40),
     ),
     "l_log_model": _Law(
         _point_l_log,
         "L_n / C(2n,n) -> ln(3n/2) with O(1/n) residual",
         (20, 50, 100, 200),
-        (20, 200),
     ),
     "a_growth": _Law(
         _point_a_growth,
         "A_n -> 4^n/sqrt(pi n) (gamma + ln(3/2) + ln n)",
         (50, 100, 200, 500),
-        (50, 500),
     ),
     "l_growth": _Law(
         _point_l_growth,
         "L_n -> 4^n/sqrt(pi n) (ln(3/2) + ln n)",
         (20, 50, 100, 200),
-        (20, 200),
     ),
     "central_binom": _Law(
         _point_central_binom,
         "C(2n,n) sqrt(pi n) / 4^n -> 1 from below",
         (10, 100, 1000),
-        (10, 1000),
     ),
     "lcm_growth": _Law(
         _point_lcm_growth,
         "ln(d_2n)/(2n) -> 1 (prime number theorem; no tolerance)",
         (1, 5, 10, 50, 100, 500),
-        None,
         report_only=True,
     ),
     "mean_square": _Law(
         _point_mean_square,
         "8n sum C(n,j)^2 (1/2 - j/n)^2 / C(2n,n) -> 1",
         (40, 100, 200, 400),
-        (40, 400),
     ),
 }
 

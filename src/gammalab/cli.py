@@ -111,6 +111,15 @@ def _err(b: Bounded) -> str:
     return b.err_decimal(_ERR_DPS)
 
 
+def _cells(**bounded: Bounded) -> Dict[str, str]:
+    """The value cell and the `_err` cell of each named enclosure."""
+    cells = {}
+    for name, b in bounded.items():
+        cells[name] = _val(b)
+        cells[name + "_err"] = _err(b)
+    return cells
+
+
 def _decimal_digits(x: int, width: int = 0) -> str:
     """x >= 0 in decimal, zero-padded to at least `width` digits.
 
@@ -156,38 +165,25 @@ ASYM_COLUMNS = [
 
 
 def _table_row(rec: sequences.SeqRecord) -> Dict[str, str]:
+    cp = rec.criterion
     return {
         "n": str(rec.n),
         "status": "ok",
         "precision_bits": str(rec.precision_bits),
         "a_exact": _frac_str(rec.a_exact),
         "d2n": _decimal_digits(rec.d2n),
-        "L_logfact": _val(rec.L_logfact),
-        "L_logfact_err": _err(rec.L_logfact),
-        "L_product": _val(rec.L_product),
-        "L_product_err": _err(rec.L_product),
+        **_cells(L_logfact=rec.L_logfact, L_product=rec.L_product),
         "l_agree": str(rec.l_agree).lower(),
-        "log_s": _val(rec.log_s),
-        "log_s_err": _err(rec.log_s),
-        "I_closed": _val(rec.I_closed),
-        "I_closed_err": _err(rec.I_closed),
-        "I_series": _val(rec.I_series),
-        "I_series_err": _err(rec.I_series),
+        **_cells(log_s=rec.log_s, I_closed=rec.I_closed, I_series=rec.I_series),
         "i_agree": str(rec.i_agree).lower(),
         "i_positive": str(rec.i_positive).lower(),
         "tail_cutoff": str(rec.tail.cutoff),
         "tail_em_terms": str(rec.tail.em_terms),
         "tail_remainder": to_str(_fraction_to_raw_up(rec.tail.remainder), _ERR_DPS),
-        "log_s_floor": _decimal_digits(rec.log_s_floor),
-        "frac_log_s": _val(rec.frac_log_s),
-        "frac_log_s_err": _err(rec.frac_log_s),
-        "q": _val(rec.q),
-        "q_err": _err(rec.q),
-        "q_dist_zero": _val(rec.q_dist_zero),
-        "q_dist_zero_err": _err(rec.q_dist_zero),
-        "q_dist_threshold": _val(rec.q_dist_threshold),
-        "q_dist_threshold_err": _err(rec.q_dist_threshold),
-        "q_precision_bits": str(rec.q_precision_bits),
+        "log_s_floor": _decimal_digits(cp.log_s_floor),
+        **_cells(frac_log_s=cp.frac, q=cp.q, q_dist_zero=cp.dist_zero,
+                 q_dist_threshold=cp.dist_threshold),
+        "q_precision_bits": str(cp.precision_bits),
     }
 
 
@@ -197,17 +193,21 @@ def _criterion_row(cp: sequences.CriterionPoint, d2n_bits: int) -> Dict[str, str
         "status": "ok",
         "precision_bits": str(cp.precision_bits),
         "d2n_bits": str(d2n_bits),
-        "log_s": _val(cp.log_s),
-        "log_s_err": _err(cp.log_s),
+        **_cells(log_s=cp.log_s),
         "log_s_floor": _decimal_digits(cp.log_s_floor),
-        "frac_log_s": _val(cp.frac),
-        "frac_log_s_err": _err(cp.frac),
-        "q": _val(cp.q),
-        "q_err": _err(cp.q),
-        "dist_zero": _val(cp.dist_zero),
-        "dist_zero_err": _err(cp.dist_zero),
-        "dist_threshold": _val(cp.dist_threshold),
-        "dist_threshold_err": _err(cp.dist_threshold),
+        **_cells(frac_log_s=cp.frac, q=cp.q, dist_zero=cp.dist_zero,
+                 dist_threshold=cp.dist_threshold),
+    }
+
+
+def _asym_row(law: str, r, report_only: bool) -> Dict[str, str]:
+    return {
+        "law": law,
+        "n": str(r.n),
+        **_cells(measured=r.measured, model=r.model),
+        "ratio": repr(r.ratio),
+        "residual": repr(r.residual),
+        "report_only": str(report_only).lower(),
     }
 
 
@@ -264,6 +264,8 @@ def _write_rows(path: str, fmt: str, columns: Sequence[str],
 
 
 def _write_manifest(out_path: str, args, extra: Dict) -> None:
+    """Write the run manifest beside out_path; its wall time runs from the
+    start of main."""
     manifest = {
         "tool": "gammalab",
         "version": __version__,
@@ -274,6 +276,7 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
     if hasattr(args, "seed"):
         manifest["seed"] = args.seed
     manifest.update(extra)
+    manifest["timings"] = {"wall_s": time.perf_counter() - args._t0}
     _write_json(out_path + ".manifest.json", manifest)
 
 
@@ -290,32 +293,22 @@ def _check_out_dir(path: str) -> None:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    t0 = time.perf_counter()
     suites = verify.run_exact_suite(args.n_max, args.seed)
-    lines = []
-    counts = {}
-    failed = False
     for s in suites:
-        if s.passed:
-            lines.append(f"PASS {s.name} (checked {s.checked})")
-        else:
-            lines.append(f"FAIL {s.name}: {s.failure}")
-            failed = True
-        counts[s.name] = {"checked": s.checked, "failure": s.failure}
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
+        sys.stdout.write(f"PASS {s.name} (checked {s.checked})\n" if s.passed
+                         else f"FAIL {s.name}: {s.failure}\n")
+    counts = {s.name: {"checked": s.checked, "failure": s.failure} for s in suites}
+    failed = not all(s.passed for s in suites)
     if args.out:
         _write_json(args.out, {"suites": counts})
         _write_manifest(args.out, args, {
             "n_range": [1, args.n_max],
-            "timings": {"wall_s": time.perf_counter() - t0},
             "counts": counts,
         })
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def _cmd_rows(args) -> int:
-    t0 = time.perf_counter()
     lo, hi = args.n
     policy = _policy(args)
     columns, _ = _ROW_COMMANDS[args.command]
@@ -344,7 +337,6 @@ def _cmd_rows(args) -> int:
     bad = sum(1 for r in rows if r["status"] != "ok")
     _write_manifest(args.out, args, {
         "n_range": [lo, hi],
-        "timings": {"wall_s": time.perf_counter() - t0},
         "counts": {"rows": len(rows), "precision_failures": bad},
     })
     return EXIT_PRECISION if bad else EXIT_OK
@@ -353,7 +345,6 @@ def _cmd_rows(args) -> int:
 def _cmd_asym(args) -> int:
     from . import asymptotics
 
-    t0 = time.perf_counter()
     law_ids = args.laws.split(",") if args.laws else list(asymptotics.LAWS)
     for law in law_ids:
         if law not in asymptotics.LAWS:
@@ -364,18 +355,7 @@ def _cmd_asym(args) -> int:
     summaries: Dict[str, Dict] = {}
     for law in law_ids:
         report = asymptotics.convergence_report(law, args.points, policy)
-        for r in report.rows:
-            rows.append({
-                "law": law,
-                "n": str(r.n),
-                "measured": _val(r.measured),
-                "measured_err": _err(r.measured),
-                "model": _val(r.model),
-                "model_err": _err(r.model),
-                "ratio": repr(r.ratio),
-                "residual": repr(r.residual),
-                "report_only": str(report.report_only).lower(),
-            })
+        rows.extend(_asym_row(law, r, report.report_only) for r in report.rows)
         summaries[law] = {
             "description": report.description,
             "improving": report.improving,
@@ -390,7 +370,6 @@ def _cmd_asym(args) -> int:
     _write_manifest(args.out, args, {
         "laws": law_ids,
         "points": args.points,
-        "timings": {"wall_s": time.perf_counter() - t0},
         "counts": {"rows": len(rows)},
     })
     return EXIT_OK
@@ -418,7 +397,6 @@ def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
 
 
 def _cmd_gamma(args) -> int:
-    t0 = time.perf_counter()
     text = _truncated_gamma_digits(args.digits, args.max_bits)
     sys.stdout.write(text + "\n")
     if args.out:
@@ -426,7 +404,6 @@ def _cmd_gamma(args) -> int:
             fh.write(text + "\n")
         _write_manifest(args.out, args, {
             "digits": args.digits,
-            "timings": {"wall_s": time.perf_counter() - t0},
             "counts": {},
         })
     return EXIT_OK
@@ -517,6 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse uses exit code 2 for usage errors; that slot is taken
         return EXIT_OK if e.code in (0, None) else EXIT_IO
     args._argv = argv
+    args._t0 = time.perf_counter()
     try:
         if getattr(args, "out", None):
             _check_out_dir(args.out)

@@ -725,12 +725,7 @@ class SeqRecord(NamedTuple):
     i_agree: bool
     i_positive: bool
     tail: TailBound
-    log_s_floor: int
-    frac_log_s: Bounded
-    q: Bounded
-    q_dist_zero: Bounded
-    q_dist_threshold: Bounded
-    q_precision_bits: int
+    criterion: CriterionPoint
     timings: Dict[str, float]
 
 
@@ -772,7 +767,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["I"] = t_series + time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cp = criterion_point(n, policy, s_pair)
+    criterion = criterion_point(n, policy, s_pair)
     timings["criterion"] = time.perf_counter() - t0
 
     return SeqRecord(
@@ -789,11 +784,6 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
         i_agree=i_agree,
         i_positive=i_positive,
         tail=tail,
-        log_s_floor=cp.log_s_floor,
-        frac_log_s=cp.frac,
-        q=cp.q,
-        q_dist_zero=cp.dist_zero,
-        q_dist_threshold=cp.dist_threshold,
-        q_precision_bits=cp.precision_bits,
+        criterion=criterion,
         timings=timings,
     )

@@ -1,28 +1,27 @@
 """Exact-identity verification suites (zero tolerance, zero rounding).
 
 Each suite walks an identity family up to a bound and records the first
-failure as ``(identity, n)``.  All checks dispatch through the module
-namespace (``exact.fn(...)``) so a test harness can inject faults by
-monkeypatching.
+failure as ``(identity, n)``; an ``IdentityViolation`` raised by a check
+is that suite's failure, so the other suites still run.  All checks
+dispatch through the module namespace (``exact.fn(...)``) so a test
+harness can inject faults by monkeypatching.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 from . import exact, sequences
 
 __all__ = ["SuiteResult", "run_exact_suite", "random_rational_points"]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
-    checked: int = 0
-    failure: Optional[str] = None
+    checked: int
+    failure: Optional[str]
 
     @property
     def passed(self) -> bool:
@@ -48,112 +47,82 @@ def random_rational_points(n: int, count: int, seed: int) -> List[Fraction]:
     return pts
 
 
-def _suite_central_binomial(n_max: int) -> SuiteResult:
-    r = SuiteResult("central_binomial_sum")
-    for n in range(1, n_max + 1):
-        lhs = sum(exact.binomial(n, j) ** 2 for j in range(n + 1))
-        if lhs != exact.binomial(2 * n, n):
-            r.failure = f"sum C(n,j)^2 != C(2n,n) at n={n}"
-            return r
-        r.checked += 1
-    return r
-
-
-def _suite_zero_sums(n_max: int) -> SuiteResult:
-    r = SuiteResult("tail_log_zero_sums")
-    for n in range(1, n_max + 1):
-        if exact.tail_log_coefficient(n) != 0:
-            r.failure = f"centered zero-sum nonzero at n={n}"
-            return r
-        if exact.tail_log_coefficient_reduced(n) != 0:
-            r.failure = f"reduced zero-sum nonzero at n={n}"
-            return r
-        r.checked += 1
-    return r
-
-
-def _suite_integrality(n_max: int) -> SuiteResult:
-    r = SuiteResult("integrality_d2n_A")
-    for n in range(1, n_max + 1):
+def _suite(name: str, ns: Iterable[int],
+           check: Callable[[int], Optional[str]]) -> SuiteResult:
+    """Run check(n) over ns up to the first failure message it returns or
+    the first IdentityViolation it raises."""
+    checked, failure = 0, None
+    for n in ns:
         try:
-            exact.integrality_witness(n)
+            failure = check(n)
         except exact.IdentityViolation as e:
-            r.failure = str(e)
-            return r
-        r.checked += 1
-    return r
+            failure = str(e)
+        if failure is not None:
+            break
+        checked += 1
+    return SuiteResult(name, checked, failure)
 
 
-def _suite_stirling(m_max: int) -> SuiteResult:
-    r = SuiteResult("stirling_low_order")
-    for m in range(0, m_max + 1):
-        res = exact.stirling_low_order_residuals(m)
-        if res != (0, 0, 0):
-            r.failure = f"low-order Stirling residuals {res} at m={m}"
-            return r
-        row = exact.stirling1_row(m)
-        if sum(row) != exact.factorial(m):
-            r.failure = f"Stirling row sum != m! at m={m}"
-            return r
-        if m >= 1 and (row[0] != 0 or row[m] != 1):
-            r.failure = f"Stirling row endpoints wrong at m={m}"
-            return r
-        r.checked += 1
-    return r
+def _central_binomial(n: int) -> Optional[str]:
+    if sum(exact.binomial(n, j) ** 2 for j in range(n + 1)) != exact.binomial(2 * n, n):
+        return f"sum C(n,j)^2 != C(2n,n) at n={n}"
+    return None
 
 
-def _suite_pf_structure(n_max: int) -> SuiteResult:
-    r = SuiteResult("partial_fraction_structure")
-    for n in range(0, n_max + 1):
-        c = exact.partial_fraction_coeffs(n)
-        for k in range(n + 1):
-            if c.a[n - k] != -c.a[k] or c.b[n - k] != c.b[k] or c.b[k] <= 0:
-                r.failure = f"coefficient symmetry broken at n={n}, k={k}"
-                return r
-        if sum(c.a, Fraction(0)) != 0:
-            r.failure = f"residues do not sum to zero at n={n}"
-            return r
-        r.checked += 1
-    return r
+def _zero_sums(n: int) -> Optional[str]:
+    if exact.tail_log_coefficient(n) != 0:
+        return f"centered zero-sum nonzero at n={n}"
+    if exact.tail_log_coefficient_reduced(n) != 0:
+        return f"reduced zero-sum nonzero at n={n}"
+    return None
 
 
-def _suite_pf_sampled(n_max: int, seed: int) -> SuiteResult:
-    r = SuiteResult("partial_fraction_sampled")
-    for n in range(1, n_max + 1):
-        for x in random_rational_points(n, 5, seed):
-            if exact.partial_fraction_residual(n, x) != 0:
-                r.failure = f"decomposition residual nonzero at n={n}, x={x}"
-                return r
-        r.checked += 1
-    return r
+def _integrality(n: int) -> None:
+    exact.integrality_witness(n)
 
 
-def _suite_scaled_coherence(n_max: int) -> SuiteResult:
-    r = SuiteResult("scaled_coefficient_coherence")
-    for n in range(0, n_max + 1):
-        c = exact.partial_fraction_coeffs(n)
-        f2 = exact.factorial(n) ** 2
-        d, nums = exact.residue_numerators(n)
-        if [f2 * d * ak for ak in c.a] != nums:
-            r.failure = f"scaled residues incoherent at n={n}"
-            return r
-        if [f2 * bk for bk in c.b] != exact.scaled_square_weights(n):
-            r.failure = f"scaled square weights incoherent at n={n}"
-            return r
-        r.checked += 1
-    return r
+def _stirling(m: int) -> Optional[str]:
+    res = exact.stirling_low_order_residuals(m)
+    if res != (0, 0, 0):
+        return f"low-order Stirling residuals {res} at m={m}"
+    row = exact.stirling1_row(m)
+    if sum(row) != exact.factorial(m):
+        return f"Stirling row sum != m! at m={m}"
+    if m >= 1 and (row[0] != 0 or row[m] != 1):
+        return f"Stirling row endpoints wrong at m={m}"
+    return None
 
 
-def _suite_L_prime_vectors(n_max: int) -> SuiteResult:
-    r = SuiteResult("L_prime_vector_identity")
-    for n in range(1, n_max + 1):
-        try:
-            sequences.check_L_identity(n)
-        except exact.IdentityViolation as e:
-            r.failure = str(e)
-            return r
-        r.checked += 1
-    return r
+def _pf_structure(n: int) -> Optional[str]:
+    c = exact.partial_fraction_coeffs(n)
+    for k in range(n + 1):
+        if c.a[n - k] != -c.a[k] or c.b[n - k] != c.b[k] or c.b[k] <= 0:
+            return f"coefficient symmetry broken at n={n}, k={k}"
+    if sum(c.a, Fraction(0)) != 0:
+        return f"residues do not sum to zero at n={n}"
+    return None
+
+
+def _pf_sampled(n: int, seed: int) -> Optional[str]:
+    for x in random_rational_points(n, 5, seed):
+        if exact.partial_fraction_residual(n, x) != 0:
+            return f"decomposition residual nonzero at n={n}, x={x}"
+    return None
+
+
+def _scaled_coherence(n: int) -> Optional[str]:
+    c = exact.partial_fraction_coeffs(n)
+    f2 = exact.factorial(n) ** 2
+    d, nums = exact.residue_numerators(n)
+    if [f2 * d * ak for ak in c.a] != nums:
+        return f"scaled residues incoherent at n={n}"
+    if [f2 * bk for bk in c.b] != exact.scaled_square_weights(n):
+        return f"scaled square weights incoherent at n={n}"
+    return None
+
+
+def _L_prime_vectors(n: int) -> None:
+    sequences.check_L_identity(n)
 
 
 def run_exact_suite(n_max: int, seed: int = 0) -> List[SuiteResult]:
@@ -161,13 +130,17 @@ def run_exact_suite(n_max: int, seed: int = 0) -> List[SuiteResult]:
     their acceptance bounds since their cost grows quadratically)."""
     if n_max < 1:
         raise ValueError("n_max >= 1 required")
+    ns = range(1, n_max + 1)
     return [
-        _suite_central_binomial(n_max),
-        _suite_zero_sums(n_max),
-        _suite_integrality(n_max),
-        _suite_stirling(n_max),
-        _suite_pf_structure(min(n_max, 60)),
-        _suite_pf_sampled(min(n_max, 50), seed),
-        _suite_scaled_coherence(min(n_max, 40)),
-        _suite_L_prime_vectors(n_max),
+        _suite("central_binomial_sum", ns, _central_binomial),
+        _suite("tail_log_zero_sums", ns, _zero_sums),
+        _suite("integrality_d2n_A", ns, _integrality),
+        _suite("stirling_low_order", range(0, n_max + 1), _stirling),
+        _suite("partial_fraction_structure", range(0, min(n_max, 60) + 1),
+               _pf_structure),
+        _suite("partial_fraction_sampled", range(1, min(n_max, 50) + 1),
+               lambda n: _pf_sampled(n, seed)),
+        _suite("scaled_coefficient_coherence", range(0, min(n_max, 40) + 1),
+               _scaled_coherence),
+        _suite("L_prime_vector_identity", ns, _L_prime_vectors),
     ]

@@ -95,6 +95,32 @@ def test_verify_integrality_fault_injection(monkeypatch, capsys):
     assert "FAIL integrality_d2n_A" in text and "n=4" in text
 
 
+def test_verify_raising_check_fails_its_suite_only(monkeypatch, capsys, tmp_path):
+    # an IdentityViolation raised inside a check is that suite's failure;
+    # the other suites still run and the report is still written
+    real = exact.partial_fraction_coeffs
+
+    def raising(n):
+        if n == 4:
+            raise exact.IdentityViolation(f"injected at n={n}")
+        return real(n)
+
+    monkeypatch.setattr(exact, "partial_fraction_coeffs", raising)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--n-max", "10", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # exact.partial_fraction_residual reads the coefficients too
+    failing = ("partial_fraction_structure", "partial_fraction_sampled",
+               "scaled_coefficient_coherence")
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {name}: injected at n=4" for name in failing]
+    assert len(lines) == 8
+    suites = json.loads(out.read_text())["suites"]
+    assert suites["partial_fraction_structure"] == {
+        "checked": 4, "failure": "injected at n=4"}
+    assert suites["L_prime_vector_identity"] == {"checked": 10, "failure": None}
+
+
 # --- table ---------------------------------------------------------------------
 
 def test_table_values_and_determinism(tmp_path):
@@ -286,6 +312,30 @@ def test_asym_rows_and_summary(tmp_path):
     assert ratios == sorted(ratios)
 
 
+@pytest.mark.parametrize("command, columns", [
+    ("table", cli.TABLE_COLUMNS),
+    ("criterion", cli.CRITERION_COLUMNS),
+])
+def test_row_keys_are_the_column_list(command, columns):
+    # JSON output writes a row's keys and never reads the column list, so
+    # both an ok row and an exhausted row must carry exactly the columns
+    ok = cli._row_task((command, 3, mn.PrecisionPolicy()))
+    assert ok["status"] == "ok" and list(ok) == columns
+    low = mn.PrecisionPolicy(base_bits=64, max_bits=64)
+    exhausted = cli._row_task((command, 3, low))
+    assert exhausted["status"] == "precision_exhausted"
+    assert list(exhausted) == columns
+
+
+def test_asym_row_keys_are_the_column_list():
+    from gammalab import asymptotics
+
+    for law in ("central_binom", "lcm_growth"):
+        report = asymptotics.convergence_report(law, (5, 10))
+        for r in report.rows:
+            assert list(cli._asym_row(law, r, report.report_only)) == cli.ASYM_COLUMNS
+
+
 def test_asym_unknown_law(tmp_path):
     assert run(["asym", "--laws", "bogus", "--out", str(tmp_path / "x.csv")]) == 3
 
@@ -353,9 +403,10 @@ _BIG_LOG_S = mn.Bounded(from_man_exp(7 * 10 ** 4400 + 1, -132),
 
 
 def test_table_row_formats_5000_digit_integers():
-    rec = sequences.build_record(1)._replace(a_exact=Fraction(_BIG_NUM, 3),
-                                             d2n=10 ** 5000 - 1, log_s_floor=_BIG_NUM,
-                                             log_s=_BIG_LOG_S)
+    rec = sequences.build_record(1)
+    rec = rec._replace(a_exact=Fraction(_BIG_NUM, 3), d2n=10 ** 5000 - 1,
+                       criterion=rec.criterion._replace(log_s_floor=_BIG_NUM),
+                       log_s=_BIG_LOG_S)
     row = cli._table_row(rec)
     assert row["log_s"].startswith("1.2856969462") and row["log_s"].endswith("e+4361")
     assert row["a_exact"] == _BIG_NUM_TEXT + "/3"
@@ -570,6 +621,8 @@ _GOLDEN = {
                   "fa4375a2aeaa0f3d6e2973e879db550df207ca7c010c81627c2a7adb440854bb"),
     "gamma_60.txt": (["gamma", "--digits", "60", "--jobs", "1"],
                      "5c5f00ab18ed4e240bfcda1d98ec182e6a5b4be4159a23ff347e9908d8b54f43"),
+    "verify_1_60.json": (["verify", "--n-max", "60"],
+                         "7d1a3e7585c42f0764d21914545f75305807d612042830352744d34e5bdecfdd"),
 }
 
 

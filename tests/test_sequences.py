@@ -505,7 +505,7 @@ def test_build_record_content_and_flags():
     assert rec.d2n == 12
     assert rec.l_agree and rec.i_agree and rec.i_positive
     assert rec.tail.cutoff > 2
-    assert 0 <= frac(rec.frac_log_s) < 1
+    assert 0 <= frac(rec.criterion.frac) < 1
     assert abs(float(rec.I_series) - 0.0013472721) < 1e-9
     assert abs(float(rec.L_logfact) - 7.4547199494) < 1e-9
 
@@ -565,7 +565,7 @@ def test_build_record_deterministic():
     r2 = sq.build_record(7)
     assert r1.I_series.val == r2.I_series.val
     assert r1.I_series.err == r2.I_series.err
-    assert r1.q.val == r2.q.val
+    assert r1.criterion.q.val == r2.criterion.q.val
     assert r1.log_s.val == r2.log_s.val
     assert r1.tail == r2.tail
     assert r1.precision_bits == r2.precision_bits
