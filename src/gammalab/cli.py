@@ -35,6 +35,7 @@ from .mpnum import (
     PrecisionExhausted,
     PrecisionInsufficient,
     PrecisionPolicy,
+    escalation,
     euler_gamma,
     load_formatter,
     to_str,
@@ -380,20 +381,14 @@ def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
     certified: the enclosing interval must agree on every printed digit."""
     if digits < 1:
         raise ValueError("--digits must be at least 1")
-    p = int(digits * 3.322) + 64
-    if p > max_bits:
-        raise PrecisionExhausted(
-            f"gamma --digits {digits} needs {p} bits, ceiling is {max_bits}")
-    while True:
+    for p in escalation(f"gamma --digits {digits}", int(digits * 3.322) + 64,
+                        max_bits):
         g = euler_gamma(p)
         scale = 10 ** digits
         lo = (g.value_fraction() - g.err_fraction()) * scale
         hi = (g.value_fraction() + g.err_fraction()) * scale
         if math.floor(lo) == math.floor(hi):
             return "0." + _decimal_digits(math.floor(lo), digits)
-        if 2 * p > max_bits:
-            raise PrecisionExhausted(f"gamma digits need more than {max_bits} bits")
-        p *= 2
 
 
 def _cmd_gamma(args) -> int:

@@ -229,7 +229,16 @@ class PrecisionInsufficient(Exception):
 
 
 class PrecisionExhausted(Exception):
-    """Auto-escalation hit the policy's precision ceiling."""
+    """A precision escalation passed its ceiling (:func:`escalation`)."""
+
+
+def escalation(what: str, bits: int, ceiling: int):
+    """Precisions bits, 2 bits, 4 bits, ... for a loop that leaves once an
+    attempt decides; ``send(lacked)`` makes the next max(2 bits, bits +
+    lacked), and a step past ``ceiling`` raises PrecisionExhausted."""
+    while bits <= ceiling:
+        bits = max(2 * bits, bits + ((yield bits) or 0))
+    raise PrecisionExhausted(f"{what} needs {bits} bits, ceiling is {ceiling}")
 
 
 def _up_add(a, b):
@@ -492,6 +501,13 @@ def b_sum(items, p: int) -> Bounded:
 _DOT_GUARD = 16     # working bits of a dot product beyond those asked for
 _FLOOR_MARGIN = 32  # table bits beyond a dot's working bits
 _GAMMA_MARGIN = 32  # bits of the gamma enclosure beyond a floor's
+# floor_logs, floor_gamma, b_ln and pi_const stop at _CEILING_FACTOR times
+# their first attempt, which spares 16 bits or more below the floor or
+# rounding it decides.  A doubling at least doubles that, P - w to 2P - w (a
+# floor's shift w + 32 becomes w + 64), so a third attempt fails only on a run
+# of 64 or more equal bits of ln q, gamma, pi or ln x, or an x so near 1 that
+# ln x cancels as many.  The ceiling changes no value; it makes a hang raise.
+_CEILING_FACTOR = 4
 _SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
 _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
 
@@ -533,8 +549,8 @@ class PrimeLogTable:
     """Certified fixed-point logs of the primes seen so far, and a sieve.
 
     The first dot product sizes the table; after that its precision
-    doubles only when a dot asks for more (a precision escalation) or when
-    an entry straddles a multiple of the floor it must certify.  A run
+    doubles only when a dot asks for more or when an entry straddles a
+    multiple of the floor it must certify, twice per read at most.  A run
     that asks for its widest dot first, as the row subcommands do by
     computing their largest n first, builds the table once.  The sieve
     doubles only when a larger integer must be factored (integers from
@@ -632,10 +648,12 @@ class PrimeLogTable:
         ((lo_q mod 2^s) + width_q) >> s is nonzero.
         """
         with self._lock:
-            if self.prec < w + _FLOOR_MARGIN:
-                self._rebuild(max(w + _FLOOR_MARGIN, 2 * self.prec))
-            while True:
-                shift = self.prec - w
+            P = self.prec
+            P = P if P >= w + _FLOOR_MARGIN else max(w + _FLOOR_MARGIN, 2 * P)
+            for P in escalation(f"floor(2^{w} ln q)", P, _CEILING_FACTOR * P):
+                if P != self.prec:
+                    self._rebuild(P)
+                shift = P - w
                 mask = (1 << shift) - 1
                 logs = self._logs
                 out = {}
@@ -648,7 +666,6 @@ class PrimeLogTable:
                     out[q] = lo >> shift
                 else:
                     return out
-                self._rebuild(2 * self.prec)
 
     def floor_gamma(self, w: int) -> int:
         """floor(2^w gamma), exactly.
@@ -657,16 +674,19 @@ class PrimeLogTable:
         floor(2^w gamma) = floor(2^W gamma) >> (W - w), and lo <= floor(2^W
         gamma) <= hi, so it is lo >> (W - w) when that equals hi >> (W - w).
         Otherwise one Brent-McMillan split makes a new enclosure at
-        max(w + _GAMMA_MARGIN, 2W), the way floor_logs doubles on a
-        straddle.  A run that asks first at its largest w makes one split.
+        max(w + _GAMMA_MARGIN, 2W), which is 2W once W >= w, the way
+        floor_logs doubles.  A run that asks first at its largest w makes one
+        split.
         """
         with self._lock:
-            while True:
-                W, lo, hi = self._gamma
-                if W >= w and lo >> (W - w) == hi >> (W - w):
+            W = self._gamma[0]
+            W = W if W > w else max(w + _GAMMA_MARGIN, 2 * W)
+            for W in escalation(f"floor(2^{w} gamma)", W, _CEILING_FACTOR * W):
+                if W != self._gamma[0]:
+                    self._gamma = (W,) + _bm_enclosure(W)
+                _, lo, hi = self._gamma
+                if lo >> (W - w) == hi >> (W - w):
                     return lo >> (W - w)
-                W = max(w + _GAMMA_MARGIN, 2 * W)
-                self._gamma = (W,) + _bm_enclosure(W)
 
 
 _TABLE = PrimeLogTable()
@@ -794,8 +814,8 @@ def b_ln(x, p: int) -> Bounded:
     bits and published within 2^(1-p) max(1, |v|).
 
     As in _prime_dot, s - e <= D 2^w ln x <= s + e; w doubles until both
-    ends round to the same v.  That ends: ln 1 is returned exact, and the
-    log of any other rational is irrational.
+    ends round to the same v, at most twice (``_CEILING_FACTOR``).  ln 1 is
+    returned exact, and the log of any other rational is irrational.
     """
     if not isinstance(x[1], dict):
         if min(x) < 1:
@@ -808,12 +828,11 @@ def b_ln(x, p: int) -> Bounded:
     if not ints:
         return Bounded(fzero, fzero)
     e, w = sum(map(abs, ints.values())), p + 10 + _DOT_GUARD
-    while True:
+    for w in escalation(f"ln at {p} bits", w, _CEILING_FACTOR * w):
         s = sum(map(mul, ints.values(), _TABLE.floor_logs(ints, w).values()))
         b = Bounded.from_enclosure(s - e, s + e, den << w, p + 10)
         if b is not None:
             break
-        w *= 2
     # both ends round to v, so they lie within 2^-(p+10) |v| of it
     err = _fn_err(b.val, p)
     if (_cmp_ratio(mpf_sub(b.val, err), s - e, den << w) > 0
@@ -865,18 +884,17 @@ def pi_const(p: int) -> Bounded:
 
     pi lies in [2, 4), so the value is floor(2^F pi) 2^-F with F = p + 8,
     read from an enclosure at F + guard bits whose two ends agree on it;
-    the guard doubles until they do.  That is mpmath's ``mpf_pi(p + 10)``,
-    which rounds its constants toward zero.  The published error is the one
-    a trusted primitive would claim, 2^(1-p) max(1, |v|), so printed bounds
-    keep their width; it is checked to cover the enclosure, which is within
-    2^-F once its ends agree.
+    the guard doubles from 32, to at most 128, until they do.  That is mpmath's
+    ``mpf_pi(p + 10)``, which rounds its constants toward zero.  The
+    published error is the one a trusted primitive would claim, 2^(1-p)
+    max(1, |v|), so printed bounds keep their width; it is checked to cover
+    the enclosure, which is within 2^-F once its ends agree.
     """
-    F, guard = p + 8, 32
-    while True:
+    F = p + 8
+    for guard in escalation(f"pi at {p} bits", 32, _CEILING_FACTOR * 32):
         lo, hi = _pi_enclosure(F + guard)
         if lo >> guard == hi >> guard:
             break
-        guard *= 2
     v = from_man_exp(lo >> guard, -F)
     err = _fn_err(v, p)
     # 0 <= pi - v <= hi 2^-(F+guard) - v, which is below 2^-F
@@ -1053,8 +1071,8 @@ class PrecisionPolicy(_PolicyFields):
 
     ``base_bits`` is the floor for every derived working precision;
     ``frac_bits`` is the certified resolution of fractional parts;
-    escalation doubles the working precision until the target bound is
-    met or ``max_bits`` is hit.  ``PrecisionPolicy()`` holds the defaults.
+    ``max_bits`` is the ceiling of the series' and the criterion's
+    :func:`escalation`.  ``PrecisionPolicy()`` holds the defaults.
     """
 
     __slots__ = ()

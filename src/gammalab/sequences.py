@@ -45,6 +45,7 @@ from .mpnum import (
     b_scale,
     b_sub,
     b_sum,
+    escalation,
     euler_gamma,
     frac_part_certified,
     pi_const,
@@ -534,10 +535,7 @@ def I_series(
     int_logs = _range_log_pair(d, a, wlog)
 
     p = max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
-    if p > policy.max_bits:
-        raise PrecisionExhausted(
-            f"series at n={n} needs {p} working bits, ceiling is {policy.max_bits}")
-    while True:
+    for p in escalation(f"series at n={n}", p, policy.max_bits):
         # sum_{v=n+1..V} f(v)
         main = b_sub(Bounded.from_ratio(*main_rat, p), _prime_dot(main_logs, p), p)
 
@@ -560,11 +558,6 @@ def I_series(
         if total.err_fraction() <= eps:
             return total, TailBound(cutoff=v_cut, em_terms=em_terms,
                                     remainder=remainder)
-        if 2 * p > policy.max_bits:
-            raise PrecisionExhausted(
-                f"series at n={n} cannot reach eps={_log2_str(eps)} "
-                f"within {policy.max_bits} bits")
-        p *= 2
 
 
 def gamma_roundtrip(n: int, p: int,
@@ -619,14 +612,11 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
         raise ValueError("n >= 1 required")
     frac_bits = policy.frac_bits
     d2n = exact.lcm_upto(2 * n)
-    p = _criterion_precision(n, policy)
-    if p > policy.max_bits:
-        raise PrecisionExhausted(
-            f"criterion at n={n} needs {p} working bits, ceiling is "
-            f"{policy.max_bits}")
     frac_target = mpnum.from_man_exp(1, -frac_bits)
     g, s_vec = _log_S_pair(n) if s_pair is None else s_pair
-    while True:
+    p = _criterion_precision(n, policy)
+    steps, needed = escalation(f"criterion at n={n}", p, policy.max_bits), None
+    for p in iter(lambda: steps.send(needed), None):  # sends the bits lacked
         ls = _prime_dot(s_vec, p, g)
         try:
             floor_part, frac = frac_part_certified(ls)
@@ -635,11 +625,6 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
             needed = frac_bits
         except PrecisionInsufficient as e:
             needed = e.extra_bits or p
-        nxt = max(2 * p, p + needed)
-        if nxt > policy.max_bits:
-            raise PrecisionExhausted(
-                f"criterion at n={n} exhausted at {policy.max_bits} bits")
-        p = nxt
     # Q_n's factor is an integer only at n = 1 (it is 8); otherwise it is
     # rounded from the unreduced pair, with no gcd of ~2,000-bit integers
     num = (16 ** n) * n

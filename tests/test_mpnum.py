@@ -4,6 +4,8 @@ oracles (see oracles.py) rather than mpmath."""
 
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -428,6 +430,67 @@ def test_escalation_soundness_gamma_and_lf():
     for p in (96, 160):
         assert mn.agrees(mn.euler_gamma(p), mn.euler_gamma(p + 64))
         assert mn.agrees(mn.log_factorial(40, p), mn.log_factorial(40, p + 64))
+
+
+# --- the escalation driver --------------------------------------------------------
+
+def test_escalation_doubles_or_takes_the_step_sent():
+    steps = mn.escalation("x", 100, 10 ** 6)
+    assert [next(steps), next(steps), next(steps)] == [100, 200, 400]
+    assert steps.send(30) == 800      # max(2b, b + 30)
+    assert steps.send(2000) == 2800   # b + 2000 beats 2b
+    assert steps.send(None) == 5600
+
+
+def test_escalation_raises_past_its_ceiling():
+    with pytest.raises(mn.PrecisionExhausted,
+                       match=r"^x needs 300 bits, ceiling is 299$"):
+        next(mn.escalation("x", 300, 299))  # before the first attempt
+    tried = []
+    with pytest.raises(mn.PrecisionExhausted,
+                       match=r"^y needs 256 bits, ceiling is 255$"):
+        for bits in mn.escalation("y", 32, 255):
+            tried.append(bits)
+    assert tried == [32, 64, 128]
+
+
+# An enclosure that never decides must end each of these loops in
+# PrecisionExhausted.  The fakes fail the test on a 9th attempt, so a loop
+# with no ceiling fails it rather than doubling until memory runs out.
+_NEVER_DECIDING = {
+    # an entry 2^P wide straddles every floor
+    "floor_logs": (mn, "_two_atanh_split", lambda m, P: (0, 1 << P),
+                   lambda: mn.PrimeLogTable().floor_logs([2, 3], 64),
+                   "floor(2^64 ln q) needs 768 bits, ceiling is 384"),
+    "floor_gamma": (mn, "_bm_enclosure", lambda bits: (0, 1 << bits),
+                    lambda: mn.PrimeLogTable().floor_gamma(100),
+                    "floor(2^100 gamma) needs 1056 bits, ceiling is 528"),
+    "b_ln": (mn.Bounded, "from_enclosure", lambda lo, hi, den, p: None,
+             lambda: mn.b_ln((3, 2), 100),
+             "ln at 100 bits needs 1008 bits, ceiling is 504"),
+    "pi_const": (mn, "_pi_enclosure", lambda P: (0, 1 << P),
+                 lambda: mn.pi_const(100),
+                 "pi at 100 bits needs 256 bits, ceiling is 128"),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_NEVER_DECIDING))
+def test_undecided_loop_raises_after_two_doublings(loop, monkeypatch):
+    owner, name, never, call, message = _NEVER_DECIDING[loop]
+    attempts = []
+
+    def fake(*args):
+        attempts.append(args)
+        assert len(attempts) <= 8, f"{loop} does not stop escalating"
+        return never(*args)
+
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    monkeypatch.setattr(owner, name, fake)
+    t0 = time.perf_counter()
+    with pytest.raises(mn.PrecisionExhausted, match=re.escape(message)):
+        call()
+    assert time.perf_counter() - t0 < 1.0
+    assert len(attempts) == 3
 
 
 # --- policy ----------------------------------------------------------------------

@@ -459,6 +459,46 @@ def test_criterion_escalation_ceiling():
         sq.criterion_point(12, pol)
 
 
+def test_capped_escalations_name_their_ceiling(monkeypatch):
+    pol = PrecisionPolicy(base_bits=64, frac_bits=512, max_bits=128)
+    with pytest.raises(mn.PrecisionExhausted,
+                       match=r"^criterion at n=12 needs \d+ bits, ceiling is 128$"):
+        sq.criterion_point(12, pol)
+    with pytest.raises(mn.PrecisionExhausted,
+                       match=r"^series at n=1 needs \d+ bits, ceiling is 128$"):
+        sq.I_series(1, policy=PrecisionPolicy(base_bits=64, max_bits=128))
+    # past the ceiling after a first attempt that missed
+    p = sq._criterion_precision(12, PrecisionPolicy())
+    monkeypatch.setattr(sq, "frac_part_certified", _missing_once(None))
+    with pytest.raises(mn.PrecisionExhausted,
+                       match=rf"^criterion at n=12 needs {2 * p} bits, ceiling is "
+                             rf"{2 * p - 1}$"):
+        sq.criterion_point(12, PrecisionPolicy(max_bits=2 * p - 1))
+
+
+def _missing_once(extra_bits):
+    """frac_part_certified, but the first call lacks extra_bits."""
+    real, calls = sq.frac_part_certified, []
+
+    def missing_once(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise mn.PrecisionInsufficient("straddles", extra_bits)
+        return real(x)
+    return missing_once
+
+
+@pytest.mark.parametrize("extra", [None, 10, 5000])
+def test_criterion_steps_by_the_bits_an_attempt_lacked(extra, monkeypatch):
+    p = sq._criterion_precision(12, PrecisionPolicy())
+    assert 10 < p < 5000
+    want = sq.criterion_point(12)
+    monkeypatch.setattr(sq, "frac_part_certified", _missing_once(extra))
+    got = sq.criterion_point(12)
+    assert got.precision_bits == max(2 * p, p + (extra or 0))
+    assert got.log_s_floor == want.log_s_floor and mn.agrees(got.frac, want.frac)
+
+
 # --- tail probe --------------------------------------------------------------------
 
 def test_tail_probe_closed_form_n1():
