@@ -37,7 +37,6 @@ from .mpnum import (
     PrecisionPolicy,
     escalation,
     euler_gamma,
-    load_formatter,
     to_str,
     _fraction_to_raw_up,
 )
@@ -321,10 +320,6 @@ def _cmd_rows(args) -> int:
         rows = _row_stripe(tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
-
-        # the forked workers inherit the formatter instead of each
-        # importing mpmath for it
-        load_formatter()
 
         # one stripe n = hi-i, hi-i-k, ... per worker: neighbouring n cost
         # about the same, so the stripes stay balanced

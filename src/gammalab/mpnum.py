@@ -4,11 +4,11 @@ Values are raw dyadic floats in mpmath's format, ``(sign, mantissa,
 exponent, bitcount)`` tuples, which this module computes itself: add,
 subtract, multiply, divide and square root round the exact result
 correctly at a precision passed as an argument (there is no global
-precision state).  mpmath only prints a decimal string (:func:`to_str`).
-Every operation propagates an absolute error bound alongside the value;
-bound arithmetic is done at coarse precision with *upward* rounding, so
-for each :class:`Bounded` the true real number lies in
-``[value - err, value + err]``.
+precision state), and a port of mpmath's decimal printer, :func:`to_str`,
+prints them with mpmath's bytes; mpmath itself is never imported.  Every
+operation propagates an absolute error bound alongside the value; bound
+arithmetic is done at coarse precision with *upward* rounding, so for each
+:class:`Bounded` the true real number lies in ``[value - err, value + err]``.
 
 No transcendental is taken on trust.  Every logarithm is the log of a
 rational: an exact vector over the primes dotted with a fixed-point table
@@ -192,23 +192,43 @@ def mpf_cmp(s, t) -> int:
     return (-1 if d[0] else 1) if d[1] else 0
 
 
-_to_str = None
+def mpf_pow_int(s, n: int, prec: int, rnd: str = "d"):
+    """s^n for an integer n, as mpmath's mpf_pow_int computes it.
 
-
-def load_formatter():
-    """mpmath's decimal formatter, imported on the first call, so that a run
-    which prints no decimal never loads mpmath."""
-    global _to_str
-    if _to_str is None:
-        from mpmath.libmp import to_str as mpmath_to_str
-
-        _to_str = mpmath_to_str
-    return _to_str
-
-
-def to_str(x, dps: int) -> str:
-    """The decimal string of a raw value, to dps digits, as mpmath prints it."""
-    return (_to_str or load_formatter())(x, dps)
+    Small powers are exact, then rounded to prec bits.  Larger ones square
+    and multiply at workprec = prec + 4 bitlen(n) + 4 bits, cutting each
+    product to workprec bits away from zero for "u" and toward it
+    otherwise, and round the last product to prec bits; so the result is a
+    directed approximation, not a correctly rounded one.  A power n < -1 is
+    1 over s^-n, taken at prec + 5 bits in the opposite direction.
+    """
+    if n == -1:
+        return mpf_div(fone, s, prec, rnd)
+    if n < 0:
+        inverse = mpf_pow_int(s, -n, prec + 5, {"u": "d", "d": "u"}.get(rnd, rnd))
+        return mpf_div(fone, inverse, prec, rnd)
+    sign, man, exp, bc = s
+    sign &= n
+    if n <= 2 or man == 1 or bc * n < 1000:
+        return _normalize(sign, man ** n, exp * n, prec, rnd)
+    workprec = prec + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm, pe = pm * man, pe + exp
+            cut = pm.bit_length() - workprec
+            if cut > 0:
+                pm = -(-pm >> cut) if rnd == "u" else pm >> cut
+                pe += cut
+            n -= 1
+            if not n:
+                return _normalize(sign, pm, pe, prec, rnd)
+        man, exp = man * man, exp + exp
+        cut = man.bit_length() - workprec
+        if cut > 0:
+            man = -(-man >> cut) if rnd == "u" else man >> cut
+            exp += cut
+        n //= 2
 
 
 # precision for bound arithmetic; bounds are always rounded upward
@@ -357,9 +377,9 @@ class Bounded(NamedTuple):
         try:
             return to_str(self.val, dps)
         except ValueError:
-            # past 2^3500 mpmath scales by a power of ten taken from the
-            # mantissa exponent, so a long mantissa leaves an integer part
-            # that str() refuses (over 4300 digits); a short one does not
+            # past 2^3500 to_str divides by a power of ten taken from the
+            # mantissa exponent alone, so a long mantissa leaves an integer
+            # part that str() refuses (over 4300 digits); a short one does not
             return to_str(mpf_pos(self.val, 4 * dps + 64, round_down), dps)
 
     def err_decimal(self, dps: int = 3) -> str:
@@ -840,6 +860,101 @@ def b_ln(x, p: int) -> Bounded:
         raise ArithmeticError(f"ln's enclosure at {w} bits exceeds its "
                               "published bound")
     return Bounded(b.val, err)
+
+
+# --- decimal printing ----------------------------------------------------
+#
+# to_str is mpmath's to_str (mpmath.libmp.libmpf, 1.3) on Python ints, so
+# every decimal prints with mpmath's bytes.  |x| is read to n = dps + 3
+# digits, truncated: with bitprec = int(n log2 10) + 10 and
+# fixprec = max(bitprec - bitlen(x), 0), they are the digits of
+# floor(floor(|x| 2^fixprec) 10^fixdps / 2^fixprec), fixdps being fixprec
+# in decimal digits rounded to nearest.  Past 2^3500 (|exp + bc| > 3500) |x|
+# is first divided by 10^b, b = exp ln 2 / ln 10 truncated at
+# bitlen(|exp|) + 5 bits from ln 2 and ln 10 truncated to as many bits
+# (read from a table of their own, so what is printed never sizes the
+# shared one); 10^b (mpf_pow_int) and the quotient are truncated at
+# bitprec bits.  b comes from exp alone, not from bitlen(x), so a long
+# mantissa keeps a long integer part.  The digits round half up at digit
+# dps, carrying through nines, and print in fixed point when the leading
+# digit's exponent lies strictly between min(-(dps // 3), -5) and dps,
+# else with an exponent, trailing zeros stripped.
+
+_LOG2_10 = math.log(10, 2)
+_PRINT_LOGS = PrimeLogTable()
+
+
+def _log_floor(vec: Dict[int, int], w: int) -> int:
+    """floor(2^w sum_q a_q ln q) for a_q >= 1.  The floors f_q at W = w + g
+    bits put 2^W times the sum in [s, s + e) with s = sum_q a_q f_q and
+    e = sum_q a_q, so its floor is s >> g once that equals (s + e - 1) >> g."""
+    e = sum(vec.values())
+    for g in escalation(f"floor(2^{w} ln)", 32, _CEILING_FACTOR * 32):
+        logs = _PRINT_LOGS.floor_logs(vec, w + g)
+        s = sum(a * logs[q] for q, a in vec.items())
+        if s >> g == (s + e - 1) >> g:
+            return s >> g
+
+
+def _ln2_ln10(prec: int):
+    """ln 2 and ln 10 truncated to prec >= 3 bits, as mpmath's mpf_ln2(prec)
+    and mpf_ln10(prec) give them."""
+    return (from_man_exp(_log_floor({2: 1}, prec), -prec),
+            from_man_exp(_log_floor({2: 1, 5: 1}, prec - 2), 2 - prec))
+
+
+def _digit_string(n: int, size: int) -> str:
+    """str(n) for n >= 0, split as mpmath's numeral splits it for a size of
+    250 digits and more, so str() refuses the same integers (over 4300
+    digits)."""
+    if size < 250 or not n:
+        return str(n)
+    half = (size + 1) // 2
+    hi, lo = divmod(n, 10 ** half)
+    return _digit_string(hi, half) + _digit_string(lo, half).rjust(half, "0")
+
+
+def to_str(x, dps: int) -> str:
+    """The decimal string of a raw value to dps >= 1 significant digits, as
+    mpmath's to_str prints it (see above).  Raises ValueError where mpmath's
+    does, on an integer part past str()'s digit limit."""
+    sign, man, exp, bc = x
+    if not man:
+        return "0.0"
+    n = dps + 3
+    bitprec = int(n * _LOG2_10) + 10
+    b = 0
+    if abs(exp + bc) > 3500:
+        eprec = abs(exp).bit_length() + 5
+        ln2, ln10 = _ln2_ln10(eprec)
+        b = int(raw_to_fraction(mpf_div(mpf_mul(from_int(exp), ln2), ln10, eprec)))
+        ten_b = mpf_pow_int(from_int(10), b, bitprec)
+        _, man, exp, bc = mpf_div((0, man, exp, bc), ten_b, bitprec)
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = _digit_string(fixed * 10 ** fixdps >> fixprec, n)
+    exponent = b + len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        head = digits[:dps].rstrip("9")
+        if head:
+            digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
+        else:
+            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    return ("-" if sign else "") + digits + (f"e{exponent:+d}" if exponent else "")
 
 
 # --- pi by Machin's formula ----------------------------------------------

@@ -508,20 +508,31 @@ def test_cli_import_loads_only_what_rows_and_gamma_run():
         assert name in loaded, name
 
 
-def test_cli_starts_without_mpmath_dataclasses_json_or_csv():
-    # start-up guard: mpmath is loaded only to print a decimal, json and csv
-    # only to write a file
+def test_cli_starts_without_mpmath_dataclasses_json_or_csv(tmp_path):
+    # start-up guard: json and csv are loaded only to write a file, and
+    # mpmath never, not even to print a decimal
     heavy = ("mpmath", "dataclasses", "inspect", "json", "csv")
     loaded = _modules_after("import gammalab.cli")
     assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
-    loaded = _modules_after("from gammalab.cli import main; "
-                            "main(['gamma', '--digits', '60'])")
-    assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == []
+    for args in (["gamma", "--digits", "60"],
+                 ["table", "--n", "1..3", "--jobs", "1",
+                  "--out", str(tmp_path / "t.csv")],
+                 ["criterion", "--n", "1..3", "--jobs", "2",
+                  "--out", str(tmp_path / "c.csv")]):
+        loaded = _modules_after(f"from gammalab.cli import main; main({args!r})")
+        assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == [], args
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "gammalab")
+    for root, _, names in os.walk(src):
+        for name in (n for n in names if n.endswith(".py")):
+            with open(os.path.join(root, name), encoding="utf-8") as f:
+                lines = [line.strip() for line in f]
+            assert not [line for line in lines
+                        if line.startswith(("import mpmath", "from mpmath"))], name
 
 
 def test_asym_reports_compute_without_mpmath():
-    # mpmath only prints: every law at its default points, logs and square
-    # roots included, computes with mpnum's own arithmetic
+    # every law at its default points, logs and square roots included,
+    # computes and prints with mpnum's own arithmetic
     loaded = _modules_after("from gammalab import asymptotics as a\n"
                             "for law in a.LAWS: a.convergence_report(law)")
     assert "gammalab.asymptotics" in loaded
@@ -623,6 +634,8 @@ _GOLDEN = {
                      "5c5f00ab18ed4e240bfcda1d98ec182e6a5b4be4159a23ff347e9908d8b54f43"),
     "verify_1_60.json": (["verify", "--n-max", "60"],
                          "7d1a3e7585c42f0764d21914545f75305807d612042830352744d34e5bdecfdd"),
+    "table_900.csv": (["table", "--n", "900..900", "--jobs", "1"],
+                      "8e53d1d6ba54382dfc17ab7a1460fb21822bf7e9844b898728e31d8a6046fa02"),
 }
 
 

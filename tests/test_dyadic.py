@@ -1,9 +1,12 @@
-"""mpnum's own dyadic arithmetic and certified pi, against mpmath.libmp.
+"""mpnum's own dyadic arithmetic, certified pi and decimal printer, against
+mpmath.libmp.
 
 Every operation rounds its exact result correctly, so it must give the
 tuple mpmath's correctly rounded operation gives.  The one place mpmath is
 not correctly rounded is its far-apart shortcut in ``mpf_add`` (see
 ``_mpmath_add_misrounds``); there an exact rational rounding decides.
+``mpf_pow_int`` and ``to_str`` are ports, so they must match mpmath's
+exactly, directed roundings and all.
 """
 
 from fractions import Fraction
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import libmpf as ml
-from mpmath.libmp import mpf_pi
+from mpmath.libmp import mpf_ln2, mpf_ln10, mpf_pi
 
 from gammalab import mpnum as mn
 
@@ -225,3 +228,90 @@ def test_pi_const_raises_when_its_bound_would_not_cover(monkeypatch):
     monkeypatch.setattr(mn, "_fn_err", lambda v, p: mn.from_man_exp(1, -(p + 40)))
     with pytest.raises(ArithmeticError):
         mn.pi_const(64)
+
+
+# --- powers and the decimal printer -----------------------------------------
+
+
+@given(raws_or_zero, st.one_of(st.integers(-4, 4), st.integers(-5000, 5000)),
+       precs, modes)
+@settings(max_examples=150, deadline=None)
+@example(ml.from_int(10), 1100, 140, "d")   # a printer's scale, past 2^3500
+@example(ml.from_int(10), -1100, 140, "d")
+@example(ml.from_int(10), 1100, 140, "u")
+@example(ml.from_int(3), 2, 2, "n")         # 9 -> 8: n = 2 rounds its exact square
+@example(ml.from_man_exp(1, -3), 700, 5, "n")  # a power of two stays exact
+def test_pow_int_equals_mpmath(s, n, prec, rnd):
+    if not s[1] and n < 0:
+        return
+    assert mn.mpf_pow_int(s, n, prec, rnd) == ml.mpf_pow_int(s, n, prec, rnd)
+
+
+def test_printer_logs_are_mpmaths_truncated_constants():
+    # every precision the printer asks for exponents up to 2^75; the
+    # printer's own table, not the shared one, holds them
+    shared = (mn._TABLE.builds, mn._TABLE.prec)
+    for prec in range(5, 81):
+        assert mn._ln2_ln10(prec) == (mpf_ln2(prec), mpf_ln10(prec)), prec
+    assert (mn._TABLE.builds, mn._TABLE.prec) == shared
+
+
+def _printed(to_str, x, dps):
+    try:
+        return to_str(x, dps)
+    except ValueError:
+        return ValueError
+
+
+def _near(man, top):
+    """man 2^e with the top bit at 2^(top - 1), so exp + bc = top."""
+    return ml.from_man_exp(man, top - abs(man).bit_length())
+
+
+# the leading bit anywhere within 2 10^5, or near the 2^3500 switch
+tops = st.one_of(st.integers(-4000, 4000), st.integers(-2 * 10 ** 5, 2 * 10 ** 5),
+                 st.sampled_from([3500, 3501, -3500, -3501]))
+printed = st.builds(lambda sign, man, top: _near(-man if sign else man, top),
+                    st.integers(0, 1),
+                    st.integers(1, 20000).flatmap(
+                        lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+                    tops)
+
+
+@given(printed, st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+@example(ml.fzero, 5)
+@example(_near(3 ** 40, 3500), 40)              # the last top without scaling
+@example(_near(3 ** 40, 3501), 40)              # the first with it
+@example(_near(-3 ** 40, -3500), 40)
+@example(_near(-3 ** 40, -3501), 40)
+@example(ml.from_man_exp((1 << 4000) - 1, -1), 40)  # scaled, with b = 0
+@example(ml.from_man_exp((1 << 4000) - 1, 4), 40)   # b = 1
+@example(ml.from_man_exp(7 * 10 ** 4400 + 1, -132), 40)  # past str()'s limit
+def test_to_str_equals_mpmath(x, dps):
+    assert _printed(mn.to_str, x, dps) == _printed(ml.to_str, x, dps)
+
+
+@pytest.mark.parametrize("x, dps, text", [
+    (ml.fzero, 40, "0.0"),
+    (ml.from_man_exp((10 << 60) - 1, -60), 15, "10.0"),  # 9.99..: a new digit
+    (ml.from_man_exp(-((10 << 60) - 1), -60), 15, "-10.0"),
+    (ml.from_man_exp(5, -2), 2, "1.3"),             # 1.25: a tie rounds up
+    (ml.from_man_exp(1, -3), 2, "0.13"),            # 0.125
+    (ml.from_man_exp(5, -2), 3, "1.25"),
+    (ml.from_int(10 ** 40), 40, "1.0e+40"),
+    (ml.from_man_exp(1, -20), 4, "9.537e-7"),
+])
+def test_to_str_literals(x, dps, text):
+    assert mn.to_str(x, dps) == ml.to_str(x, dps) == text
+
+
+@pytest.mark.parametrize("man, exp", [(3 ** 40, -64), (7 * 10 ** 4400 + 1, -132),
+                                      (7 * 10 ** 4400 + 1, -15000),
+                                      ((1 << 5000) - 1, -13000)],
+                         ids=["short", "long", "long-small", "ones-small"])
+def test_to_str_splits_long_digit_strings_as_mpmath_does(man, exp):
+    # from 250 digits mpmath's numeral converts in halves, so str()'s digit
+    # limit falls on the halves
+    x = ml.from_man_exp(man, exp)
+    assert _printed(mn.to_str, x, 300) == _printed(ml.to_str, x, 300)
