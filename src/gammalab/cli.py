@@ -29,7 +29,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, exact, sequences
+from . import __version__, exact, mpnum, sequences
 from .mpnum import (
     Bounded,
     PrecisionExhausted,
@@ -37,6 +37,7 @@ from .mpnum import (
     PrecisionPolicy,
     escalation,
     euler_gamma,
+    fork_map,
     to_str,
     _fraction_to_raw_up,
 )
@@ -68,6 +69,15 @@ def _parse_jobs(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return jobs
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _parse_points(text: str) -> List[int]:
@@ -238,10 +248,6 @@ def _row_task(task) -> Dict[str, str]:
         return row
 
 
-def _row_stripe(tasks) -> List[Dict[str, str]]:
-    return [_row_task(t) for t in tasks]
-
-
 def _write_json(path: str, obj: Dict) -> None:
     import json
 
@@ -312,22 +318,16 @@ def _cmd_rows(args) -> int:
     lo, hi = args.n
     policy = _policy(args)
     columns, _ = _ROW_COMMANDS[args.command]
-    # largest n first: a row's requests of the prime-log table and of gamma
-    # grow with n, so each process's first row sizes them for all the rest
+    # largest n first, in this process: a row's requests of the prime-log
+    # table and of gamma grow with n, so this row sizes both for the run,
+    # and the workers forked for the other rows inherit them
     tasks = [(args.command, n, policy) for n in range(hi, lo - 1, -1)]
-    k = min(args.jobs, len(tasks))
-    if k <= 1:
-        rows = _row_stripe(tasks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one stripe n = hi-i, hi-i-k, ... per worker: neighbouring n cost
-        # about the same, so the stripes stay balanced
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            stripes = list(pool.map(_row_stripe, [tasks[i::k] for i in range(k)]))
-        rows = [None] * len(tasks)
-        for i, stripe in enumerate(stripes):
-            rows[i::k] = stripe
+    jobs = args.jobs or _usable_cpus()
+    saved, mpnum.WORKERS = mpnum.WORKERS, jobs
+    try:
+        rows = [_row_task(tasks[0])] + fork_map(_row_task, tasks[1:], jobs)
+    finally:
+        mpnum.WORKERS = saved
     rows.reverse()
     _write_rows(args.out, args.format, columns, rows)
     bad = sum(1 for r in rows if r["status"] != "ok")
@@ -411,8 +411,9 @@ _OPTIONS = {
                        help="escalation ceiling in bits (default %(default)s)"),
     "--seed": dict(type=int, default=0,
                    help="seed of the sampled rational points (default %(default)s)"),
-    "--jobs": dict(type=_parse_jobs, default=os.cpu_count() or 1,
-                   help="parallel workers (default: cpu count)"),
+    "--jobs": dict(type=_parse_jobs, default=None,
+                   help="worker processes (default: the CPUs this process "
+                        "may run on)"),
 }
 
 

@@ -22,6 +22,7 @@ the test suite checks against an independent Euler-Maclaurin oracle.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from array import array
 from bisect import bisect_right
@@ -473,6 +474,147 @@ def b_sum(items, p: int) -> Bounded:
     return acc
 
 
+# --- fork pool -----------------------------------------------------------
+
+# Processes that PrimeLogTable.floor_logs may use for a large table's atanh
+# leaves.  The CLI sets it from --jobs.  It reads 1 inside a fork_map, in
+# this process and in every child, so a pool never starts a pool of its own.
+WORKERS = 1
+
+
+def _take(r: int, top_up=None) -> Optional[int]:
+    """The next item index from the queue pipe r (non-blocking), or None
+    once the pipe is empty and closed.  The process that feeds the pipe
+    passes top_up, which writes what fits and returns whether indices are
+    still pending: it must never wait on an empty pipe that only it fills."""
+    import select
+
+    while True:
+        pending = top_up is not None and top_up()
+        try:
+            rec = os.read(r, 4)
+        except BlockingIOError:
+            if not pending:
+                select.select([r], [], [])
+            continue
+        return array("I", rec)[0] if rec else None
+
+
+def _fork_child(fn, items: Sequence, r: int, out: int, inherited: List[int]):
+    """A child of fork_map: run items from the queue, send the (index,
+    result) pairs, or the exception, through `out`, and exit."""
+    code = 1
+    try:
+        import pickle
+
+        for fd in inherited:
+            os.close(fd)
+        done = []
+        try:
+            while (i := _take(r)) is not None:
+                done.append((i, fn(items[i])))
+            msg = (True, done)
+        except Exception as e:
+            msg = (False, e)
+        try:
+            data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        except Exception as e:  # a result or an exception that does not pickle
+            data = pickle.dumps((False, ChildProcessError(
+                f"worker process {os.getpid()} cannot send {repr(msg[1])[:200]}: {e}")))
+        with os.fdopen(out, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_map(fn, items: Sequence, k: int) -> List:
+    """[fn(x) for x in items], computed by this process and k - 1 forked
+    children, which inherit fn and items.
+
+    Items are handed out one at a time, in order, to whichever process is
+    free.  A pipe holds their indices as 4-byte records.  Every process
+    reads one record at a time, and a read of up to PIPE_BUF bytes from a
+    pipe is atomic.  This process writes what fits, in atomic chunks of
+    PIPE_BUF bytes, and tops the pipe up between its own items, so any
+    number of items fits.  Each child sends its results back through a
+    pipe of its own once the queue is empty.  A child's exception is raised
+    here.  A child that ends without sending its results raises
+    ChildProcessError.  On every exit every child still running is killed
+    and reaped.  Where os.fork does not exist, k is 1.
+    """
+    global WORKERS
+    k = min(k, len(items)) if hasattr(os, "fork") else 1
+    if k <= 1:
+        return [fn(x) for x in items]
+    import pickle
+    import select
+    import signal
+
+    queue = array("I", range(len(items))).tobytes()
+    chunk = getattr(select, "PIPE_BUF", 512)
+    sent = 0
+    r, w = os.pipe()
+    fds = {r, w}
+    children: Dict[int, int] = {}  # pid -> read end of its result pipe
+    saved, WORKERS = WORKERS, 1
+
+    def top_up() -> bool:
+        nonlocal sent
+        if w not in fds:
+            return False
+        try:
+            while sent < len(queue):
+                sent += os.write(w, queue[sent:sent + chunk])
+        except BlockingIOError:
+            return True
+        os.close(w)  # the children read EOF once the queue is empty
+        fds.discard(w)
+        return False
+
+    try:
+        os.set_blocking(r, False)
+        os.set_blocking(w, False)
+        for _ in range(k - 1):
+            res_r, res_w = os.pipe()
+            fds.update((res_r, res_w))
+            pid = os.fork()
+            if pid == 0:
+                _fork_child(fn, items, r, res_w, [w, *children.values(), res_r])
+            children[pid] = res_r
+            os.close(res_w)
+            fds.discard(res_w)
+        results = [None] * len(items)
+        while (i := _take(r, top_up)) is not None:
+            results[i] = fn(items[i])
+        for pid in list(children):
+            with os.fdopen(children[pid], "rb") as fh:
+                fds.discard(fh.fileno())
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                how = f"status {code}" if code > 0 else f"signal {-code}"
+                raise ChildProcessError(f"worker process {pid} ended with {how} "
+                                        "before sending its results")
+            ok, done = pickle.loads(data)
+            if not ok:
+                raise done
+            for i, value in done:
+                results[i] = value
+        return results
+    finally:
+        WORKERS = saved
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 # --- prime-log table -----------------------------------------------------
 #
 # Every logarithm gammalab takes is the log of a rational, so it is an
@@ -530,6 +672,18 @@ _GAMMA_MARGIN = 32  # bits of the gamma enclosure beyond a floor's
 _CEILING_FACTOR = 4
 _SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
 _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
+# floor_logs forks the leaves of m missing primes at P bits once m P reaches
+# _FORK_LEAF_BITS.  Measured on a 2-CPU x86 guest, Python 3.11: a fork_map
+# with one child costs about 3 ms (fork, pipes, reaping), and the leaves
+# cost 35-45 ns per bit-prime at P >= 2,400 bits, more as P grows (157
+# primes at 2,420 bits: 16 ms).  At 10^6 bit-primes they take 35 ms or more,
+# so a second process saves 15 ms or more, five times the fork's cost; well
+# below it the saving is of the order of the fork and of the spread between
+# the guest's CPUs.  The benchmark's tables stay under it: `criterion --n
+# 1..460` enters 157 primes at 2,420 bits (0.38 M), `table --n 400..401` 145
+# at 2,641 (0.38 M), `table --n 1..120` 58 at 953 (0.06 M), and `gamma
+# --digits 1500`'s split 6 at 5,232 (0.03 M).
+_FORK_LEAF_BITS = 1_000_000
 
 
 def _atanh_split(M: int, a: int, b: int) -> Tuple[int, int, int]:
@@ -555,6 +709,12 @@ def _two_atanh_split(m: int, p: int) -> Tuple[int, int]:
     return (m * T << (p + 1)) // (B * Q), 2
 
 
+def _prime_leaf(q: int, p: int) -> Tuple[int, int]:
+    """The atanh leaf of prime q's entry at p bits: 2 atanh(1/3) = ln 2 for
+    q = 2, else 2 atanh(1/(2q^2-1)), by _two_atanh_split."""
+    return _two_atanh_split(3 if q == 2 else 2 * q * q - 1, p)
+
+
 def _spf_sieve(limit: int) -> Tuple[array, List[int]]:
     """Smallest prime factor of each of 0..limit, and the primes <= limit."""
     spf = array("l", range(limit + 1))
@@ -576,9 +736,10 @@ class PrimeLogTable:
     doubles only when a larger integer must be factored (integers from
     ``_SIEVE_CAP`` on need it only up to their square root).  ``builds``
     and ``sieves`` count the rebuilds.  Entries are added one prime at a
-    time, each from entries already present.  A rebuild drops every entry,
-    so it costs only the primes (and their q-1 and q+1 chains) asked for
-    after it.
+    time, each from entries already present; when enough are missing, their
+    atanh leaves are computed first, on ``WORKERS`` processes.  A rebuild
+    drops every entry, so it costs only the primes (and their q-1 and q+1
+    chains) asked for after it.
 
     The table also keeps Euler's constant as an enclosure of 2^W gamma
     (:meth:`floor_gamma`), so a fresh table computes gamma afresh.
@@ -639,14 +800,36 @@ class PrimeLogTable:
         primes = self._sieve_upto(m)[1]
         return primes[:bisect_right(primes, m)]
 
-    def _add(self, q: int) -> None:
+    def _fork_leaves(self, primes: Iterable[int]) -> Dict[int, Tuple[int, int]]:
+        """{q: atanh leaf} for the primes of `primes` that the table lacks and
+        the primes their q-1 and q+1 chain through, computed on WORKERS
+        processes, once they are enough to pay for it (``_FORK_LEAF_BITS``);
+        else {}, and :meth:`_add` computes each leaf itself."""
+        if WORKERS < 2:
+            return {}
+        logs = self._logs
+        stack = [q for q in primes if q not in logs]
+        if len(stack) * self.prec < _FORK_LEAF_BITS:
+            return {}
+        need = set()
+        while stack:
+            q = stack.pop()
+            if q not in need and q not in logs:
+                need.add(q)
+                if q > 2:
+                    stack.extend(r for r, _ in self.factor(q - 1) + self.factor(q + 1))
+        P = self.prec
+        need = sorted(need)
+        return dict(zip(need, fork_map(lambda q: _prime_leaf(q, P), need, WORKERS)))
+
+    def _add(self, q: int, leaves: Dict[int, Tuple[int, int]]) -> None:
+        lo, width = leaves.get(q) or _prime_leaf(q, self.prec)
         if q == 2:
-            self._logs[2] = _two_atanh_split(3, self.prec)
+            self._logs[2] = (lo, width)
             return
-        lo, width = _two_atanh_split(2 * q * q - 1, self.prec)
         for r, k in self.factor(q - 1) + self.factor(q + 1):
             if r not in self._logs:
-                self._add(r)
+                self._add(r, leaves)
             lo_r, width_r = self._logs[r]
             lo += k * lo_r
             width += k * width_r
@@ -675,11 +858,12 @@ class PrimeLogTable:
                     self._rebuild(P)
                 shift = P - w
                 mask = (1 << shift) - 1
+                leaves = self._fork_leaves(primes)
                 logs = self._logs
                 out = {}
                 for q in primes:
                     if q not in logs:
-                        self._add(q)
+                        self._add(q, leaves)
                     lo, width = logs[q]
                     if ((lo & mask) + width) >> shift:
                         break  # the enclosure straddles a multiple of 2^shift

@@ -10,6 +10,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,7 +189,7 @@ def test_table_parallel_matches_serial(tmp_path):
                                   ["criterion", "--n", "1..7", "--jobs", "1"],
                                   ["criterion", "--n", "1..7", "--jobs", "3"]])
 def test_rows_are_written_in_order_of_n(args, tmp_path):
-    # every process computes its rows largest n first
+    # the rows are computed largest n first, and written in order of n
     out = tmp_path / "x.csv"
     assert run(args + ["--out", str(out)]) == 0
     lo, hi = cli._parse_range(args[2])
@@ -199,12 +200,140 @@ def test_rows_are_written_in_order_of_n(args, tmp_path):
                                   ["criterion", "--n", "1..7", "--jobs", "3"],
                                   ["criterion", "--n", "1..2", "--jobs", "4"]])
 def test_striped_pool_matches_one_process(args, tmp_path):
-    # uneven stripes, and more jobs than rows
+    # rows handed out one at a time, and more jobs than rows
     one = tmp_path / "one.csv"
     pool = tmp_path / "pool.csv"
     assert run(args[:3] + ["--jobs", "1", "--out", str(one)]) == 0
     assert run(args + ["--out", str(pool)]) == 0
     assert read_bytes(one) == read_bytes(pool)
+
+
+def _no_child_left():
+    # every worker forked by the run has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _planted_criterion(monkeypatch, in_child, in_parent=None):
+    """Patch criterion_point, in this process and so in the forked workers:
+    a worker runs in_child(n), this process sleeps a little per row (so
+    that the workers take some) and then runs in_parent(n)."""
+    parent, real = os.getpid(), sequences.criterion_point
+
+    def planted(n, policy):
+        if os.getpid() != parent:
+            in_child(n)
+        else:
+            time.sleep(0.02)
+            if in_parent:
+                in_parent(n)
+        return real(n, policy)
+
+    monkeypatch.setattr(sequences, "criterion_point", planted)
+
+
+def test_identity_violation_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
+    def violate(n):
+        if n == 5:
+            raise exact.IdentityViolation(f"planted at n={n}")
+
+    _planted_criterion(monkeypatch, violate)
+    out = tmp_path / "x.csv"
+    assert run(["criterion", "--n", "1..12", "--jobs", "2", "--out", str(out)]) == 1
+    assert "identity violation: planted at n=5" in capsys.readouterr().err
+    _no_child_left()
+
+
+def test_worker_that_dies_before_sending_exits_nonzero(monkeypatch, tmp_path,
+                                                       capsys):
+    _planted_criterion(monkeypatch, lambda n: os._exit(9))
+    out = tmp_path / "x.csv"
+    assert run(["criterion", "--n", "1..12", "--jobs", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker process ")
+    assert "ended with status 9 before sending its results" in err
+    _no_child_left()
+
+
+def test_failure_in_the_parents_row_reaps_the_workers(monkeypatch, tmp_path,
+                                                      capsys):
+    def fail(n):
+        if n < 12:  # any row after the first, which has no workers yet
+            raise exact.IdentityViolation(f"planted at n={n}")
+
+    _planted_criterion(monkeypatch, lambda n: time.sleep(30), fail)
+    t0 = time.perf_counter()
+    out = tmp_path / "x.csv"
+    assert run(["criterion", "--n", "1..12", "--jobs", "4", "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 10
+    assert "identity violation: planted at n=" in capsys.readouterr().err
+    _no_child_left()
+
+
+@pytest.mark.parametrize("args, builds, splits", [
+    (["criterion", "--n", "1..40", "--jobs", "2"], 1, 0),
+    (["table", "--n", "1..12", "--jobs", "3"], 1, 1),
+])
+def test_one_table_build_and_gamma_split_across_processes(args, builds, splits,
+                                                          tmp_path, monkeypatch):
+    # the parent's first row, the largest n, builds the table and splits
+    # gamma; the forked workers inherit both, and the patches, which append
+    # to one file from every process
+    log = tmp_path / "events.log"
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+
+    def logged(event, real):
+        def wrapper(*a):
+            if event == "split" or a[0] is mn._TABLE:
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{event} {os.getpid()}\n")
+            return real(*a)
+        return wrapper
+
+    monkeypatch.setattr(mn.PrimeLogTable, "_rebuild",
+                        logged("build", mn.PrimeLogTable._rebuild))
+    monkeypatch.setattr(mn, "_bm_enclosure", logged("split", mn._bm_enclosure))
+    assert run(args + ["--out", str(tmp_path / "x.csv")]) == 0
+    events = log.read_text().split()[::2] if log.exists() else []
+    assert (events.count("build"), events.count("split")) == (builds, splits)
+    _no_child_left()
+
+
+def test_forked_leaves_print_the_same_bytes(tmp_path, monkeypatch):
+    # with the threshold forced low, a one-row run forks its table's leaves
+    # on --jobs processes, and prints what one process prints
+    forked, fork_map = [], mn.fork_map
+
+    def counted(fn, items, k):
+        forked.append(k)
+        return fork_map(fn, items, k)
+
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    monkeypatch.setattr(mn, "fork_map", counted)
+    monkeypatch.setattr(mn, "_FORK_LEAF_BITS", 1)
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    assert run(["criterion", "--n", "300..300", "--jobs", "1", "--out", str(one)]) == 0
+    assert forked == []
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    assert run(["criterion", "--n", "300..300", "--jobs", "2", "--out", str(two)]) == 0
+    assert forked == [2]
+    assert read_bytes(one) == read_bytes(two)
+    assert mn.WORKERS == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("affinity, jobs", [({0}, 1), ({0, 1, 2}, 3)])
+def test_default_jobs_counts_the_cpus_this_process_may_use(affinity, jobs,
+                                                           tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                        raising=False)
+    asked = []
+    monkeypatch.setattr(cli, "fork_map",
+                        lambda fn, items, k: asked.append(k) or [fn(x) for x in items])
+    assert run(["criterion", "--n", "1..4", "--out", str(tmp_path / "x.csv")]) == 0
+    assert asked == [jobs]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("args", [
@@ -510,7 +639,8 @@ def test_cli_import_loads_only_what_rows_and_gamma_run():
 
 def test_cli_starts_without_mpmath_dataclasses_json_or_csv(tmp_path):
     # start-up guard: json and csv are loaded only to write a file, and
-    # mpmath never, not even to print a decimal
+    # mpmath never, not even to print a decimal; the row workers are forked
+    # by mpnum.fork_map, without concurrent.futures or multiprocessing
     heavy = ("mpmath", "dataclasses", "inspect", "json", "csv")
     loaded = _modules_after("import gammalab.cli")
     assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
@@ -521,6 +651,8 @@ def test_cli_starts_without_mpmath_dataclasses_json_or_csv(tmp_path):
                   "--out", str(tmp_path / "c.csv")]):
         loaded = _modules_after(f"from gammalab.cli import main; main({args!r})")
         assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == [], args
+        pools = ("concurrent", "multiprocessing", "_multiprocessing")
+        assert sorted(m for m in loaded if m.split(".")[0] in pools) == [], args
     src = os.path.join(os.path.dirname(__file__), "..", "src", "gammalab")
     for root, _, names in os.walk(src):
         for name in (n for n in names if n.endswith(".py")):

@@ -3,6 +3,7 @@ equations, and frozen constants checked against independent series
 oracles (see oracles.py) rather than mpmath."""
 
 import math
+import os
 import random
 import re
 import time
@@ -902,3 +903,108 @@ def test_prime_vectors_exact():
     assert mn._factorial_log_pair(1, 7, [-1, 0, 0, 1]) == (1, {2: 4, 3: 2, 5: 1})
     assert mn._factorial_log_pair(1, 0, [3, 2]) == (1, {})
     assert mn._legendre(100, 5) == 24
+
+
+# --- fork pool -------------------------------------------------------------------
+
+def _no_child_left():
+    # every child forked by the test process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_returns_every_item_in_order_past_one_pipe_of_records():
+    # 20,000 four-byte indices are more than a 64 KiB pipe holds at once
+    items = list(range(20_000))
+    assert mn.fork_map(lambda x: x * x, items, 3) == [x * x for x in items]
+    _no_child_left()
+
+
+def test_fork_map_hands_items_out_one_at_a_time(monkeypatch):
+    # while one process sleeps on item 0, the others take the rest; fixed
+    # stripes would leave half the items to the sleeping one
+    monkeypatch.setattr(mn, "WORKERS", 3)
+
+    def work(i):
+        if i == 0:
+            time.sleep(0.3)
+        return os.getpid(), mn.WORKERS
+
+    got = mn.fork_map(work, range(40), 2)
+    pids = [pid for pid, _ in got]
+    assert len(set(pids)) == 2 and pids.count(pids[0]) <= 3
+    assert {workers for _, workers in got} == {1}  # no pool of their own
+    assert mn.WORKERS == 3
+    _no_child_left()
+
+
+def _in_child(parent, action):
+    """A fork_map function that runs action in the children, and in this
+    process sleeps a little per item, so that the children take some."""
+    def fn(x):
+        if os.getpid() == parent:
+            time.sleep(0.02)
+            return x
+        return action(x)
+    return fn
+
+
+def test_fork_map_raises_a_childs_exception():
+    def fail(x):
+        raise ValueError(f"planted at {x}")
+
+    with pytest.raises(ValueError, match="planted at"):
+        mn.fork_map(_in_child(os.getpid(), fail), range(12), 2)
+    _no_child_left()
+
+
+def test_fork_map_child_that_ends_without_results_is_an_error():
+    with pytest.raises(ChildProcessError, match="ended with status 7 before "
+                                                "sending its results"):
+        mn.fork_map(_in_child(os.getpid(), lambda x: os._exit(7)), range(12), 3)
+    _no_child_left()
+
+
+def test_fork_map_kills_and_reaps_children_when_this_process_fails():
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            time.sleep(30)
+        elif x >= 1:  # this process's first or second item
+            raise KeyError(x)
+        return x
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError):
+        mn.fork_map(fn, range(8), 3)
+    assert time.perf_counter() - t0 < 10
+    _no_child_left()
+
+
+def test_fork_map_without_fork_runs_in_this_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert mn.fork_map(lambda x: os.getpid(), range(5), 4) == [os.getpid()] * 5
+
+
+def test_parallel_leaves_equal_serial_leaves(monkeypatch):
+    primes = _sample_primes(60, 3000, seed=7)
+    serial = mn.PrimeLogTable()
+    want = serial.floor_logs(primes, 900)
+    forked, fork_map = [], mn.fork_map
+
+    def counted(fn, items, k):
+        forked.append((len(items), k))
+        return fork_map(fn, items, k)
+
+    monkeypatch.setattr(mn, "fork_map", counted)
+    monkeypatch.setattr(mn, "_FORK_LEAF_BITS", 1)
+    monkeypatch.setattr(mn, "WORKERS", 2)
+    table = mn.PrimeLogTable()
+    assert table.floor_logs(primes, 900) == want
+    assert table._logs == serial._logs and table.builds == serial.builds == 1
+    # one pool for the missing primes and their chains, none once present
+    assert forked == [(len(serial._logs), 2)]
+    assert table.floor_logs(primes[:5], 900) == {q: want[q] for q in primes[:5]}
+    assert len(forked) == 1
+    _no_child_left()
