@@ -39,6 +39,7 @@ from .mpnum import (
     euler_gamma,
     fork_map,
     to_str,
+    _digit_string,
     _fraction_to_raw_up,
 )
 
@@ -113,36 +114,20 @@ def _policy(args) -> PrecisionPolicy:
                            **_policy_fields(args))
 
 
-def _val(b: Bounded) -> str:
-    return b.decimal(_VALUE_DPS)
-
-
-def _err(b: Bounded) -> str:
-    return b.err_decimal(_ERR_DPS)
-
-
 def _cells(**bounded: Bounded) -> Dict[str, str]:
     """The value cell and the `_err` cell of each named enclosure."""
     cells = {}
     for name, b in bounded.items():
-        cells[name] = _val(b)
-        cells[name + "_err"] = _err(b)
+        cells[name] = b.decimal(_VALUE_DPS)
+        cells[name + "_err"] = b.err_decimal(_ERR_DPS)
     return cells
 
 
 def _decimal_digits(x: int, width: int = 0) -> str:
-    """x >= 0 in decimal, zero-padded to at least `width` digits.
-
-    Equals str(x).rjust(width, "0") for short x.  str() refuses integers
-    longer than sys.get_int_max_str_digits() (4300 by default), so long
-    ones are split in halves first.
-    """
-    if x.bit_length() <= 3000:
-        return str(x).rjust(width, "0")
-    # k is about half of x's digit count (or of width), so hi > 0 or is padded
-    k = max(width, int(x.bit_length() * 0.30103)) // 2
-    hi, lo = divmod(x, 10 ** k)
-    return _decimal_digits(hi, width - k) + _decimal_digits(lo, k)
+    """str(x).rjust(width, "0") for x >= 0, also past the digits str()
+    refuses (sys.get_int_max_str_digits(), 4300 by default): sized at no
+    fewer digits than x has, _digit_string hands str() at most 250."""
+    return _digit_string(x, int(x.bit_length() * 0.30103) + 1).rjust(width, "0")
 
 
 def _frac_str(q: Fraction) -> str:
@@ -287,8 +272,10 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise OSError unless path's directory exists and is writable, so that
-    a bad --out fails before any work, not after it."""
+    """Raise OSError unless path names no directory and its directory exists
+    and is writable, so that a bad --out fails before any work, not after."""
+    if os.path.isdir(path):
+        raise OSError(f"--out {path} is a directory")
     d = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(d):
         raise OSError(f"--out directory {d} does not exist")

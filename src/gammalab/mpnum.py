@@ -41,11 +41,9 @@ __all__ = [
     "b_abs",
     "b_mul",
     "b_mul_int",
-    "b_scale",
     "b_div",
     "b_ln",
     "b_sqrt",
-    "b_sum",
     "ln_int",
     "ln2_const",
     "pi_const",
@@ -237,16 +235,7 @@ _EPREC = 48
 
 
 class PrecisionInsufficient(Exception):
-    """The requested certification cannot be made at the current precision.
-
-    ``extra_bits`` estimates how many additional bits would be needed
-    (None when no finite amount can help, e.g. an exactly-integer value
-    with a nonzero bound).
-    """
-
-    def __init__(self, message: str, extra_bits: Optional[int] = None):
-        super().__init__(message)
-        self.extra_bits = extra_bits
+    """The requested certification cannot be made at the current precision."""
 
 
 class PrecisionExhausted(Exception):
@@ -255,10 +244,10 @@ class PrecisionExhausted(Exception):
 
 def escalation(what: str, bits: int, ceiling: int):
     """Precisions bits, 2 bits, 4 bits, ... for a loop that leaves once an
-    attempt decides; ``send(lacked)`` makes the next max(2 bits, bits +
-    lacked), and a step past ``ceiling`` raises PrecisionExhausted."""
+    attempt decides; a step past ``ceiling`` raises PrecisionExhausted."""
     while bits <= ceiling:
-        bits = max(2 * bits, bits + ((yield bits) or 0))
+        yield bits
+        bits *= 2
     raise PrecisionExhausted(f"{what} needs {bits} bits, ceiling is {ceiling}")
 
 
@@ -433,14 +422,6 @@ def b_mul_int(x: Bounded, c: int, p: int) -> Bounded:
     return Bounded(v, e)
 
 
-def b_scale(x: Bounded, q: Fraction, p: int) -> Bounded:
-    """Multiply by an exact rational."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return b_mul_int(x, q.numerator, p)
-    return b_mul(x, Bounded.from_fraction(q, p + 8), p)
-
-
 def b_div(x: Bounded, y: Bounded, p: int) -> Bounded:
     y_lo = _down_sub(mpf_abs(y.val), y.err)
     if mpf_cmp(y_lo, fzero) <= 0:
@@ -465,13 +446,6 @@ def b_sqrt(x: Bounded, p: int) -> Bounded:
         root_lo = mpf_sqrt(x_lo, _EPREC, "d")
         e = _up_add(e, _up_div(x.err, mpf_shift(root_lo, 1)))
     return Bounded(v, e)
-
-
-def b_sum(items, p: int) -> Bounded:
-    acc = Bounded(fzero, fzero)
-    for it in items:
-        acc = b_add(acc, it, p)
-    return acc
 
 
 # --- fork pool -----------------------------------------------------------
@@ -1330,9 +1304,8 @@ def frac_part_certified(x: Bounded) -> Tuple[int, Bounded]:
     """Split x into (floor(x), {x}) with the bound proven not to straddle.
 
     The fractional part uses the floor convention, so {x} is in [0, 1)
-    also for negative x.  Raises :class:`PrecisionInsufficient` (with an
-    estimate of the missing bits) when [x-err, x+err] contains an integer
-    boundary.
+    also for negative x.  Raises :class:`PrecisionInsufficient` when
+    [x-err, x+err] contains an integer boundary.
 
     Value and error are read as integers v and e over 2^k, so floor(x) is
     v >> k and {x} is f = v - (floor(x) << k) over 2^k; the interval stays
@@ -1346,15 +1319,8 @@ def frac_part_certified(x: Bounded) -> Tuple[int, Bounded]:
     fl = v >> k
     f = v - (fl << k)
     if e > f or (f + e) >> k:
-        dist = min(f, (1 << k) - f)
-        if dist == 0:
-            extra = None
-        else:
-            ratio = Fraction(e, dist)
-            extra = max(1, (ratio.numerator.bit_length()
-                            - ratio.denominator.bit_length()) + 1) + 8
         raise PrecisionInsufficient(
-            f"certified interval straddles an integer near {fl}", extra)
+            f"certified interval straddles an integer near {fl}")
     return fl, Bounded(from_man_exp(f, -k), x.err)
 
 

@@ -42,9 +42,7 @@ from .mpnum import (
     b_div,
     b_mul,
     b_mul_int,
-    b_scale,
     b_sub,
-    b_sum,
     escalation,
     euler_gamma,
     frac_part_certified,
@@ -85,13 +83,9 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1)
 def sondow_threshold(p: int) -> Bounded:
     """pi / (6 ln 2), the reference limit of the irrationality criterion."""
-    return _threshold(p)
-
-
-@lru_cache(maxsize=1)
-def _threshold(p: int) -> Bounded:
     # every row of a run asks at the same precision, so the last value is
     # kept (Bounded is immutable).  ln 2 comes from a small table of its
     # own: on the shared one, a threshold wider than the row's dots would
@@ -203,9 +197,7 @@ def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None,
         raise ValueError("n >= 1 required")
     if p < closed_form_floor(n):
         raise PrecisionInsufficient(
-            f"closed form at n={n} needs >= {closed_form_floor(n)} bits",
-            closed_form_floor(n) - p,
-        )
+            f"closed form at n={n} needs >= {closed_form_floor(n)} bits")
     g = b_mul_int(euler_gamma(p), math.comb(2 * n, n), p)
     if l_n is None:
         l_n = L_from_factorial_logs(n, p)
@@ -546,7 +538,7 @@ def I_series(
                          Bounded.from_ratio(*int_rat, p), p)
         integral = b_sub(integral, _prime_dot(int_logs, p), p)
 
-        tail = b_add(integral, b_scale(f_a, Fraction(1, 2), p), p)
+        tail = b_add(integral, b_mul(f_a, Bounded.from_ratio(1, 2, p + 8), p), p)
         # an enclosure (n+1) 2^-W / (den dq) wide, far below eps 2^-p; the
         # retry widens W when the correction is smaller still
         em_corr = _corr_rounded(kern, a, em_terms, p,
@@ -615,22 +607,17 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
     frac_target = mpnum.from_man_exp(1, -frac_bits)
     g, s_vec = _log_S_pair(n) if s_pair is None else s_pair
     p = _criterion_precision(n, policy)
-    steps, needed = escalation(f"criterion at n={n}", p, policy.max_bits), None
-    for p in iter(lambda: steps.send(needed), None):  # sends the bits lacked
+    for p in escalation(f"criterion at n={n}", p, policy.max_bits):
         ls = _prime_dot(s_vec, p, g)
         try:
             floor_part, frac = frac_part_certified(ls)
-            if mpnum.mpf_cmp(frac.err, frac_target) <= 0:
-                break
-            needed = frac_bits
-        except PrecisionInsufficient as e:
-            needed = e.extra_bits or p
-    # Q_n's factor is an integer only at n = 1 (it is 8); otherwise it is
-    # rounded from the unreduced pair, with no gcd of ~2,000-bit integers
-    num = (16 ** n) * n
-    c, r = divmod(num, d2n)
-    q = (b_mul(frac, Bounded.from_ratio(num, d2n, p + 8), p) if r
-         else b_mul_int(frac, c, p))
+        except PrecisionInsufficient:
+            continue
+        if mpnum.mpf_cmp(frac.err, frac_target) <= 0:
+            break
+    # Q_n's factor is rounded from the unreduced pair, with no gcd of
+    # ~2,000-bit integers; at n = 1 it is exactly 8
+    q = b_mul(frac, Bounded.from_ratio(16 ** n * n, d2n, p + 8), p)
     thr = sondow_threshold(max(frac_bits + 96, 192))
     return CriterionPoint(
         n=n,
@@ -683,11 +670,10 @@ def A_approx(n: int, p: int) -> Bounded:
     for k in range(1, 2 * n + 1):
         h = b_add(h, Bounded.from_fraction(Fraction(1, k), wp), wp)
         hs.append(h)
-    terms = [
-        b_mul_int(hs[n + j], exact.binomial(n, j) ** 2, wp)
-        for j in range(n + 1)
-    ]
-    return b_sum(terms, p)
+    total = Bounded(fzero, fzero)
+    for j in range(n + 1):
+        total = b_add(total, b_mul_int(hs[n + j], exact.binomial(n, j) ** 2, wp), p)
+    return total
 
 
 # --- full per-n record ----------------------------------------------------

@@ -492,7 +492,6 @@ def test_gamma_3000_digits_match_mpmath(capsys):
 
 def test_gamma_digits_honour_max_bits(capsys, monkeypatch):
     # 20000 digits start at 66,504 bits, past the 65,536-bit default
-    mpmath = pytest.importorskip("mpmath")
     # a fresh table, as in a `gamma` process: the shared one holds every
     # prime earlier tests used, and rebuilds them all at the new precision
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
@@ -500,10 +499,14 @@ def test_gamma_digits_honour_max_bits(capsys, monkeypatch):
     assert "needs 66504 bits" in capsys.readouterr().err
     assert run(["gamma", "--digits", "20000", "--max-bits", "131072"]) == 0
     out = capsys.readouterr().out.strip()
-    with mpmath.workdps(20040):
-        ref = mpmath.nstr(mpmath.mp.euler, 20030, strip_zeros=False)
+    # the first 20,002 characters of mpmath 1.3.0's gamma, made by
+    #   with mpmath.workdps(20040):
+    #       ref = mpmath.nstr(mpmath.mp.euler, 20030, strip_zeros=False)
+    #   hashlib.sha256(ref[:20002].encode()).hexdigest()
+    # (about 7 s to build, so the test keeps the digest)
     assert len(out) == 20002
-    assert out == ref[:20002]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bf78ac83933a9eb479fe7b8451db9bb474ed4ed715fedfa5f84dda54b3f0526d")
 
 
 def test_decimal_digits_beyond_str_limit():
@@ -609,10 +612,10 @@ def test_bad_option_text_exit_code(args, message, tmp_path, capsys):
 
 
 def test_threshold_computed_once_per_run(tmp_path):
-    sequences._threshold.cache_clear()
+    sequences.sondow_threshold.cache_clear()
     out = tmp_path / "c.csv"
     assert run(["criterion", "--n", "1..30", "--jobs", "1", "--out", str(out)]) == 0
-    assert sequences._threshold.cache_info().misses == 1
+    assert sequences.sondow_threshold.cache_info().misses == 1
 
 
 def _modules_after(code):
@@ -691,6 +694,21 @@ def test_missing_out_directory_fails_before_any_work(args, module, work, tmp_pat
     assert captured.err.startswith("error:") and str(missing) in captured.err
     assert captured.out == ""
     assert calls == [] and not missing.exists()
+
+
+def test_out_naming_a_directory_fails_before_any_row(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_rows(*a, **k):
+        pytest.fail("criterion_point ran before --out was checked")
+
+    monkeypatch.setattr(sequences, "criterion_point", no_rows)
+    out = tmp_path / "rows"
+    out.mkdir()
+    assert run(["criterion", "--n", "1..200", "--jobs", "1",
+                "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert list(tmp_path.rglob("*")) == [out]
 
 
 def test_package_serves_asymptotics_names_lazily():

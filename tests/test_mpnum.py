@@ -397,9 +397,8 @@ def test_frac_part_straddle():
         mn.frac_part_certified(wide)
     near = Bounded(Bounded.from_fraction(Fraction(2997, 1000), 96).val,
                    Bounded.from_fraction(Fraction(1, 100), 48).val)
-    with pytest.raises(mn.PrecisionInsufficient) as e:
+    with pytest.raises(mn.PrecisionInsufficient):
         mn.frac_part_certified(near)
-    assert e.value.extra_bits is not None and e.value.extra_bits >= 1
 
 
 @given(rationals)
@@ -435,12 +434,9 @@ def test_escalation_soundness_gamma_and_lf():
 
 # --- the escalation driver --------------------------------------------------------
 
-def test_escalation_doubles_or_takes_the_step_sent():
+def test_escalation_doubles():
     steps = mn.escalation("x", 100, 10 ** 6)
-    assert [next(steps), next(steps), next(steps)] == [100, 200, 400]
-    assert steps.send(30) == 800      # max(2b, b + 30)
-    assert steps.send(2000) == 2800   # b + 2000 beats 2b
-    assert steps.send(None) == 5600
+    assert [next(steps) for _ in range(6)] == [100 << i for i in range(6)]
 
 
 def test_escalation_raises_past_its_ceiling():

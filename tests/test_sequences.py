@@ -476,26 +476,30 @@ def test_capped_escalations_name_their_ceiling(monkeypatch):
         sq.criterion_point(12, PrecisionPolicy(max_bits=2 * p - 1))
 
 
-def _missing_once(extra_bits):
-    """frac_part_certified, but the first call lacks extra_bits."""
+def _missing_once(err):
+    """frac_part_certified, but the first call is undecided: it straddles
+    when err is None, and otherwise its {x} carries the error err."""
     real, calls = sq.frac_part_certified, []
 
     def missing_once(x):
         calls.append(x)
-        if len(calls) == 1:
-            raise mn.PrecisionInsufficient("straddles", extra_bits)
-        return real(x)
+        if len(calls) > 1:
+            return real(x)
+        if err is None:
+            raise mn.PrecisionInsufficient("straddles")
+        floor_part, f = real(x)
+        return floor_part, Bounded(f.val, err)
     return missing_once
 
 
-@pytest.mark.parametrize("extra", [None, 10, 5000])
-def test_criterion_steps_by_the_bits_an_attempt_lacked(extra, monkeypatch):
+@pytest.mark.parametrize("err", [None, mn.fone], ids=["straddle", "too-wide"])
+def test_criterion_doubles_after_an_undecided_attempt(err, monkeypatch):
     p = sq._criterion_precision(12, PrecisionPolicy())
-    assert 10 < p < 5000
     want = sq.criterion_point(12)
-    monkeypatch.setattr(sq, "frac_part_certified", _missing_once(extra))
+    assert want.precision_bits == p
+    monkeypatch.setattr(sq, "frac_part_certified", _missing_once(err))
     got = sq.criterion_point(12)
-    assert got.precision_bits == max(2 * p, p + (extra or 0))
+    assert got.precision_bits == 2 * p
     assert got.log_s_floor == want.log_s_floor and mn.agrees(got.frac, want.frac)
 
 
