@@ -456,26 +456,8 @@ def b_sqrt(x: Bounded, p: int) -> Bounded:
 WORKERS = 1
 
 
-def _take(r: int, top_up=None) -> Optional[int]:
-    """The next item index from the queue pipe r (non-blocking), or None
-    once the pipe is empty and closed.  The process that feeds the pipe
-    passes top_up, which writes what fits and returns whether indices are
-    still pending: it must never wait on an empty pipe that only it fills."""
-    import select
-
-    while True:
-        pending = top_up is not None and top_up()
-        try:
-            rec = os.read(r, 4)
-        except BlockingIOError:
-            if not pending:
-                select.select([r], [], [])
-            continue
-        return array("I", rec)[0] if rec else None
-
-
-def _fork_child(fn, items: Sequence, r: int, out: int, inherited: List[int]):
-    """A child of fork_map: run items from the queue, send the (index,
+def _fork_child(fn, items: Sequence, groups, r: int, out: int, inherited: List[int]):
+    """A child of fork_map: run groups from the queue, send the (index,
     result) pairs, or the exception, through `out`, and exit."""
     code = 1
     try:
@@ -485,10 +467,12 @@ def _fork_child(fn, items: Sequence, r: int, out: int, inherited: List[int]):
             os.close(fd)
         done = []
         try:
-            while (i := _take(r)) is not None:
-                done.append((i, fn(items[i])))
+            while rec := os.read(r, 4):
+                done += [(i, fn(items[i])) for i in groups(rec)]
             msg = (True, done)
         except Exception as e:
+            while os.read(r, 4096):  # empty the queue: the others stop
+                pass
             msg = (False, e)
         try:
             data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
@@ -506,16 +490,18 @@ def fork_map(fn, items: Sequence, k: int) -> List:
     """[fn(x) for x in items], computed by this process and k - 1 forked
     children, which inherit fn and items.
 
-    Items are handed out one at a time, in order, to whichever process is
-    free.  A pipe holds their indices as 4-byte records.  Every process
-    reads one record at a time, and a read of up to PIPE_BUF bytes from a
-    pipe is atomic.  This process writes what fits, in atomic chunks of
-    PIPE_BUF bytes, and tops the pipe up between its own items, so any
-    number of items fits.  Each child sends its results back through a
-    pipe of its own once the queue is empty.  A child's exception is raised
-    here.  A child that ends without sending its results raises
-    ChildProcessError.  On every exit every child still running is killed
-    and reaped.  Where os.fork does not exist, k is 1.
+    Items are handed out in order, to whichever process is free, in at most
+    PIPE_BUF / 4 groups of consecutive items: one item a group while there
+    are no more items than that.  Before forking, this process writes the
+    groups' 4-byte indices to a pipe in one write, which is atomic, and
+    closes the pipe's write end.  Every process reads one record at a time,
+    which is atomic too, until the pipe is empty.  Each child sends its
+    results back through a pipe of its own once the queue is empty.  A
+    child whose fn raises empties the queue, so every other process stops
+    after its current item, and its exception is raised here.  A child that
+    ends without sending its results raises ChildProcessError.  On every
+    exit every child still running is killed and reaped.  Where os.fork
+    does not exist, k is 1.
     """
     global WORKERS
     k = min(k, len(items)) if hasattr(os, "fork") else 1
@@ -525,42 +511,34 @@ def fork_map(fn, items: Sequence, k: int) -> List:
     import select
     import signal
 
-    queue = array("I", range(len(items))).tobytes()
-    chunk = getattr(select, "PIPE_BUF", 512)
-    sent = 0
+    n = len(items)
+    size = -(-n // (getattr(select, "PIPE_BUF", 512) // 4))  # items a group
+
+    def groups(rec: bytes) -> range:
+        i = array("I", rec)[0]
+        return range(i, min(i + size, n))
+
     r, w = os.pipe()
     fds = {r, w}
     children: Dict[int, int] = {}  # pid -> read end of its result pipe
     saved, WORKERS = WORKERS, 1
-
-    def top_up() -> bool:
-        nonlocal sent
-        if w not in fds:
-            return False
-        try:
-            while sent < len(queue):
-                sent += os.write(w, queue[sent:sent + chunk])
-        except BlockingIOError:
-            return True
-        os.close(w)  # the children read EOF once the queue is empty
-        fds.discard(w)
-        return False
-
     try:
-        os.set_blocking(r, False)
-        os.set_blocking(w, False)
+        os.write(w, array("I", range(0, n, size)).tobytes())
+        os.close(w)  # the readers see EOF once the queue is empty
+        fds.discard(w)
         for _ in range(k - 1):
             res_r, res_w = os.pipe()
             fds.update((res_r, res_w))
             pid = os.fork()
             if pid == 0:
-                _fork_child(fn, items, r, res_w, [w, *children.values(), res_r])
+                _fork_child(fn, items, groups, r, res_w, [*children.values(), res_r])
             children[pid] = res_r
             os.close(res_w)
             fds.discard(res_w)
-        results = [None] * len(items)
-        while (i := _take(r, top_up)) is not None:
-            results[i] = fn(items[i])
+        results = [None] * n
+        while rec := os.read(r, 4):
+            for i in groups(rec):
+                results[i] = fn(items[i])
         for pid in list(children):
             with os.fdopen(children[pid], "rb") as fh:
                 fds.discard(fh.fileno())

@@ -542,7 +542,7 @@ def I_series(
         # an enclosure (n+1) 2^-W / (den dq) wide, far below eps 2^-p; the
         # retry widens W when the correction is smaller still
         em_corr = _corr_rounded(kern, a, em_terms, p,
-                                p + _ENCLOSE_GUARD - _log2_fraction(eps))
+                                max(0, p + _ENCLOSE_GUARD - _log2_fraction(eps)))
         tail = b_add(tail, em_corr, p)
         total = b_add(main, tail, p)
         total = Bounded(total.val, _up_add(total.err, _fraction_to_raw_up(remainder)))

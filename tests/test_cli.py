@@ -176,6 +176,16 @@ def test_table_precision_exhaustion_flags_row(tmp_path):
     assert rows[0]["n"] == "1"  # flagged, not dropped
 
 
+@pytest.mark.parametrize("eps", ["1e+78", "1e+400", "1e+5000"])
+def test_table_accepts_a_tail_eps_far_above_the_rows(eps, tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["table", "--n", "1..3", "--tail-eps", eps,
+                "--jobs", "1", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    assert [r["i_agree"] for r in rows] == ["true"] * 3
+
+
 def test_table_parallel_matches_serial(tmp_path):
     a = tmp_path / "serial.csv"
     b = tmp_path / "par.csv"
@@ -241,6 +251,19 @@ def test_identity_violation_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["criterion", "--n", "1..12", "--jobs", "2", "--out", str(out)]) == 1
     assert "identity violation: planted at n=5" in capsys.readouterr().err
+    _no_child_left()
+
+
+def test_a_raising_worker_stops_the_row_hand_out(monkeypatch, tmp_path, capsys):
+    def violate(n):
+        raise exact.IdentityViolation(f"planted at n={n}")
+
+    rows = []  # the rows this process computes, n = 60 first
+    _planted_criterion(monkeypatch, violate, rows.append)
+    out = tmp_path / "x.csv"
+    assert run(["criterion", "--n", "1..60", "--jobs", "2", "--out", str(out)]) == 1
+    assert "identity violation: planted at n=" in capsys.readouterr().err
+    assert rows[0] == 60 and len(rows[1:]) <= 2  # at most 2 from the pool
     _no_child_left()
 
 

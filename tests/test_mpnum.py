@@ -954,10 +954,36 @@ def test_fork_map_raises_a_childs_exception():
     _no_child_left()
 
 
+def test_a_raising_child_stops_the_hand_out():
+    # the child raises at its first item and empties the queue, so this
+    # process, at 10 ms an item, stops after its current one
+    parent, taken = os.getpid(), []
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise ValueError(f"planted at {x}")
+        taken.append(x)
+        time.sleep(0.01)
+        return x
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="planted at"):
+        mn.fork_map(fn, range(200), 2)
+    assert time.perf_counter() - t0 < 1
+    assert len(taken) <= 2
+    _no_child_left()
+
+
 def test_fork_map_child_that_ends_without_results_is_an_error():
     with pytest.raises(ChildProcessError, match="ended with status 7 before "
                                                 "sending its results"):
         mn.fork_map(_in_child(os.getpid(), lambda x: os._exit(7)), range(12), 3)
+    _no_child_left()
+
+
+def test_fork_map_child_result_that_does_not_pickle_is_an_error():
+    with pytest.raises(ChildProcessError, match="cannot send"):
+        mn.fork_map(_in_child(os.getpid(), lambda x: lambda: x), range(12), 2)
     _no_child_left()
 
 

@@ -228,6 +228,15 @@ def test_I_series_eps_contract():
         assert val.err_fraction() <= eps
 
 
+def test_I_series_accepts_an_eps_far_above_its_value():
+    # past about 2^(p + 64) the correction's enclosure scale 2^W would go
+    # below 1; it stops at W = 0 and still agrees with a tight evaluation
+    eps = Fraction(10 ** 78)
+    val, _ = sq.I_series(1, eps)
+    assert val.err_fraction() <= eps
+    assert mn.agrees(val, sq.I_series(1)[0])
+
+
 def test_I_series_exhaustion_message_prints_log2_eps():
     # a float would print 0.000e+00 for an eps below 1e-308
     with pytest.raises(mn.PrecisionExhausted, match=r"eps=2\^-4000 at n=1"):
