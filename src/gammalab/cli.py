@@ -272,8 +272,10 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise OSError unless path names no directory and its directory exists
-    and is writable, so that a bad --out fails before any work, not after."""
+    """Raise OSError unless path is not empty, names no directory and lies in
+    a writable directory, so that a bad --out fails before any work."""
+    if not path:
+        raise OSError("--out is empty")
     if os.path.isdir(path):
         raise OSError(f"--out {path} is a directory")
     d = os.path.dirname(os.path.abspath(path))
@@ -474,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args._argv = argv
     args._t0 = time.perf_counter()
     try:
-        if getattr(args, "out", None):
+        if args.out is not None:
             _check_out_dir(args.out)
         return args.fn(args)
     except (PrecisionExhausted, PrecisionInsufficient) as e:

@@ -5,7 +5,8 @@ numbers, binomials, LCMs, Bernoulli numbers, unsigned Stirling numbers of
 the first kind, the partial-fraction decomposition of 1/(x(x+1)...(x+n))^2,
 and the combinatorial zero-sum identities behind the Sondow decomposition
 I_n = C(2n,n)*gamma + L_n - A_n.  All functions are pure; the memo tables
-are append-only and idempotent, so concurrent use is safe.
+are append-only and grow through one helper under one lock, so concurrent
+use is safe.
 
 The per-n rationals are all sums c_j H_m with m <= M, so each is an exact
 integer over d_M = lcm(1..M).  :func:`scaled_harmonics` gives d_M H_j for
@@ -20,9 +21,10 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Tuple, TypeVar
 
 StirlingRow = List[int]  # row m: unsigned first-kind numbers [m,0], ..., [m,m]
+T = TypeVar("T")
 
 __all__ = [
     "IdentityViolation",
@@ -77,11 +79,23 @@ def binomial_row(n: int) -> List[int]:
     return row
 
 
+_memo_lock = threading.RLock()
+
+
+def _memo(table: List[T], i: int, step: Callable[[int], T]) -> T:
+    """table[i] of an append-only table whose entry k is step(k), which may
+    read the entries before k; the missing entries are appended in order."""
+    if i >= len(table):
+        with _memo_lock:
+            while len(table) <= i:
+                table.append(step(len(table)))
+    return table[i]
+
+
 # Memoised incrementally up to this index; larger arguments fall back to a
 # divide-and-conquer sum so one-off huge inputs don't bloat the table.
 _HARMONIC_MEMO_LIMIT = 4096
 _harmonic_cache: List[Fraction] = [Fraction(0)]
-_harmonic_lock = threading.Lock()
 
 
 def _recip_sum(a: int, b: int) -> Fraction:
@@ -97,29 +111,19 @@ def harmonic(n: int) -> Fraction:
     if n < 0:
         raise ValueError("harmonic of negative index")
     if n <= _HARMONIC_MEMO_LIMIT:
-        if n >= len(_harmonic_cache):
-            with _harmonic_lock:
-                while len(_harmonic_cache) <= n:
-                    k = len(_harmonic_cache)
-                    _harmonic_cache.append(_harmonic_cache[k - 1] + Fraction(1, k))
-        return _harmonic_cache[n]
+        return _memo(_harmonic_cache, n,
+                     lambda k: _harmonic_cache[k - 1] + Fraction(1, k))
     return harmonic(_HARMONIC_MEMO_LIMIT) + _recip_sum(_HARMONIC_MEMO_LIMIT + 1, n)
 
 
-_lcm_cache: List[int] = [1]  # _lcm_cache[i] == lcm(1..i+1)
-_lcm_lock = threading.Lock()
+_lcm_cache: List[int] = [1]  # _lcm_cache[k] == lcm(1..k), 1 at k = 0
 
 
 def lcm_upto(n: int) -> int:
     """d_n = lcm(1, 2, ..., n) for n >= 1."""
     if n < 1:
         raise ValueError("lcm_upto needs n >= 1")
-    if n > len(_lcm_cache):
-        with _lcm_lock:
-            while len(_lcm_cache) < n:
-                k = len(_lcm_cache) + 1
-                _lcm_cache.append(math.lcm(_lcm_cache[-1], k))
-    return _lcm_cache[n - 1]
+    return _memo(_lcm_cache, n, lambda k: math.lcm(_lcm_cache[k - 1], k))
 
 
 def scaled_harmonics(m: int) -> Tuple[int, List[int]]:
@@ -138,7 +142,12 @@ def scaled_harmonics(m: int) -> Tuple[int, List[int]]:
 
 
 _bern_even: List[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
-_bern_lock = threading.Lock()
+
+
+def _bern_step(j: int) -> Fraction:
+    # B_2j from the even entries before it and the lone odd term, B_1 = -1/2
+    s = sum(math.comb(2 * j + 1, 2 * i) * _bern_even[i] for i in range(j))
+    return (Fraction(2 * j + 1, 2) - s) / (2 * j + 1)
 
 
 def bernoulli(m: int) -> Fraction:
@@ -153,23 +162,16 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(-1, 2)
     if m % 2 == 1:
         return Fraction(0)
-    k = m // 2
-    if k >= len(_bern_even):
-        with _bern_lock:
-            while len(_bern_even) <= k:
-                j = len(_bern_even)
-                n2 = 2 * j
-                s = sum(
-                    Fraction(math.comb(n2 + 1, 2 * i)) * _bern_even[i]
-                    for i in range(j)
-                )
-                s += Fraction(n2 + 1) * Fraction(-1, 2)  # the lone odd term, B_1
-                _bern_even.append(-s / (n2 + 1))
-    return _bern_even[k]
+    return _memo(_bern_even, m // 2, _bern_step)
 
 
 _stirling_rows: List[StirlingRow] = [[1]]
-_stirling_lock = threading.Lock()
+
+
+def _stirling_step(m: int) -> StirlingRow:
+    # row m from row m - 1: [m, k] = (m-1)[m-1, k] + [m-1, k-1]
+    prev = _stirling_rows[m - 1]
+    return [(m - 1) * a + b for a, b in zip(prev + [0], [0] + prev)]
 
 
 def stirling1_row(m: int) -> StirlingRow:
@@ -180,19 +182,7 @@ def stirling1_row(m: int) -> StirlingRow:
     """
     if m < 0:
         raise ValueError("stirling1_row of negative index")
-    if m >= len(_stirling_rows):
-        with _stirling_lock:
-            while len(_stirling_rows) <= m:
-                prev = _stirling_rows[-1]
-                mm = len(_stirling_rows) - 1
-                row = [0] * (mm + 2)
-                for k in range(mm + 2):
-                    acc = mm * prev[k] if k <= mm else 0
-                    if k >= 1:
-                        acc += prev[k - 1]
-                    row[k] = acc
-                _stirling_rows.append(row)
-    return list(_stirling_rows[m])
+    return list(_memo(_stirling_rows, m, _stirling_step))
 
 
 def stirling_low_order_residuals(m: int) -> Tuple[Fraction, Fraction, Fraction]:

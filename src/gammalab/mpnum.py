@@ -27,7 +27,7 @@ import threading
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -369,7 +369,7 @@ class Bounded(NamedTuple):
         except ValueError:
             # past 2^3500 to_str divides by a power of ten taken from the
             # mantissa exponent alone, so a long mantissa leaves an integer
-            # part that str() refuses (over 4300 digits); a short one does not
+            # part that to_str refuses (over 4300 digits); a short one does not
             return to_str(mpf_pos(self.val, 4 * dps + 64, round_down), dps)
 
     def err_decimal(self, dps: int = 3) -> str:
@@ -622,7 +622,7 @@ _GAMMA_MARGIN = 32  # bits of the gamma enclosure beyond a floor's
 # of 64 or more equal bits of ln q, gamma, pi or ln x, or an x so near 1 that
 # ln x cancels as many.  The ceiling changes no value; it makes a hang raise.
 _CEILING_FACTOR = 4
-_SIEVE_CAP = 1 << 20  # larger integers are factored by trial division
+_SIEVE_CAP = 1 << 20  # the largest trial divisor of PrimeLogTable.factor
 _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
 # floor_logs forks the leaves of m missing primes at P bits once m P reaches
 # _FORK_LEAF_BITS.  Measured on a 2-CPU x86 guest, Python 3.11: a fork_map
@@ -667,31 +667,21 @@ def _prime_leaf(q: int, p: int) -> Tuple[int, int]:
     return _two_atanh_split(3 if q == 2 else 2 * q * q - 1, p)
 
 
-def _spf_sieve(limit: int) -> Tuple[array, List[int]]:
-    """Smallest prime factor of each of 0..limit, and the primes <= limit."""
-    spf = array("l", range(limit + 1))
-    # Descending i: the last write to spf[j] comes from the smallest i >= 2
-    # with i | j and i^2 <= j, which is the smallest prime factor of j.
-    for i in range(math.isqrt(limit), 1, -1):
-        spf[i * i::i] = array("l", [i]) * len(range(i * i, limit + 1, i))
-    return spf, [q for q in range(2, limit + 1) if spf[q] == q]
-
-
 class PrimeLogTable:
-    """Certified fixed-point logs of the primes seen so far, and a sieve.
+    """Certified fixed-point logs of the primes seen so far, and the primes.
 
     The first dot product sizes the table; after that its precision
     doubles only when a dot asks for more or when an entry straddles a
     multiple of the floor it must certify, twice per read at most.  A run
     that asks for its widest dot first, as the row subcommands do by
-    computing their largest n first, builds the table once.  The sieve
-    doubles only when a larger integer must be factored (integers from
-    ``_SIEVE_CAP`` on need it only up to their square root).  ``builds``
-    and ``sieves`` count the rebuilds.  Entries are added one prime at a
-    time, each from entries already present; when enough are missing, their
-    atanh leaves are computed first, on ``WORKERS`` processes.  A rebuild
-    drops every entry, so it costs only the primes (and their q-1 and q+1
-    chains) asked for after it.
+    computing their largest n first, builds the table once.  The sieve keeps
+    only primes, and doubles when it must reach further: to m for
+    :meth:`primes_upto`, to min(sqrt k, ``_SIEVE_CAP``) to factor k.
+    ``builds`` and ``sieves`` count the rebuilds.  Entries are added one
+    prime at a time, each from entries already present; when enough are
+    missing, their atanh leaves are computed first, on ``WORKERS``
+    processes.  A rebuild drops every entry, so it costs only the primes
+    (and their q-1 and q+1 chains) asked for after it.
 
     The table also keeps Euler's constant as an enclosure of 2^W gamma
     (:meth:`floor_gamma`), so a fresh table computes gamma afresh.
@@ -703,53 +693,47 @@ class PrimeLogTable:
         self.sieves = 0
         self._logs: Dict[int, Tuple[int, int]] = {}  # q -> (lo_q, width_q)
         self._gamma = (0, 0, 1)  # (W, lo, hi) with lo <= 2^W gamma <= hi
-        self._sieve: Tuple[array, List[int]] = (array("l", [0, 1]), [])
+        self._sieve: Tuple[int, List[int]] = (1, [])  # (limit, the primes <= limit)
         self._lock = threading.RLock()
 
-    def _sieve_upto(self, k: int) -> Tuple[array, List[int]]:
-        sieve = self._sieve
-        if k >= len(sieve[0]):
+    def _sieve_upto(self, k: int) -> List[int]:
+        limit, primes = self._sieve
+        if k > limit:
             with self._lock:
-                sieve = self._sieve
-                if k >= len(sieve[0]):
-                    grown = min(2 * (len(sieve[0]) - 1), _SIEVE_CAP)
-                    sieve = _spf_sieve(max(k, grown, 64))
-                    self._sieve = sieve
+                limit, primes = self._sieve
+                if k > limit:
+                    limit = max(k, min(2 * limit, _SIEVE_CAP), 64)
+                    sieve = bytearray([1]) * (limit + 1)  # Eratosthenes
+                    for i in range(2, math.isqrt(limit) + 1):
+                        if sieve[i]:
+                            sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+                    primes = list(compress(range(2, limit + 1), sieve[2:]))
+                    self._sieve = (limit, primes)
                     self.sieves += 1
-        return sieve
+        return primes
 
     def factor(self, k: int) -> List[Tuple[int, int]]:
         """Prime factorisation [(q, v_q(k)), ...] of an integer k >= 1."""
+        # trial division by the primes up to L; a cofactor with no prime
+        # factor up to L is 1 or a prime when it is below (L+1)^2
         out = []
-        if k >= _SIEVE_CAP:
-            # trial division by the primes up to L; a cofactor with no prime
-            # factor up to L is 1 or a prime when it is below (L+1)^2
-            L = min(math.isqrt(k), _SIEVE_CAP)
-            for q in self._sieve_upto(L)[1]:
-                if q * q > k:
-                    break
-                e = 0
-                while k % q == 0:
-                    k //= q
-                    e += 1
-                if e:
-                    out.append((q, e))
-            if (L + 1) ** 2 <= k:
-                raise ValueError(f"{k} has no prime factor up to {L}; "
-                                 "it is too large to factor by trial division")
-            return out + [(k, 1)] if k > 1 else out
-        spf = self._sieve_upto(k)[0]
-        while k > 1:
-            q = spf[k]
+        L = min(math.isqrt(k), _SIEVE_CAP)
+        for q in self._sieve_upto(L):
+            if q * q > k:
+                break
             e = 0
             while k % q == 0:
                 k //= q
                 e += 1
-            out.append((q, e))
-        return out
+            if e:
+                out.append((q, e))
+        if (L + 1) ** 2 <= k:
+            raise ValueError(f"{k} has no prime factor up to {L}; "
+                             "it is too large to factor by trial division")
+        return out + [(k, 1)] if k > 1 else out
 
     def primes_upto(self, m: int) -> List[int]:
-        primes = self._sieve_upto(m)[1]
+        primes = self._sieve_upto(m)
         return primes[:bisect_right(primes, m)]
 
     def _fork_leaves(self, primes: Iterable[int]) -> Dict[int, Tuple[int, int]]:
@@ -846,6 +830,10 @@ class PrimeLogTable:
 
 
 _TABLE = PrimeLogTable()
+# The logs that must not size _TABLE, the rows' table: ln2_const, the
+# printer's ln 2 and ln 10 and Brent-McMillan's ln n.  A floor depends on
+# its width alone, so which table serves it moves no value.
+_SIDE_LOGS = PrimeLogTable()
 
 # (D, {key: a}): the rational vector {key: a / D} as integers over one
 # denominator D, not necessarily the least; zero entries are left out.
@@ -959,9 +947,9 @@ def log_factorial(m: int, p: int) -> Bounded:
     return _prime_dot(_factorial_log_pair(1, m, [1]), p + 8)
 
 
-def ln2_const(p: int, table: Optional[PrimeLogTable] = None) -> Bounded:
-    """ln 2, the table's first entry."""
-    return _prime_dot((1, {2: 1}), p, table=table)
+def ln2_const(p: int) -> Bounded:
+    """ln 2, read from the side table, so that it never sizes the rows'."""
+    return _prime_dot((1, {2: 1}), p, table=_SIDE_LOGS)
 
 
 def b_ln(x, p: int) -> Bounded:
@@ -1008,16 +996,17 @@ def b_ln(x, p: int) -> Bounded:
 # in decimal digits rounded to nearest.  Past 2^3500 (|exp + bc| > 3500) |x|
 # is first divided by 10^b, b = exp ln 2 / ln 10 truncated at
 # bitlen(|exp|) + 5 bits from ln 2 and ln 10 truncated to as many bits
-# (read from a table of their own, so what is printed never sizes the
-# shared one); 10^b (mpf_pow_int) and the quotient are truncated at
-# bitprec bits.  b comes from exp alone, not from bitlen(x), so a long
-# mantissa keeps a long integer part.  The digits round half up at digit
-# dps, carrying through nines, and print in fixed point when the leading
-# digit's exponent lies strictly between min(-(dps // 3), -5) and dps,
-# else with an exponent, trailing zeros stripped.
+# (read from _SIDE_LOGS, so what is printed never sizes the rows' table);
+# 10^b (mpf_pow_int) and the quotient are truncated at bitprec bits.  b
+# comes from exp alone, not from bitlen(x), so a long mantissa keeps a
+# long integer part.  The digits round half up at digit dps, carrying
+# through nines, and print in fixed point when the leading digit's
+# exponent lies strictly between min(-(dps // 3), -5) and dps, else with
+# an exponent, trailing zeros stripped.
 
 _LOG2_10 = math.log(10, 2)
-_PRINT_LOGS = PrimeLogTable()
+_STR_LIMIT = 10 ** 4300  # str() refuses these at CPython's default limit
+_STR_PIECE = 10 ** 600  # and every limit allows these (the least is 640)
 
 
 def _log_floor(vec: Dict[int, int], w: int) -> int:
@@ -1026,7 +1015,7 @@ def _log_floor(vec: Dict[int, int], w: int) -> int:
     e = sum_q a_q, so its floor is s >> g once that equals (s + e - 1) >> g."""
     e = sum(vec.values())
     for g in escalation(f"floor(2^{w} ln)", 32, _CEILING_FACTOR * 32):
-        logs = _PRINT_LOGS.floor_logs(vec, w + g)
+        logs = _SIDE_LOGS.floor_logs(vec, w + g)
         s = sum(a * logs[q] for q, a in vec.items())
         if s >> g == (s + e - 1) >> g:
             return s >> g
@@ -1041,10 +1030,14 @@ def _ln2_ln10(prec: int):
 
 def _digit_string(n: int, size: int) -> str:
     """str(n) for n >= 0, split as mpmath's numeral splits it for a size of
-    250 digits and more, so str() refuses the same integers (over 4300
-    digits)."""
+    250 digits and more.  A piece of over 4300 digits raises ValueError, as
+    str() does at CPython's default limit, whatever this interpreter's limit
+    is; a shorter one converts 600 digits at a time."""
     if size < 250 or not n:
-        return str(n)
+        if n >= _STR_LIMIT:
+            raise ValueError("integer string conversion past 4300 digits")
+        hi, lo = divmod(n, _STR_PIECE)
+        return _digit_string(hi, 0) + str(lo).rjust(600, "0") if hi else str(lo)
     half = (size + 1) // 2
     hi, lo = divmod(n, 10 ** half)
     return _digit_string(hi, half) + _digit_string(lo, half).rjust(half, "0")
@@ -1053,7 +1046,7 @@ def _digit_string(n: int, size: int) -> str:
 def to_str(x, dps: int) -> str:
     """The decimal string of a raw value to dps >= 1 significant digits, as
     mpmath's to_str prints it (see above).  Raises ValueError where mpmath's
-    does, on an integer part past str()'s digit limit."""
+    does at CPython's default limit, on an integer part past 4300 digits."""
     sign, man, exp, bc = x
     if not man:
         return "0.0"
@@ -1199,16 +1192,16 @@ def pi_const(p: int) -> Bounded:
 # as 5.7704 < 4 log2 e = 5.77078...
 #
 # Enclosure.  At B bits, x = floor(2^B W / (D (Q + T))) has
-# x <= 2^B S_K/V_K < x + 1.  With n = prod_q q^e_q and the table's floors
-# f_q = floor(2^B ln q), l = sum_q e_q f_q has l <= 2^B ln n < l + E, where
-# E = sum_q e_q.  Scaled by 2^B, the tails are at most t = 2^max(0, B + tail)
-# and the Bessel term lies in (0, c] with c = 2^max(0, B + bessel), where
-# tail and bessel are the exponents above.  So
+# x <= 2^B S_K/V_K < x + 1, and l = floor(2^B ln n) (_log_floor) has
+# l <= 2^B ln n < l + 1.  Scaled by 2^B, the tails are at most
+# t = 2^max(0, B + tail) and the Bessel term lies in (0, c] with
+# c = 2^max(0, B + bessel), where tail and bessel are the exponents above.
+# So
 #
-#     x - t - l - E - c  <=  2^B gamma  <=  x + 1 + t - l.
+#     x - t - l - 1 - c  <=  2^B gamma  <=  x + 1 + t - l,
 #
-# _bm_params(B) makes t and c 1, so the enclosure is a few units wide, and
-# a floor _GAMMA_MARGIN bits coarser straddles it with odds near 2^-28.
+# 2t + c + 2 units wide.  _bm_params(B) makes t and c 1, so the width is 5,
+# and a floor _GAMMA_MARGIN bits coarser straddles it with odds near 2^-28.
 
 _BM_GUARD = 32  # working bits beyond those asked for
 
@@ -1250,25 +1243,21 @@ def _bm_params(w: int) -> Tuple[int, int]:
 def _bm_enclosure(bits: int) -> Tuple[int, int]:
     """(lo, hi) with lo <= 2^bits gamma <= hi, from one split (see above).
 
-    The floors of ln n come from a fresh table of its own, which stays
-    small: n is about bits / 5.77, with a few small primes.  bits is
-    _BM_GUARD + _GAMMA_MARGIN above the precision asked of gamma, so on the
-    shared table ln n would be the widest request of a row that asks for
-    gamma, and would size that table for it.
+    ln n is read from _SIDE_LOGS: bits is _BM_GUARD + _GAMMA_MARGIN above
+    the precision asked of gamma, so on the rows' table ln n would be the
+    widest request of a row that asks for gamma, and would size that table
+    for it.  n is about bits / 5.77, with a few small primes.
     """
     n, K = _bm_params(bits)
     P, Q, D, _, T, W = _bm_split(n * n, 1, K + 1)
     x = (W << bits) // (D * (Q + T))
-    table = PrimeLogTable()
-    n_exps = dict(table.factor(n))
-    logs = table.floor_logs(n_exps, bits)
-    l = sum(e * logs[q] for q, e in n_exps.items())
+    l = _log_floor(dict(_SIDE_LOGS.factor(n)), bits)
     tail = ((2 * (K + 1).bit_length() * n * n).bit_length() + P.bit_length()
             - ((K + 1) ** 2).bit_length() - (Q + T).bit_length() + 2)
     bessel = 2 - 57704 * n // 10000
     t = 1 << max(0, bits + tail)
     c = 1 << max(0, bits + bessel)
-    return x - t - l - sum(n_exps.values()) - c, x + 1 + t - l
+    return x - t - l - 1 - c, x + 1 + t - l
 
 
 def euler_gamma(p: int) -> Bounded:

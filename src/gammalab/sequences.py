@@ -87,11 +87,8 @@ __all__ = [
 def sondow_threshold(p: int) -> Bounded:
     """pi / (6 ln 2), the reference limit of the irrationality criterion."""
     # every row of a run asks at the same precision, so the last value is
-    # kept (Bounded is immutable).  ln 2 comes from a small table of its
-    # own: on the shared one, a threshold wider than the row's dots would
-    # rebuild it, and a floor read depends on its width alone
-    ln2 = ln2_const(p, mpnum.PrimeLogTable())
-    return b_div(pi_const(p), b_mul_int(ln2, 6, p), p)
+    # kept (Bounded is immutable); ln2_const never sizes the rows' table
+    return b_div(pi_const(p), b_mul_int(ln2_const(p), 6, p), p)
 
 
 def L_vector(n: int) -> IntVec:

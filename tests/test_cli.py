@@ -697,26 +697,48 @@ def test_asym_reports_compute_without_mpmath():
     assert sorted(m for m in loaded if m.split(".")[0] == "mpmath") == []
 
 
-@pytest.mark.parametrize("args, module, work", [
+# each subcommand with the function that does its first work
+_FIRST_WORK = pytest.mark.parametrize("args, module, work", [
     (["table", "--n", "1"], "gammalab.sequences", "build_record"),
     (["criterion", "--n", "1"], "gammalab.sequences", "criterion_point"),
     (["gamma", "--digits", "1"], "gammalab.cli", "euler_gamma"),
     (["asym"], "gammalab.asymptotics", "convergence_report"),
     (["verify", "--n-max", "5"], "gammalab.verify", "run_exact_suite"),
 ], ids=["table", "criterion", "gamma", "asym", "verify"])
-def test_missing_out_directory_fails_before_any_work(args, module, work, tmp_path,
-                                                     capsys, monkeypatch):
+
+
+def _record_calls(module, work, monkeypatch):
     import importlib
 
     calls = []
     monkeypatch.setattr(importlib.import_module(module), work,
                         lambda *a, **k: calls.append(a))
+    return calls
+
+
+@_FIRST_WORK
+def test_missing_out_directory_fails_before_any_work(args, module, work, tmp_path,
+                                                     capsys, monkeypatch):
+    calls = _record_calls(module, work, monkeypatch)
     missing = tmp_path / "missing"
     assert run(args + ["--out", str(missing / "x.out")]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and str(missing) in captured.err
     assert captured.out == ""
     assert calls == [] and not missing.exists()
+
+
+@_FIRST_WORK
+def test_empty_out_fails_before_any_work(args, module, work, tmp_path, capsys,
+                                         monkeypatch):
+    # an empty --out is checked like any other, so no subcommand computes
+    # its rows first and then fails to open ''
+    calls = _record_calls(module, work, monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", ""]) == 3
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == ("error: --out is empty\n", "")
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_out_naming_a_directory_fails_before_any_row(tmp_path, capsys,

@@ -9,6 +9,7 @@ not correctly rounded is its far-apart shortcut in ``mpf_add`` (see
 exactly, directed roundings and all.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -248,8 +249,8 @@ def test_pow_int_equals_mpmath(s, n, prec, rnd):
 
 
 def test_printer_logs_are_mpmaths_truncated_constants():
-    # every precision the printer asks for exponents up to 2^75; the
-    # printer's own table, not the shared one, holds them
+    # every precision the printer asks for exponents up to 2^75; the side
+    # table, not the rows' one, holds them
     shared = (mn._TABLE.builds, mn._TABLE.prec)
     for prec in range(5, 81):
         assert mn._ln2_ln10(prec) == (mpf_ln2(prec), mpf_ln10(prec)), prec
@@ -315,3 +316,24 @@ def test_to_str_splits_long_digit_strings_as_mpmath_does(man, exp):
     # limit falls on the halves
     x = ml.from_man_exp(man, exp)
     assert _printed(mn.to_str, x, 300) == _printed(ml.to_str, x, 300)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_printed_digits_do_not_depend_on_the_str_digit_limit():
+    # a cell past 2^3500 whose integer part has 2,512 digits: to_str
+    # refuses only past 4300 digits, as str() does at CPython's default
+    # limit, so Bounded.decimal takes its fallback under no other limit
+    man = (97574967827503855712856800916350560018475 * 10 ** 2471 >> 5414) - 3
+    cell = mn.Bounded(mn.from_man_exp(man, 5414), mn.fzero)
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, 4300, 0):
+            sys.set_int_max_str_digits(limit)
+            assert (cell.decimal(40)
+                    == "9.757496782750385571285680091635056001847e+2511"), limit
+            assert mn._digit_string(10 ** 4300 - 1, 43) == "9" * 4300
+            with pytest.raises(ValueError):
+                mn._digit_string(10 ** 4300, 43)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -4,6 +4,7 @@ oracles (see oracles.py) rather than mpmath."""
 
 import math
 import os
+import pathlib
 import random
 import re
 import time
@@ -295,6 +296,16 @@ def test_gamma_floor_equals_mpmath(p):
     slack = Fraction(1, 2 ** 31)
     if math.floor(ref - slack) == math.floor(ref + slack):
         assert f == math.floor(ref)
+
+
+@pytest.mark.parametrize("bits", [96, 500, 1500])
+def test_bm_enclosure_holds_the_oracle_and_is_five_units_wide(bits):
+    # ln n is floor(2^bits ln n), within one unit, so the width is 2t + c + 2
+    # with the tails t and the Bessel term c sized to 1 by _bm_params
+    lo, hi = mn._bm_enclosure(bits)
+    g, e = oracles.em_gamma(bits)
+    assert lo <= (g - e) * 2 ** bits and (g + e) * 2 ** bits <= hi
+    assert hi - lo <= 5
 
 
 def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):
@@ -736,8 +747,8 @@ def test_log_factorial_contains_mpmath(m, p):
 
 
 def test_ln_int_beyond_the_sieve(monkeypatch):
-    # integers from _SIEVE_CAP on are factored by trial division, so the
-    # sieve only reaches their square root
+    # trial division stops at min(isqrt(k), _SIEVE_CAP), so the sieve never
+    # reaches past the cap
     table = mn.PrimeLogTable()
     monkeypatch.setattr(mn, "_TABLE", table)
     assert table.factor(2 ** 40 * 3 ** 5) == [(2, 40), (3, 5)]
@@ -745,10 +756,27 @@ def test_ln_int_beyond_the_sieve(monkeypatch):
     for k in (mn._SIEVE_CAP, 10 ** 12 + 39, 6 * (10 ** 6 + 3) ** 2):
         got = mn.ln_int(k, 200)
         assert abs(frac(got) - _mpmath_ln(k, 264)) <= got.err_fraction() + Fraction(1, 2 ** 250)
-    assert len(table._sieve[0]) <= mn._SIEVE_CAP + 1
+    assert table._sieve[0] <= mn._SIEVE_CAP  # the limit the sieve reaches
     for k in (2 ** 61 - 1, 6 * (10 ** 9 + 7) ** 2):
         with pytest.raises(ValueError):
             mn.ln_int(k, 200)
+
+
+def test_src_builds_only_the_rows_and_the_side_log_tables():
+    # every log reads _TABLE, or _SIDE_LOGS when it must not size the rows'
+    # table; no code path builds a throwaway table of its own
+    import ast
+
+    built = []
+    for path in sorted(pathlib.Path(mn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {id(node.value): [t.id for t in node.targets]
+                 for node in tree.body if isinstance(node, ast.Assign)}
+        built += [(path.name, names.get(id(node)))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "PrimeLogTable" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert sorted(built) == [("mpnum.py", ["_SIDE_LOGS"]), ("mpnum.py", ["_TABLE"])]
 
 
 def test_ln_int_factors_primes_past_the_sieve_cap(monkeypatch):

@@ -597,8 +597,8 @@ def test_build_record_computes_L_once(monkeypatch):
 def test_precision_plan_covers_every_stage(n, frac_bits, monkeypatch):
     # a stage's first dot product is its widest, so a fresh table sized by
     # that request serves every later one without a rebuild; build_record
-    # runs I_series first for this.  pi / (6 ln 2) reads ln 2 from a table
-    # of its own, so a threshold wider than the row (n = 1 at frac_bits 256)
+    # runs I_series first for this.  pi / (6 ln 2) reads ln 2 from the side
+    # table, so a threshold wider than the row (n = 1 at frac_bits 256)
     # does not rebuild the shared one.
     policy = PrecisionPolicy(frac_bits=frac_bits)
     for stage in (sq.build_record, sq.criterion_point):
