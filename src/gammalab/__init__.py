@@ -25,7 +25,6 @@ from .mpnum import (
     PrecisionPolicy,
     euler_gamma,
     frac_part_certified,
-    log_factorial,
 )
 from .sequences import (
     CriterionPoint,
@@ -33,13 +32,10 @@ from .sequences import (
     I_closed_form,
     I_series,
     L_from_factorial_logs,
-    L_from_power_product,
     build_record,
     criterion_point,
     gamma_roundtrip,
-    log_S,
     sondow_threshold,
-    tail_probe,
 )
 
 # asymptotics is imported on first use of one of its names, so that the
@@ -76,19 +72,15 @@ __all__ = [
     "PrecisionPolicy",
     "euler_gamma",
     "frac_part_certified",
-    "log_factorial",
     "CriterionPoint",
     "SeqRecord",
     "I_closed_form",
     "I_series",
     "L_from_factorial_logs",
-    "L_from_power_product",
     "build_record",
     "criterion_point",
     "gamma_roundtrip",
-    "log_S",
     "sondow_threshold",
-    "tail_probe",
     "LAWS",
     "aitken_limit",
     "convergence_report",

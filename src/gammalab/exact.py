@@ -280,8 +280,9 @@ def tail_log_coefficient(n: int) -> Fraction:
     """sum_j C(n,j)^2 ((H_{n-j} - H_j)(2j - n) + 1); zero for all n >= 1.
 
     This is the coefficient of log r in the large-r expansion of the
-    series tail probe (see sequences.tail_probe); its vanishing is what
-    makes the closed form of I_n valid.
+    series tail probe S_n(r) = sum_j C(n,j)^2 (2(H_{n-j} - H_j)
+    ln((n+j+r)!) + ln(n+j+r)), which tends to 0 as r grows; its vanishing
+    is what makes the closed form of I_n valid.
     """
     s = Fraction(0)
     for j in range(n + 1):

@@ -48,7 +48,6 @@ __all__ = [
     "ln2_const",
     "pi_const",
     "euler_gamma",
-    "log_factorial",
     "frac_part_certified",
     "agrees",
     "raw_to_fraction",
@@ -841,15 +840,6 @@ _SIDE_LOGS = PrimeLogTable()
 IntVec = Tuple[int, Dict[int, int]]
 
 
-def _legendre(m: int, q: int) -> int:
-    """v_q(m!) = sum_i floor(m / q^i)."""
-    v = 0
-    while m:
-        m //= q
-        v += m
-    return v
-
-
 def _range_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
     """Prime vector of sum_i (weights[i] / den) ln(lo + i), for lo >= 1.
 
@@ -879,25 +869,22 @@ def _range_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
 
 
 def _factorial_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
-    """Prime vector of sum_i (weights[i] / den) ln((lo + i)!), for lo >= 0.
+    """Prime vector of sum_i (weights[i] / den) ln((lo + i)!), for lo >= 0
+    and weights that sum to zero (``ValueError`` otherwise).
 
     With m0 the first m of nonzero weight, ln(m!) = ln(m0!) +
-    sum_{m0 < x <= m} ln x, so the total weight goes to Legendre's vector
-    of m0! and each x past m0 carries the weight of every m >= x, a suffix
-    sum; those x form one range for :func:`_range_log_pair`.
+    sum_{m0 < x <= m} ln x; the weights cancel on ln(m0!), and each x past
+    m0 carries the weight of every m >= x, a suffix sum; those x form one
+    range for :func:`_range_log_pair`.
     """
+    if sum(weights):
+        raise ValueError("log-factorial weights must sum to zero")
     used = [i for i, a in enumerate(weights) if a]
     if not used:
         return den, {}
     first, last = used[0], used[-1]
-    m0 = lo + first
     suffix = list(accumulate(reversed(weights[first + 1:last + 1])))[::-1]
-    acc = _range_log_pair(den, m0 + 1, suffix)[1]
-    total = sum(weights)
-    if total:
-        for q in _TABLE.primes_upto(m0):
-            acc[q] = acc.get(q, 0) + total * _legendre(m0, q)
-    return den, {q: c for q, c in acc.items() if c}
+    return _range_log_pair(den, lo + first + 1, suffix)
 
 
 def _prime_dot(vec: IntVec, p: int, g: int = 1,
@@ -933,18 +920,6 @@ def ln_int(k: int, p: int) -> Bounded:
     if k < 1:
         raise ValueError("ln_int needs k >= 1")
     return _prime_dot(_range_log_pair(1, k, [1]), p)
-
-
-def log_factorial(m: int, p: int) -> Bounded:
-    """ln(m!) from Legendre's vector, rounded to p + 8 bits.
-
-    The bound stays below the documented m * 2^(2-p) envelope: rounding
-    costs ln(m!) 2^-(p+8) <= m ln m 2^-(p+8), and the dot runs at p + 24
-    bits, costing sum_q v_q(m!) 2^-(p+24) <= m log2 m 2^-(p+24).
-    """
-    if m < 0:
-        raise ValueError("log_factorial needs m >= 0")
-    return _prime_dot(_factorial_log_pair(1, m, [1]), p + 8)
 
 
 def ln2_const(p: int) -> Bounded:

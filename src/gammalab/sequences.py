@@ -27,7 +27,7 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import exact, mpnum
@@ -67,15 +67,12 @@ __all__ = [
     "sondow_threshold",
     "L_from_factorial_logs",
     "L_vector",
-    "log_S",
     "check_L_identity",
-    "L_from_power_product",
     "I_closed_form",
     "I_series",
     "series_term",
     "gamma_roundtrip",
     "criterion_point",
-    "tail_probe",
     "A_approx",
     "build_record",
     "closed_form_floor",
@@ -95,8 +92,8 @@ def L_vector(n: int) -> IntVec:
     """Exact prime vector of L_n = sum_j 2 C(n,j)^2 (H_j - H_{n-j}) ln((n+j)!).
 
     The weights are exactly the scaled simple-pole residues of the
-    partial-fraction decomposition, as integers over d_n; the factorials
-    go through Legendre.
+    partial-fraction decomposition, as integers over d_n; they cancel, so
+    the log-factorials reduce to the logs of n+1 .. 2n.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -145,12 +142,6 @@ def _log_S_pair(n: int) -> Tuple[int, IntVec]:
     return g, _range_log_pair(1, n + 1, scaled)
 
 
-def log_S(n: int, p: int) -> Bounded:
-    """log S_n as a certified float (S_n itself is astronomically large)."""
-    g, vec = _log_S_pair(n)
-    return _prime_dot(vec, p, g)
-
-
 def check_L_identity(n: int, l_vec: Optional[IntVec] = None,
                      s_pair: Optional[Tuple[int, IntVec]] = None) -> None:
     """Raise IdentityViolation unless d_2n * vec(L_n) == vec(log S_n).
@@ -167,11 +158,6 @@ def check_L_identity(n: int, l_vec: Optional[IntVec] = None,
     if l_ints.keys() != s_ints.keys() or any(
             a * left != s_ints[q] * right for q, a in l_ints.items()):
         raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
-
-
-def L_from_power_product(n: int, p: int) -> Bounded:
-    """L_n = log(S_n) / d_{2n}; independent of the log-factorial route."""
-    return b_div(log_S(n, p), Bounded.exact_int(exact.lcm_upto(2 * n)), p)
 
 
 def closed_form_floor(n: int) -> int:
@@ -337,23 +323,17 @@ class _EMKernel:
 
         With e = 2K + 2, the exact remainder is
         |B_e| |S| / (B_e-den e (e-1) den), where S is the sum of
-        derivative_sum(e - 2, a) before its factor den.  The floored sum s
-        of :meth:`_floor_sum` bounds |S| by [s, s+n+1] when s >= 0, by
-        [-(s+n+1), -s] when s+n+1 <= 0, and by [0, max(-s, s+n+1)]
-        otherwise.
+        derivative_sum(e - 2, a) before its factor den.  S > 0, because g
+        is completely monotone (as the remainder bound itself assumes), so
+        the floored sum s of :meth:`_floor_sum` bounds |S| by
+        [max(s, 0), s+n+1].
         """
         e = 2 * K + 2
         s = self._floor_sum(self._derivative_tops(e - 2, a), a, e, W)
-        t = s + len(self.cs)
-        if s >= 0:
-            lo, hi = s, t
-        elif t <= 0:
-            lo, hi = -t, -s
-        else:
-            lo, hi = 0, max(-s, t)
         bern = exact.bernoulli(e)
         bn = abs(bern.numerator)
-        return bn * lo, bn * hi, (bern.denominator * e * (e - 1) * self.den) << W
+        return (bn * max(s, 0), bn * (s + len(self.cs)),
+                (bern.denominator * e * (e - 1) * self.den) << W)
 
     def em_corr(self, a: int, K: int) -> Tuple[int, int]:
         """sum_{j=1..K} B_2j / (2j)! g^(2j-2)(a) as an unreduced (num, den),
@@ -508,6 +488,12 @@ def I_series(
     if sum(wlog):
         raise exact.IdentityViolation(f"integral log weights do not cancel at n={n}")
 
+    # the first precision is checked against max_bits before the cutoff
+    # search, which at a tiny eps is long and would be wasted
+    steps = escalation(f"series at n={n}",
+                       max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64),
+                       policy.max_bits)
+    first = next(steps)
     v_cut, em_terms, remainder = _choose_cutoff(n, eps, kern)
     a = v_cut + 1
 
@@ -523,8 +509,7 @@ def I_series(
     main_logs = _factorial_log_pair(d, n, fact_w)
     int_logs = _range_log_pair(d, a, wlog)
 
-    p = max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64)
-    for p in escalation(f"series at n={n}", p, policy.max_bits):
+    for p in chain([first], steps):
         # sum_{v=n+1..V} f(v)
         main = b_sub(Bounded.from_ratio(*main_rat, p), _prime_dot(main_logs, p), p)
 
@@ -626,31 +611,6 @@ def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
         dist_zero=b_abs(q),
         dist_threshold=b_abs(b_sub(q, thr, p)),
     )
-
-
-def tail_probe(n: int, r: int, p: int) -> Bounded:
-    """The vanishing tail sum S_n(r) behind the closed form of I_n.
-
-    S_n(r) = sum_j C(n,j)^2 (2(H_{n-j}-H_j) ln((n+j+r)!) + ln(n+j+r)).
-    Evaluated without materialising huge log-factorials: the weights sum
-    to zero, so only logs of n+r+1 .. 2n+r enter.  S_n(r) -> 0 as r grows;
-    this is the quantity whose log-r coefficient is
-    exact.tail_log_coefficient(n).
-    """
-    if n < 1 or r < 1:
-        raise ValueError("n >= 1 and r >= 1 required")
-    wp = p + 2 * n + r.bit_length() + 32
-    d, nums = exact.residue_numerators(n)
-    suffix = [-a for a in nums]  # d * 2C^2(H_{n-j}-H_j)
-    for j in range(n - 1, -1, -1):
-        suffix[j] += suffix[j + 1]
-    if suffix[0] != 0:
-        raise exact.IdentityViolation("probe weights do not cancel")
-    # weights of ln(n + r + i) for i = 0 .. n
-    weights = [0] + suffix[1:]
-    for j, c in enumerate(exact.scaled_square_weights(n)):
-        weights[j] += d * c
-    return _prime_dot(_range_log_pair(d, n + r, weights), wp)
 
 
 def A_approx(n: int, p: int) -> Bounded:

@@ -62,7 +62,10 @@ def test_criterion_05_L_cross_method():
     p = 224
     for n in range(1, 31):
         l1 = sq.L_from_factorial_logs(n, p)
-        l2 = sq.L_from_power_product(n, p)
+        # the power-product route as build_record reads it
+        g, vec = sq._log_S_pair(n)
+        l2 = mn.b_div(mn._prime_dot(vec, p, g),
+                      Bounded.exact_int(exact.lcm_upto(2 * n)), p)
         assert mn.agrees(l1, l2), n
     # symbolic anchors to >= 30 decimal digits
     tol = Fraction(1, 10 ** 30)

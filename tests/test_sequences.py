@@ -3,6 +3,7 @@ oracles, criterion probes, and record determinism."""
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,17 @@ def log_S_vector(n):
     return den, {q: g * c for q, c in ints.items()}
 
 
+def log_S(n, p):
+    """log S_n as build_record and criterion_point read it."""
+    g, vec = sq._log_S_pair(n)
+    return mn._prime_dot(vec, p, g)
+
+
+def L_product(n, p):
+    """L_n = log S_n / d_2n, the record's power-product route."""
+    return mn.b_div(log_S(n, p), Bounded.exact_int(exact.lcm_upto(2 * n)), p)
+
+
 def test_log_S_exponents_small():
     assert log_S_exponents(1) == [4]          # S_1 = 2^4
     assert log_S_exponents(2) == [36, 36]     # S_2 = 12^36
@@ -58,9 +70,9 @@ def test_log_S_exponents_small():
 
 def test_log_S_value_small():
     p = 160
-    ls1 = sq.log_S(1, p)
+    ls1 = log_S(1, p)
     assert abs(frac(ls1) - 4 * oracles.ln2_oracle(200)) < Fraction(1, 2 ** 140)
-    ls2 = sq.log_S(2, p)
+    ls2 = log_S(2, p)
     assert abs(frac(ls2) - 36 * oracles.ln_oracle(Fraction(12), 220)) \
         < Fraction(1, 2 ** 130)
 
@@ -140,7 +152,7 @@ def test_L_identity_violation_raises(monkeypatch):
 def test_L_cross_method(n):
     p = 224
     l1 = sq.L_from_factorial_logs(n, p)
-    l2 = sq.L_from_power_product(n, p)
+    l2 = L_product(n, p)
     assert mn.agrees(l1, l2)
     rel = mn.b_div(mn.b_abs(mn.b_sub(l1, l2, p)), mn.b_abs(l2), p)
     assert float(rel) < 1e-40
@@ -174,7 +186,8 @@ def test_series_partial_sum_oracle():
     for k in range(n + 1):
         if nums[k] == 0:
             continue
-        dlf = mn.b_sub(mn.log_factorial(V + k, p), mn.log_factorial(n + k, p), p)
+        # ln((V+k)!/(n+k)!), the logs of n+k+1 .. V+k
+        dlf = mn._prime_dot(mn._range_log_pair(1, n + k + 1, [1] * (V - n)), p)
         asw = Bounded.from_fraction(Fraction(nums[k], d), p)
         folded = mn.b_sub(folded, mn.b_mul(asw, dlf, p), p)
     assert mn.agrees(acc, folded)
@@ -514,12 +527,32 @@ def test_criterion_doubles_after_an_undecided_attempt(err, monkeypatch):
 
 # --- tail probe --------------------------------------------------------------------
 
+def tail_probe(n, r, p):
+    """The vanishing tail sum S_n(r) behind the closed form of I_n.
+
+    S_n(r) = sum_j C(n,j)^2 (2(H_{n-j}-H_j) ln((n+j+r)!) + ln(n+j+r)).
+    Its log-factorial weights cancel, so it is the range vector of
+    n+r .. 2n+r, dotted; its log-r coefficient is
+    exact.tail_log_coefficient(n).
+    """
+    d, nums = exact.residue_numerators(n)
+    # suffix[j] = d * sum_{i >= j} 2C(n,i)^2 (H_{n-i}-H_i)
+    suffix = list(accumulate(reversed([-a for a in nums])))[::-1]
+    assert suffix[0] == 0  # the weights cancel
+    # weights of ln(n + r + i) for i = 0 .. n
+    weights = [0] + suffix[1:]
+    for j, c in enumerate(exact.scaled_square_weights(n)):
+        weights[j] += d * c
+    return mn._prime_dot(mn._range_log_pair(d, n + r, weights),
+                         p + 2 * n + r.bit_length() + 32)
+
+
 def test_tail_probe_closed_form_n1():
     for r in (10, 1000, 10 ** 6):
-        got = sq.tail_probe(1, r, 128)
+        got = tail_probe(1, r, 128)
         ref = oracles.ln_oracle(Fraction(1 + r, 2 + r), 180)
         assert abs(frac(got) - ref) < Fraction(1, 2 ** 100)
-    vals = [abs(float(sq.tail_probe(1, r, 128))) for r in (10, 10 ** 3, 10 ** 6)]
+    vals = [abs(float(tail_probe(1, r, 128))) for r in (10, 10 ** 3, 10 ** 6)]
     assert vals[2] < vals[1] < vals[0]
 
 
@@ -527,14 +560,14 @@ def test_tail_probe_past_the_sieve_cap(monkeypatch):
     # n + r + 1 = 2^20 + 7 is a prime, factored by trial division
     monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
     r = 1048582
-    got = sq.tail_probe(1, r, 64)
+    got = tail_probe(1, r, 64)
     ref = oracles.ln_oracle(Fraction(1 + r, 2 + r), 160)
     assert abs(frac(got) - ref) <= got.err_fraction() + Fraction(1, 2 ** 150)
 
 
 def test_tail_probe_decay_grid():
     for n in (1, 2, 3, 5):
-        mags = [abs(float(sq.tail_probe(n, r, 128)))
+        mags = [abs(float(tail_probe(n, r, 128)))
                 for r in (100, 1000, 10 ** 4)]
         assert mags[2] < mags[1] < mags[0], n
 
