@@ -318,6 +318,22 @@ def test_em_remainder_enclosure_contains_oracle(n, pad, K, W):
         assert lo == 0 < hi
 
 
+@given(st.integers(0, 80), st.sampled_from(sq._EM_PADS), st.sampled_from(sq._EM_TERMS))
+@example(0, 32, 6)
+@example(1, 512, 32)
+@example(80, 32, 12)
+# y = sum_k 2/(a+k) is 1.17 here and the bound only 0.40 bits low, so a
+# bound of y^e in place of y^(e-2) would exceed the remainder
+@example(120, 32, 6)
+@settings(max_examples=20, deadline=None)
+def test_em_remainder_lower_bound_below_oracle(n, pad, K):
+    asw, cs = _weights(n)
+    a = n + pad + 1
+    kern = _kernel(n)
+    num, den = kern.em_remainder_lower(K, kern.lower_factors(a))
+    assert 0 < Fraction(num, den) <= oracles.em_remainder(a, K, asw, cs)
+
+
 @given(st.integers(0, 80), st.sampled_from(sq._EM_PADS), st.integers(1, 32),
        st.integers(0, 400))
 @example(0, 32, 6, 0)
@@ -394,6 +410,38 @@ def test_choose_cutoff_needs_no_exact_remainder(monkeypatch):
     for n in range(1, 121):
         sq._choose_cutoff(n, sq.default_series_eps(n, pol), _kernel(n))
     assert len(calls) == 0
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(sq._EMKernel, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(sq._EMKernel, name, counting)
+    return calls
+
+
+def test_choose_cutoff_refuses_by_the_lower_bound(monkeypatch):
+    # the lower bound refuses most candidates without a sum over k; an
+    # enclosure per candidate made 526 here (503 candidates, 23 retries)
+    calls = _count_calls(monkeypatch, "em_remainder_enclosure")
+    pol = PrecisionPolicy()
+    for n in range(1, 121):
+        sq._choose_cutoff(n, sq.default_series_eps(n, pol), _kernel(n))
+    assert len(calls) <= 151
+
+
+def test_choose_cutoff_sizes_the_kept_enclosure_from_the_lower_bound(monkeypatch):
+    # an enclosure sized from the target alone can floor every term to 0,
+    # and its one retry then fell short of deciding: 11 exact sums here
+    calls = _count_calls(monkeypatch, "em_remainder")
+    for eps in (Fraction(1, 10 ** 20), Fraction(10 ** 78), Fraction(10 ** 400)):
+        for n in (1, 2, 3, 10, 30):
+            assert sq._choose_cutoff(n, eps, _kernel(n)) == _oracle_cutoff(n, eps), (n, eps)
+    assert calls == []
 
 
 class _OracleKernel(sq._EMKernel):
