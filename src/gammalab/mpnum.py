@@ -899,9 +899,13 @@ def _prime_dot(vec: IntVec, p: int, g: int = 1,
     rounding of s / (D 2^w) to p bits.  These are the integers the
     multiplied-out vector (D, {q: g a_q}) gives, so the result is the same;
     scaling D and every a_q by one integer leaves both rationals, and so the
-    result, unchanged.
+    result, unchanged.  g and D are first divided by their gcd, which
+    leaves g / D, and so the result, unchanged: the rows' log S_n, a vector
+    over d_n times g = d_2n, then sums over D = 1 with g = d_2n / d_n.
     """
     den, ints = vec
+    c = math.gcd(g, den)
+    g, den = g // c, den // c
     w = p + _DOT_GUARD
     logs = (table or _TABLE).floor_logs(ints, w) if ints else {}
     s = g * sum(map(mul, ints.values(), logs.values()))

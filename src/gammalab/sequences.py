@@ -108,57 +108,46 @@ def L_from_factorial_logs(n: int, p: int) -> Bounded:
 
 
 def _log_S_scaled(n: int) -> Tuple[int, List[int]]:
-    """(g, [E'_1, ..., E'_n]) with g = 2 d_2n / d_n and E_k = g E'_k.
+    """(d_n, [E'_1, ..., E'_n]) with E_k = (2 d_2n / d_n) E'_k.
 
     E_k collapses the triple product over (k, i, j) with per-factor
     exponent (2 d_2n / j) C(n,i)^2, so E_k = sum_i C(n,i)^2 2 d_2n
-    (H_{n-i} - H_i) over i < min(k, n+1-k).  As 2 d_2n H_j = g (d_n H_j),
-    the E'_k are the same sums over the scaled harmonics d_n H_j, which are
-    integers; g is checked to be one (d_n divides d_2n, so a failure means
-    a bug).
+    (H_{n-i} - H_i) over i < min(k, n+1-k).  As 2 d_2n H_j =
+    (2 d_2n / d_n) (d_n H_j), the E'_k are the same sums over the scaled
+    harmonics d_n H_j, which are integers.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     d, h = exact.scaled_harmonics(n)
-    g, r = divmod(2 * exact.lcm_upto(2 * n), d)
-    if r:
-        raise exact.IdentityViolation(f"d_n does not divide 2*d_2n at n={n}")
     # weight of ln(n+k) for a given i: C(n,i)^2 (d_n H_{n-i} - d_n H_i),
     # zero at i = n/2
     row = exact.binomial_row(n)
     half = list(accumulate(row[i] ** 2 * (h[n - i] - h[i]) for i in range(n // 2 + 1)))
     # E'_k = half[min(k - 1, n - k)]: rising over k <= m, then mirrored
     m = (n + 1) // 2
-    return g, half[:m] + half[:n - m][::-1]
+    return d, half[:m] + half[:n - m][::-1]
 
 
-def _log_S_pair(n: int) -> Tuple[int, IntVec]:
-    """(g, (1, {q: c'_q})) with c_q = g c'_q: the vector of log S_n over its
-    common factor g = 2 d_2n / d_n, from the exponents E'_k = E_k / g.
+def _log_S_vector(n: int) -> IntVec:
+    """Prime vector of log S_n / d_2n over d_n, the form of :func:`L_vector`:
+    ln(n+k) weighs E_k d_n / d_2n = 2 E'_k.  log S_n itself is its dot
+    product with factor d_2n."""
+    d, scaled = _log_S_scaled(n)
+    return _range_log_pair(d, n + 1, [2 * e for e in scaled])
 
-    The c'_q are about two thirds of the bits of the c_q at n = 460, and
-    ``_prime_dot(vec, p, g)`` gives what the multiplied-out vector gives.
+
+def check_L_identity(n: int) -> IntVec:
+    """Return the prime vector of L_n, checked against log S_n exactly.
+
+    Both routes build their vector over d_n, L_n's from the log-factorial
+    sum and log S_n / d_2n's from the power product, so Sondow's identity
+    d_2n L_n = log S_n holds iff the two vectors are equal; IdentityViolation
+    is raised otherwise.  The numeric ``l_agree`` check remains beside it.
     """
-    g, scaled = _log_S_scaled(n)
-    return g, _range_log_pair(1, n + 1, scaled)
-
-
-def check_L_identity(n: int, l_vec: Optional[IntVec] = None,
-                     s_pair: Optional[Tuple[int, IntVec]] = None) -> None:
-    """Raise IdentityViolation unless d_2n * vec(L_n) == vec(log S_n).
-
-    Both sides are exact prime vectors (D, {q: a_q}), so the two L_n routes
-    are compared with zero tolerance by cross-multiplying integers; the
-    numeric ``l_agree`` check remains beside it.  ``l_vec`` and ``s_pair``
-    (the scaled pair of log S_n, g times a vector) are the two sides when
-    the caller has them.
-    """
-    dl, l_ints = L_vector(n) if l_vec is None else l_vec
-    g, (ds, s_ints) = _log_S_pair(n) if s_pair is None else s_pair
-    left, right = exact.lcm_upto(2 * n) * ds, g * dl
-    if l_ints.keys() != s_ints.keys() or any(
-            a * left != s_ints[q] * right for q, a in l_ints.items()):
+    vec = L_vector(n)
+    if vec != _log_S_vector(n):
         raise exact.IdentityViolation(f"d_2n * vec(L_n) != vec(log S_n) at n={n}")
+    return vec
 
 
 def closed_form_floor(n: int) -> int:
@@ -633,22 +622,25 @@ def _criterion_precision(n: int, policy: PrecisionPolicy) -> int:
 
 
 def criterion_point(n: int, policy: PrecisionPolicy = PrecisionPolicy(),
-                    s_pair: Optional[Tuple[int, IntVec]] = None) -> CriterionPoint:
+                    s_vec: Optional[IntVec] = None) -> CriterionPoint:
     """Certified {log S_n} and Q_n, with distances to 0 and pi/(6 ln 2).
 
     The probe reports both distances and asserts neither limit; {log S_n}
-    is certified to ``policy.frac_bits`` bits.  ``s_pair`` is the scaled
-    prime vector of log S_n (:func:`_log_S_pair`) when the caller has it.
+    is certified to ``policy.frac_bits`` bits.  log S_n is the dot product
+    of ``s_vec``, the prime vector of log S_n / d_2n over d_n
+    (:func:`_log_S_vector`, built when the caller does not have it), with
+    factor d_2n.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     frac_bits = policy.frac_bits
     d2n = exact.lcm_upto(2 * n)
     frac_target = mpnum.from_man_exp(1, -frac_bits)
-    g, s_vec = _log_S_pair(n) if s_pair is None else s_pair
+    if s_vec is None:
+        s_vec = _log_S_vector(n)
     p = _criterion_precision(n, policy)
     for p in escalation(f"criterion at n={n}", p, policy.max_bits):
-        ls = _prime_dot(s_vec, p, g)
+        ls = _prime_dot(s_vec, p, d2n)
         try:
             floor_part, frac = frac_part_certified(ls)
         except PrecisionInsufficient:
@@ -737,11 +729,9 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     t_series = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    l_vec = L_vector(n)
-    s_pair = _log_S_pair(n)
-    check_L_identity(n, l_vec, s_pair)
-    l_log = _prime_dot(l_vec, p)
-    ls = _prime_dot(s_pair[1], p, s_pair[0])
+    vec = check_L_identity(n)
+    l_log = _prime_dot(vec, p)
+    ls = _prime_dot(vec, p, d2n)
     l_prod = b_div(ls, Bounded.exact_int(d2n), p)
     l_agree = agrees(l_log, l_prod)
     timings["L"] = time.perf_counter() - t0
@@ -753,7 +743,7 @@ def build_record(n: int, policy: PrecisionPolicy = PrecisionPolicy()) -> SeqReco
     timings["I"] = t_series + time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    criterion = criterion_point(n, policy, s_pair)
+    criterion = criterion_point(n, policy, vec)
     timings["criterion"] = time.perf_counter() - t0
 
     return SeqRecord(

@@ -853,9 +853,21 @@ def test_prime_dot_of_scaled_pair_equals_fraction_dict(vec, k, p):
     assert (got.val, got.err) == (want.val, want.err)
 
 
+def _d(m):
+    return math.lcm(*range(1, m + 1))
+
+
+_GCD_INTS = {2: 12, 3: -7, 5: 10 ** 20 + 1, 397: -3}
+
+
 @given(st.dictionaries(st.sampled_from(_SMALL_PRIMES),
                        st.integers(-10 ** 30, 10 ** 30).filter(bool), max_size=12),
        st.integers(1, 10 ** 6), st.integers(1, 10 ** 40), st.sampled_from([64, 192, 700]))
+# the rows' log S_n: D = d_n divides g = d_2n, and the gcd leaves D = 1
+@example(ints=_GCD_INTS, den=_d(1), g=_d(2), p=64)
+@example(ints=_GCD_INTS, den=_d(7), g=_d(14), p=192)
+@example(ints=_GCD_INTS, den=_d(60), g=_d(120), p=700)
+@example(ints=_GCD_INTS, den=_d(60), g=_d(60), p=192)   # D == g
 @settings(max_examples=40, deadline=None)
 def test_prime_dot_with_factor_equals_multiplied_out_vector(ints, den, g, p):
     got = mn._prime_dot((den, ints), p, g)

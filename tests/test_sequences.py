@@ -41,21 +41,22 @@ def test_L_weight_symmetry_relabelling():
 
 
 def log_S_exponents(n):
-    """E_k of log S_n = sum_k E_k ln(n+k): the scaled E'_k times g."""
-    g, scaled = sq._log_S_scaled(n)
+    """E_k of log S_n = sum_k E_k ln(n+k): the scaled E'_k times 2 d_2n / d_n."""
+    d, scaled = sq._log_S_scaled(n)
+    g = 2 * exact.lcm_upto(2 * n) // d
     return [g * e for e in scaled]
 
 
 def log_S_vector(n):
-    """The prime vector of log S_n: the scaled pair multiplied out by g."""
-    g, (den, ints) = sq._log_S_pair(n)
-    return den, {q: g * c for q, c in ints.items()}
+    """The prime vector of log S_n: the vector over d_n times d_2n."""
+    den, ints = sq._log_S_vector(n)
+    g = exact.lcm_upto(2 * n) // den
+    return 1, {q: g * c for q, c in ints.items()}
 
 
 def log_S(n, p):
     """log S_n as build_record and criterion_point read it."""
-    g, vec = sq._log_S_pair(n)
-    return mn._prime_dot(vec, p, g)
+    return mn._prime_dot(sq._log_S_vector(n), p, exact.lcm_upto(2 * n))
 
 
 def L_product(n, p):
@@ -118,10 +119,12 @@ def test_prime_vectors_small():
 
 
 def test_log_S_vector_equals_scaled_pair_multiplied_out():
-    # the vector of the multiplied-out exponents E_k against the scaled pair
+    # the vector of the multiplied-out exponents E_k against the vector
+    # over d_n multiplied out by d_2n
     for n in range(1, 201):
-        g, (den, ints) = sq._log_S_pair(n)
-        assert den == 1 and g == 2 * exact.lcm_upto(2 * n) // exact.lcm_upto(n)
+        den, ints = sq._log_S_vector(n)
+        g = exact.lcm_upto(2 * n) // den
+        assert den == exact.lcm_upto(n) and g * den == exact.lcm_upto(2 * n)
         assert (mn._range_log_pair(1, n + 1, log_S_exponents(n))
                 == (1, {q: g * c for q, c in ints.items()})), n
 
@@ -131,16 +134,26 @@ def test_L_identity_exact():
         sq.check_L_identity(n)
 
 
-def test_L_identity_violation_raises(monkeypatch):
-    real = sq.L_vector
+def _corrupt_L_vector(n, real):
+    den, vec = real(n)
+    vec = dict(vec)
+    vec[2] += 1  # adds ln 2 / den
+    return den, vec
 
-    def corrupted(n):
-        den, vec = real(n)
-        vec = dict(vec)
-        vec[2] += 1  # adds ln 2 / den
-        return den, vec
 
-    monkeypatch.setattr(sq, "L_vector", corrupted)
+def _corrupt_log_S_scaled(n, real):
+    den, scaled = real(n)
+    scaled = list(scaled)
+    scaled[0] += 1  # adds 2 ln(n+1) / den to log S_n / d_2n
+    return den, scaled
+
+
+@pytest.mark.parametrize("name, corrupt", [("L_vector", _corrupt_L_vector),
+                                           ("_log_S_scaled", _corrupt_log_S_scaled)],
+                         ids=["L_vector", "_log_S_scaled"])
+def test_L_identity_violation_raises(name, corrupt, monkeypatch):
+    real = getattr(sq, name)
+    monkeypatch.setattr(sq, name, lambda n: corrupt(n, real))
     with pytest.raises(exact.IdentityViolation):
         sq.check_L_identity(4)
     with pytest.raises(exact.IdentityViolation):
@@ -657,7 +670,7 @@ def test_build_record_computes_L_once(monkeypatch):
             return real(n)
         return wrapper
 
-    for name in ("L_vector", "_log_S_pair"):
+    for name in ("L_vector", "_log_S_vector"):
         monkeypatch.setattr(sq, name, counted(name))
     real_a = exact.A_exact
 
@@ -667,7 +680,7 @@ def test_build_record_computes_L_once(monkeypatch):
 
     monkeypatch.setattr(exact, "A_exact", counted_a)
     rec = sq.build_record(3)
-    assert calls == [("A_exact", 3), ("L_vector", 3), ("_log_S_pair", 3)]
+    assert calls == [("A_exact", 3), ("L_vector", 3), ("_log_S_vector", 3)]
     p = rec.precision_bits
     direct = sq.I_closed_form(3, p)
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
