@@ -21,7 +21,6 @@ Exit codes: 0 ok, 1 verification failure, 2 precision exhaustion,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -36,7 +35,6 @@ from .mpnum import (
     PrecisionInsufficient,
     PrecisionPolicy,
     escalation,
-    euler_gamma,
     fork_map,
     to_str,
     _digit_string,
@@ -362,21 +360,28 @@ def _cmd_asym(args) -> int:
 
 def _truncated_gamma_digits(digits: int, max_bits: int) -> str:
     """Euler's constant truncated (not rounded) to `digits` decimals,
-    certified: the enclosing interval must agree on every printed digit."""
+    certified: f = floor(2^w gamma) puts 10^digits gamma in
+    [f 10^digits / 2^w, (f + 1) 10^digits / 2^w), open at the top, as gamma
+    is irrational, so its floor is (f 10^digits) >> w once that equals
+    ((f + 1) 10^digits - 1) >> w."""
     if digits < 1:
         raise ValueError("--digits must be at least 1")
+    scale = 10 ** digits
     for p in escalation(f"gamma --digits {digits}", int(digits * 3.322) + 64,
                         max_bits):
-        g = euler_gamma(p)
-        scale = 10 ** digits
-        lo = (g.value_fraction() - g.err_fraction()) * scale
-        hi = (g.value_fraction() + g.err_fraction()) * scale
-        if math.floor(lo) == math.floor(hi):
-            return "0." + _decimal_digits(math.floor(lo), digits)
+        w = p + mpnum._BM_GUARD
+        f = mpnum._TABLE.floor_gamma(w)
+        lo = (f * scale) >> w
+        if lo == ((f + 1) * scale - 1) >> w:
+            return "0." + _decimal_digits(lo, digits)
 
 
 def _cmd_gamma(args) -> int:
-    text = _truncated_gamma_digits(args.digits, args.max_bits)
+    saved, mpnum.WORKERS = mpnum.WORKERS, args.jobs or _usable_cpus()
+    try:
+        text = _truncated_gamma_digits(args.digits, args.max_bits)
+    finally:
+        mpnum.WORKERS = saved
     sys.stdout.write(text + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -457,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="Euler's constant, truncated digits")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--out", default=None)
-    # gamma runs in one process; it keeps --jobs only because bench/run.py's
-    # traced run (--trace 1) passes --jobs 1 to it; the timed runs pass none
     _add_options(p, "--max-bits", "--jobs")
     p.set_defaults(fn=_cmd_gamma)
 

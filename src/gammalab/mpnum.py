@@ -16,7 +16,11 @@ of ``ln q`` with an explicit bound per entry (:class:`PrimeLogTable`).
 ``pi`` comes from Machin's formula with its alternating-series bound
 (:func:`pi_const`), and Euler's constant from Brent-McMillan binary
 splitting with a proven bound on its tails (:func:`euler_gamma`), which
-the test suite checks against an independent Euler-Maclaurin oracle.
+the test suite checks against an independent Euler-Maclaurin oracle.  The
+split runs in blocks of terms, each split exactly and rounded to fixed
+point both ways, on several processes once it is wide; the blocks are
+folded once from the floors and once from the ceilings, and since every
+step is monotone the two folds enclose the sums.
 """
 
 from __future__ import annotations
@@ -450,8 +454,9 @@ def b_sqrt(x: Bounded, p: int) -> Bounded:
 # --- fork pool -----------------------------------------------------------
 
 # Processes that PrimeLogTable.floor_logs may use for a large table's atanh
-# leaves.  The CLI sets it from --jobs.  It reads 1 inside a fork_map, in
-# this process and in every child, so a pool never starts a pool of its own.
+# leaves, and _bm_enclosure for a wide enclosure's blocks.  The CLI sets it
+# from --jobs.  It reads 1 inside a fork_map, in this process and in every
+# child, so a pool never starts a pool of its own.
 WORKERS = 1
 
 
@@ -633,7 +638,7 @@ _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many len
 # the guest's CPUs.  The benchmark's tables stay under it: `criterion --n
 # 1..460` enters 157 primes at 2,420 bits (0.38 M), `table --n 400..401` 145
 # at 2,641 (0.38 M), `table --n 1..120` 58 at 953 (0.06 M), and `gamma
-# --digits 1500`'s split 6 at 5,232 (0.03 M).
+# --digits 1500`'s split 3 at 5,215 (0.02 M).
 _FORK_LEAF_BITS = 1_000_000
 
 
@@ -1149,9 +1154,32 @@ def pi_const(p: int) -> Bounded:
 #     C = C1 D2 + C2 D1,  T = T1 Q2 + P1 T2,
 #     W = W1 Q2 D2 + P1 (C1 T2 D2 + W2 D1),
 #
-# and a leaf k is (n^2, k^2, k, 1, n^2, n^2).  Over [1, K+1), V_K = 1 + T/Q
-# and S_K = W/(QD), so S_K/V_K = W / (D (Q + T)), read by one floor
-# division (see Enclosure below).  Nothing else is rounded.
+# and a leaf k is (n^2, k^2, k, 1, n^2, n^2).
+#
+# Blocks (truncated binary splitting, Haible & Papanikolaou 1998).  Over
+# [1, K+1) the top integers of one split are many times wider than the
+# bits asked for, so [1, K+1) is cut into blocks (_bm_blocks) whose
+# integers stay near G = B + _BM_FOLD_GUARD bits.  Each block is split
+# exactly, and its four ratios T/Q, P/Q, W/(QD) and C/D are floored and
+# ceiled to G-bit fixed point where it was split (_bm_ratios).  With V_j
+# and S_j the sums up to k = j, the state before block [a, b) is
+# (V_{a-1}, S_{a-1}, rho = t_{a-1}, H_{a-1}), from (1, 0, 1, 0) at a = 1,
+# and the block moves it to
+#
+#     V_{b-1} = V + rho T/Q,          S_{b-1} = S + rho (W/(QD) + H T/Q),
+#     t_{b-1} = rho P/Q,              H_{b-1} = H + C/D.
+#
+# The blocks are folded left to right twice in G-bit fixed point
+# (_bm_fold): once from the floors, flooring every product, and once from
+# the ceilings, ceiling every product.  Every quantity is positive and
+# every step is a sum or a product of positives, so each step is
+# nondecreasing in each argument, and by induction over the blocks the
+# lower state is at most 2^G times the true state, component by component,
+# and the upper state at least that.  Hence, after the last block,
+#
+#     S_lo / V_hi  <=  S_K / V_K  <=  S_hi / V_lo,   rho_hi >= 2^G t_K,
+#
+# with no rounding error to propagate: the floors and ceilings carry it.
 #
 # Tails.  For k >= K+1, with K >= 3n, t_{k+1}/t_k = n^2/(k+1)^2 <= 1/4 and
 # H_{k+1}/H_k <= 1 + 1/(k+1) <= 4/3, so the omitted parts are
@@ -1159,30 +1187,43 @@ def pi_const(p: int) -> Bounded:
 # S/V - S_K/V_K = (eps_S - (S_K/V_K) eps_V) / V is a difference of two
 # nonnegative terms, and S_K/V_K <= H_K (a weighted mean of H_0..H_K), so
 # its size is at most (3/2) H_{K+1} t_{K+1} / V_K.  With
-# H_m <= 1 + ln m <= (4/3) bitlen(m) for m >= 2, Q = (K!)^2 and
-# P = n^(2K), that is at most
+# H_m <= 1 + ln m <= (4/3) bitlen(m) for m >= 2 and
+# t_{K+1} = t_K n^2 / (K+1)^2, that is at most
 #
-#     2 bitlen(K+1) n^2 P / ((K+1)^2 (Q + T)),
+#     2 bitlen(K+1) n^2 t_K / ((K+1)^2 V_K)
+#         <=  2 bitlen(K+1) n^2 rho_hi / ((K+1)^2 V_lo),
 #
-# bounded from the bit lengths of the factors (bitlen(xy) <= bitlen(x) +
-# bitlen(y) <= bitlen(xy) + 1).
+# read from the fold's upper rho and lower V.
 #
 # Bessel term.  pi e^{-4n} < 4 * 2^-(4n log2 e) <= 2^(2 - floor(5.7704 n)),
 # as 5.7704 < 4 log2 e = 5.77078...
 #
-# Enclosure.  At B bits, x = floor(2^B W / (D (Q + T))) has
-# x <= 2^B S_K/V_K < x + 1, and l = floor(2^B ln n) (_log_floor) has
-# l <= 2^B ln n < l + 1.  Scaled by 2^B, the tails are at most
-# t = 2^max(0, B + tail) and the Bessel term lies in (0, c] with
-# c = 2^max(0, B + bessel), where tail and bessel are the exponents above.
-# So
+# Enclosure.  At G bits, x_lo = floor(2^G S_lo / V_hi) and
+# x_hi = ceil(2^G S_hi / V_lo) enclose 2^G S_K/V_K, l = floor(2^G ln n)
+# (_log_floor) has l <= 2^G ln n < l + 1, the tails are at most the
+# ceiling t of 2^G times their bound, and the Bessel term lies in (0, c]
+# with c = 2^max(0, G + bessel).  So
 #
-#     x - t - l - 1 - c  <=  2^B gamma  <=  x + 1 + t - l,
+#     x_lo - t - l - 1 - c  <=  2^G gamma  <=  x_hi + t - l,
 #
-# 2t + c + 2 units wide.  _bm_params(B) makes t and c 1, so the width is 5,
-# and a floor _GAMMA_MARGIN bits coarser straddles it with odds near 2^-28.
+# and shifting the ends outward by _BM_FOLD_GUARD bits gives lo and hi at B
+# bits.  _bm_params(B) makes 2^G times the tail bound near 2^(g-8) and c at
+# most 2^g, g = _BM_FOLD_GUARD, and x_hi - x_lo is a few units (at most 5
+# over 99 widths from 64 to 12,000 bits), so the fine ends lie less than
+# 2^(g+1) apart and hi - lo is at most 3 (1 or 2 over those widths); a
+# floor _GAMMA_MARGIN bits coarser straddles it with odds near 2^-30.
 
 _BM_GUARD = 32  # working bits beyond those asked for
+_BM_FOLD_GUARD = 40  # fixed-point bits of the fold beyond the enclosure's
+# _bm_enclosure splits its blocks on WORKERS processes from _FORK_BM_BITS
+# bits on.  Measured on a 2-CPU x86 guest, Python 3.11, medians of 15
+# alternating calls, one process against two: 9.3 against 8.7 ms at 5,111
+# bits (the split of `gamma --digits 1500`), 20.0/16.2 ms at 8,000,
+# 30.9/22.3 ms at 10,000 and 40.4/29.7 ms at 12,000; 0.96/0.61 s at 66,600
+# (3 calls).  From 10,000 bits on a second process saves 8 ms or more,
+# about three times a fork_map's cost (see _FORK_LEAF_BITS); below it the
+# saving is of the order of that cost and of the spread between the CPUs.
+_FORK_BM_BITS = 10_000
 
 
 def _bm_split(n2: int, a: int, b: int) -> Tuple[int, int, int, int, int, int]:
@@ -1199,44 +1240,104 @@ def _bm_split(n2: int, a: int, b: int) -> Tuple[int, int, int, int, int, int]:
 def _bm_params(w: int) -> Tuple[int, int]:
     """(n, K) with the Bessel term below 2^-w and the tails near 2^-(w+8).
 
-    n is the least with floor(5.7704 n) >= w + 2.  K is the least from 3n
+    n is the least 7-smooth integer with floor(5.7704 n) >= w + 2, so ln n
+    needs the table entries of 2, 3, 5 and 7 alone.  K is the least from 3n
     whose tail bound is estimated below 2^-(w+8), with V_K >= t_n and
-    log2 t_k from lgamma; the tail bound actually used is recomputed
-    exactly from the sums.  K comes out near 3.59 n, the root of
-    a (ln a - 1) = 1 that balances the tails against e^{-4n}.
+    log2 t_k from lgamma; the tail bound actually used is recomputed from
+    the fold.  From 3n on the estimate falls by more than 3 bits a step
+    (t_{k+1}/t_k <= 1/9) and its bitlen factor grows by at most 1 bit, so
+    it is monotone and K is found by bisection.  K comes out near 3.59 n,
+    the root of a (ln a - 1) = 1 that balances the tails against e^{-4n}.
     """
     n = -(-(w + 2) * 10000 // 57704)
+    while True:
+        m = n
+        for q in (2, 3, 5, 7):
+            while m % q == 0:
+                m //= q
+        if m == 1:
+            break
+        n += 1
     ln_n = math.log(n)
 
     def log2_t(k: int) -> float:
         return 2 * (k * ln_n - math.lgamma(k + 1)) / math.log(2)
 
     floor_v = log2_t(n)
-    K = 3 * n
-    while (log2_t(K + 1) - floor_v + math.log2(2 * (K + 1).bit_length())
-           > -(w + 8)):
-        K += 1
-    return n, K
+
+    def above(K: int) -> bool:
+        return (log2_t(K + 1) - floor_v + math.log2(2 * (K + 1).bit_length())
+                > -(w + 8))
+
+    lo, hi = 3 * n, 4 * n  # the least K sought lies in [lo, hi]
+    while above(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return n, lo
+
+
+def _bm_blocks(K: int, G: int) -> List[Tuple[int, int]]:
+    """[1, K+1) cut into blocks of max(64, G // 20) terms, whose integers
+    stay near G bits."""
+    size = max(64, G // 20)
+    return [(a, min(a + size, K + 1)) for a in range(1, K + 1, size)]
+
+
+def _bm_ratios(n2: int, G: int, block: Tuple[int, int]) -> List[Tuple[int, int]]:
+    """[(floor, ceil)] of 2^G T/Q, 2^G P/Q, 2^G W/(QD) and 2^G C/D of one
+    block, split exactly."""
+    P, Q, D, C, T, W = _bm_split(n2, *block)
+    out = []
+    for x, y in ((T, Q), (P, Q), (W, Q * D), (C, D)):
+        f, r = divmod(x << G, y)
+        out.append((f, f + (r > 0)))
+    return out
+
+
+def _bm_fold(ratios: Sequence[List[Tuple[int, int]]], G: int, up: int):
+    """The state (V, S, rho, H) at G-bit fixed point after the blocks'
+    ratios, folded left to right from the floors (up = 0), flooring every
+    product, or from the ceilings (up = 1), ceiling every product."""
+    def mul(x: int, y: int) -> int:
+        return -(-(x * y) >> G) if up else x * y >> G
+
+    V = rho = 1 << G
+    S = H = 0
+    for block in ratios:
+        tq, pq, wq, cd = (r[up] for r in block)
+        V, S, rho, H = (V + mul(rho, tq), S + mul(rho, wq + mul(H, tq)),
+                        mul(rho, pq), H + cd)
+    return V, S, rho, H
 
 
 def _bm_enclosure(bits: int) -> Tuple[int, int]:
-    """(lo, hi) with lo <= 2^bits gamma <= hi, from one split (see above).
+    """(lo, hi) with lo <= 2^bits gamma <= hi, from the blocks' fold (see
+    above).  The blocks are split on WORKERS processes from
+    ``_FORK_BM_BITS`` on, else in this process.
 
     ln n is read from _SIDE_LOGS: bits is _BM_GUARD + _GAMMA_MARGIN above
     the precision asked of gamma, so on the rows' table ln n would be the
     widest request of a row that asks for gamma, and would size that table
-    for it.  n is about bits / 5.77, with a few small primes.
+    for it.
     """
     n, K = _bm_params(bits)
-    P, Q, D, _, T, W = _bm_split(n * n, 1, K + 1)
-    x = (W << bits) // (D * (Q + T))
-    l = _log_floor(dict(_SIDE_LOGS.factor(n)), bits)
-    tail = ((2 * (K + 1).bit_length() * n * n).bit_length() + P.bit_length()
-            - ((K + 1) ** 2).bit_length() - (Q + T).bit_length() + 2)
-    bessel = 2 - 57704 * n // 10000
-    t = 1 << max(0, bits + tail)
-    c = 1 << max(0, bits + bessel)
-    return x - t - l - 1 - c, x + 1 + t - l
+    G = bits + _BM_FOLD_GUARD
+    blocks = _bm_blocks(K, G)
+    ratios = fork_map(lambda block: _bm_ratios(n * n, G, block), blocks,
+                      WORKERS if bits >= _FORK_BM_BITS else 1)
+    V_lo, S_lo, _, _ = _bm_fold(ratios, G, 0)
+    V_hi, S_hi, rho_hi, _ = _bm_fold(ratios, G, 1)
+    x_lo = (S_lo << G) // V_hi
+    x_hi = -(-(S_hi << G) // V_lo)
+    t = -(-(2 * (K + 1).bit_length() * n * n * rho_hi << G) // ((K + 1) ** 2 * V_lo))
+    l = _log_floor(dict(_SIDE_LOGS.factor(n)), G)
+    c = 1 << max(0, G + 2 - 57704 * n // 10000)
+    return (x_lo - t - l - 1 - c) >> _BM_FOLD_GUARD, -(-(x_hi + t - l) >> _BM_FOLD_GUARD)
 
 
 def euler_gamma(p: int) -> Bounded:

@@ -115,6 +115,35 @@ def em_gamma(p: int) -> tuple:
     return g, rem + Fraction(m, 2 ** ln2_bits)
 
 
+def bm_cutoff_scan(n: int, w: int) -> int:
+    """Brent-McMillan's cutoff K for n at w bits by a linear scan: the least
+    K from 3n whose tail bound, estimated as 2 bitlen(K+1) t_{K+1} / t_n
+    with log2 t_k from lgamma, is below 2^-(w+8)."""
+    ln_n = math.log(n)
+
+    def log2_t(k: int) -> float:
+        return 2 * (k * ln_n - math.lgamma(k + 1)) / math.log(2)
+
+    K = 3 * n
+    while (log2_t(K + 1) - log2_t(n) + math.log2(2 * (K + 1).bit_length())
+           > -(w + 8)):
+        K += 1
+    return K
+
+
+def bm_sums(n: int, K: int) -> tuple:
+    """(V_K, S_K, t_K, H_K) of Brent-McMillan's sums, exactly, term by term:
+    t_k = (n^k / k!)^2, V_K = sum_{k=0..K} t_k, S_K = sum_{k=1..K} t_k H_k."""
+    t, h = Fraction(1), Fraction(0)
+    V, S = Fraction(1), Fraction(0)
+    for k in range(1, K + 1):
+        t = t * n * n / (k * k)
+        h += Fraction(1, k)
+        V += t
+        S += t * h
+    return V, S, t, h
+
+
 def agreeing_bits(x: Fraction, y: Fraction, cap: int) -> int:
     """-log2 |x - y| to within one bit, or cap when x == y."""
     d = abs(Fraction(x) - Fraction(y))

@@ -359,6 +359,24 @@ def test_forked_leaves_print_the_same_bytes(tmp_path, monkeypatch):
     _no_child_left()
 
 
+def test_gamma_jobs_sets_the_processes_of_its_blocks(capsys, monkeypatch):
+    # with the threshold forced low, gamma splits its Brent-McMillan blocks
+    # on --jobs processes, and prints what one process prints
+    forked, fork_map = [], mn.fork_map
+    monkeypatch.setattr(mn, "fork_map",
+                        lambda fn, items, k: forked.append(k) or fork_map(fn, items, k))
+    monkeypatch.setattr(mn, "_FORK_BM_BITS", 1)
+    printed = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+        assert run(["gamma", "--digits", "60", "--jobs", jobs]) == 0
+        printed.append(capsys.readouterr().out)
+    assert forked == [1, 2]
+    assert printed[0] == printed[1]
+    assert mn.WORKERS == 1
+    _no_child_left()
+
+
 @pytest.mark.parametrize("affinity, jobs", [({0}, 1), ({0, 1, 2}, 3)])
 def test_default_jobs_counts_the_cpus_this_process_may_use(affinity, jobs,
                                                            tmp_path, monkeypatch):
@@ -715,7 +733,7 @@ def test_asym_reports_compute_without_mpmath():
 _FIRST_WORK = pytest.mark.parametrize("args, module, work", [
     (["table", "--n", "1"], "gammalab.sequences", "build_record"),
     (["criterion", "--n", "1"], "gammalab.sequences", "criterion_point"),
-    (["gamma", "--digits", "1"], "gammalab.cli", "euler_gamma"),
+    (["gamma", "--digits", "1"], "gammalab.cli", "_truncated_gamma_digits"),
     (["asym"], "gammalab.asymptotics", "convergence_report"),
     (["verify", "--n-max", "5"], "gammalab.verify", "run_exact_suite"),
 ], ids=["table", "criterion", "gamma", "asym", "verify"])

@@ -308,6 +308,85 @@ def test_bm_enclosure_holds_the_oracle_and_is_five_units_wide(bits):
     assert hi - lo <= 5
 
 
+_BM_CUTS = {
+    "one block": lambda K: [(1, K + 1)],
+    "two blocks": lambda K: [(1, K // 2), (K // 2, K + 1)],
+    "16-term blocks": lambda K: [(a, min(a + 16, K + 1)) for a in range(1, K + 1, 16)],
+}
+
+
+@pytest.mark.parametrize("cut", list(_BM_CUTS))
+@pytest.mark.parametrize("bits", [96, 500, 1500])
+def test_bm_enclosure_holds_the_oracle_however_the_terms_are_cut(bits, cut,
+                                                                 monkeypatch):
+    monkeypatch.setattr(mn, "_bm_blocks", lambda K, G: _BM_CUTS[cut](K))
+    lo, hi = mn._bm_enclosure(bits)
+    g, e = oracles.em_gamma(bits)
+    assert lo <= (g - e) * 2 ** bits and (g + e) * 2 ** bits <= hi
+    assert hi - lo <= 5
+
+
+@pytest.mark.parametrize("bits", [96, 500])
+def test_bm_folds_enclose_the_exact_sums(bits):
+    # the fold from the floors is at most 2^G times each of (V_K, S_K, t_K,
+    # H_K), and the fold from the ceilings at least that, however many
+    # blocks round on the way
+    n, K = mn._bm_params(bits)
+    G = bits + mn._BM_FOLD_GUARD
+    ratios = [mn._bm_ratios(n * n, G, block) for block in _BM_CUTS["16-term blocks"](K)]
+    lo, hi = mn._bm_fold(ratios, G, 0), mn._bm_fold(ratios, G, 1)
+    for low, exact_value, high in zip(lo, oracles.bm_sums(n, K), hi):
+        assert low <= exact_value * 2 ** G <= high
+
+
+def test_bm_tail_bound_reads_the_upper_fold(monkeypatch):
+    # a sum cut 40 terms short of its cutoff, so the tail bound sets the
+    # width: the enclosure still holds the oracle, and it reads t_K from the
+    # upper fold alone, so a lower fold that bounds rho by 0 moves nothing
+    bits = 500
+    n, K = mn._bm_params(bits)
+    assert K - 40 >= 3 * n  # where the tail bound is derived
+    monkeypatch.setattr(mn, "_bm_params", lambda w: (n, K - 40))
+    lo, hi = mn._bm_enclosure(bits)
+    g, e = oracles.em_gamma(bits)
+    assert lo <= (g - e) * 2 ** bits and (g + e) * 2 ** bits <= hi
+    assert hi - lo > 2 ** 100
+    fold = mn._bm_fold
+    monkeypatch.setattr(mn, "_bm_fold", lambda ratios, G, up: (
+        fold(ratios, G, up) if up else fold(ratios, G, up)[:2] + (0, 0)))
+    assert mn._bm_enclosure(bits) == (lo, hi)
+
+
+def test_bm_blocks_on_the_pool_fold_to_the_same_enclosure(monkeypatch):
+    here = mn._bm_enclosure(1500)
+    forked, fork_map = [], mn.fork_map
+    monkeypatch.setattr(mn, "fork_map",
+                        lambda fn, items, k: forked.append(k) or fork_map(fn, items, k))
+    monkeypatch.setattr(mn, "_FORK_BM_BITS", 1)
+    monkeypatch.setattr(mn, "WORKERS", 2)
+    assert mn._bm_enclosure(1500) == here
+    assert forked == [2]
+    _no_child_left()
+
+
+@given(st.integers(64, 70_000))
+@example(64)
+@example(5111)  # the split of gamma --digits 1500
+@example(70_000)
+@settings(max_examples=40, deadline=None)
+def test_bm_params_take_a_7_smooth_n_and_the_linear_scans_K(w):
+    def smooth(m):
+        for q in (2, 3, 5, 7):
+            while m % q == 0:
+                m //= q
+        return m == 1
+
+    n, K = mn._bm_params(w)
+    least = -(-(w + 2) * 10000 // 57704)  # floor(5.7704 n) >= w + 2 from here
+    assert [m for m in range(least, n + 1) if smooth(m)] == [n]
+    assert K == oracles.bm_cutoff_scan(n, w)
+
+
 def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):
     ws = (1000, 64, 999, 700)
     fresh = [mn.PrimeLogTable().floor_gamma(w) for w in ws]
