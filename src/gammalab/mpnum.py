@@ -1250,13 +1250,7 @@ def _bm_params(w: int) -> Tuple[int, int]:
     the root of a (ln a - 1) = 1 that balances the tails against e^{-4n}.
     """
     n = -(-(w + 2) * 10000 // 57704)
-    while True:
-        m = n
-        for q in (2, 3, 5, 7):
-            while m % q == 0:
-                m //= q
-        if m == 1:
-            break
+    while any(q > 7 for q, _ in _SIDE_LOGS.factor(n)):
         n += 1
     ln_n = math.log(n)
 
@@ -1327,8 +1321,7 @@ def _bm_enclosure(bits: int) -> Tuple[int, int]:
     """
     n, K = _bm_params(bits)
     G = bits + _BM_FOLD_GUARD
-    blocks = _bm_blocks(K, G)
-    ratios = fork_map(lambda block: _bm_ratios(n * n, G, block), blocks,
+    ratios = fork_map(lambda block: _bm_ratios(n * n, G, block), _bm_blocks(K, G),
                       WORKERS if bits >= _FORK_BM_BITS else 1)
     V_lo, S_lo, _, _ = _bm_fold(ratios, G, 0)
     V_hi, S_hi, rho_hi, _ = _bm_fold(ratios, G, 1)
