@@ -37,7 +37,6 @@ from .mpnum import (
     escalation,
     fork_map,
     to_str,
-    _digit_string,
     _fraction_to_raw_up,
 )
 
@@ -123,9 +122,14 @@ def _cells(**bounded: Bounded) -> Dict[str, str]:
 
 def _decimal_digits(x: int, width: int = 0) -> str:
     """str(x).rjust(width, "0") for x >= 0, also past the digits str()
-    refuses (sys.get_int_max_str_digits(), 4300 by default): sized at no
-    fewer digits than x has, _digit_string hands str() at most 250."""
-    return _digit_string(x, int(x.bit_length() * 0.30103) + 1).rjust(width, "0")
+    refuses (sys.get_int_max_str_digits(), at least 640): from 250 digits,
+    an estimate never below the true count, x is split in halves."""
+    size = int(x.bit_length() * 0.30103) + 1
+    if size < 250:
+        return str(x).rjust(width, "0")
+    half = (size + 1) // 2
+    hi, lo = divmod(x, 10 ** half)
+    return (_decimal_digits(hi) + _decimal_digits(lo, half)).rjust(width, "0")
 
 
 def _frac_str(q: Fraction) -> str:

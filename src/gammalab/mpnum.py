@@ -4,8 +4,8 @@ Values are raw dyadic floats in mpmath's format, ``(sign, mantissa,
 exponent, bitcount)`` tuples, which this module computes itself: add,
 subtract, multiply, divide and square root round the exact result
 correctly at a precision passed as an argument (there is no global
-precision state), and a port of mpmath's decimal printer, :func:`to_str`,
-prints them with mpmath's bytes; mpmath itself is never imported.  Every
+precision state), and :func:`to_str` prints the exact value rounded half
+up, in mpmath's layout; mpmath itself is never imported.  Every
 operation propagates an absolute error bound alongside the value; bound
 arithmetic is done at coarse precision with *upward* rounding, so for each
 :class:`Bounded` the true real number lies in ``[value - err, value + err]``.
@@ -73,7 +73,6 @@ __all__ = [
 
 fzero = (0, 0, 0, 0)
 fone = (0, 1, 0, 1)
-round_down = "d"
 
 
 def _normalize(sign: int, man: int, exp: int, prec: int, rnd: str):
@@ -192,45 +191,6 @@ def mpf_cmp(s, t) -> int:
     """The sign of s - t: -1, 0 or 1."""
     d = mpf_sub(s, t, 1)  # rounding toward zero keeps the sign
     return (-1 if d[0] else 1) if d[1] else 0
-
-
-def mpf_pow_int(s, n: int, prec: int, rnd: str = "d"):
-    """s^n for an integer n, as mpmath's mpf_pow_int computes it.
-
-    Small powers are exact, then rounded to prec bits.  Larger ones square
-    and multiply at workprec = prec + 4 bitlen(n) + 4 bits, cutting each
-    product to workprec bits away from zero for "u" and toward it
-    otherwise, and round the last product to prec bits; so the result is a
-    directed approximation, not a correctly rounded one.  A power n < -1 is
-    1 over s^-n, taken at prec + 5 bits in the opposite direction.
-    """
-    if n == -1:
-        return mpf_div(fone, s, prec, rnd)
-    if n < 0:
-        inverse = mpf_pow_int(s, -n, prec + 5, {"u": "d", "d": "u"}.get(rnd, rnd))
-        return mpf_div(fone, inverse, prec, rnd)
-    sign, man, exp, bc = s
-    sign &= n
-    if n <= 2 or man == 1 or bc * n < 1000:
-        return _normalize(sign, man ** n, exp * n, prec, rnd)
-    workprec = prec + 4 * n.bit_length() + 4
-    pm, pe = 1, 0
-    while True:
-        if n & 1:
-            pm, pe = pm * man, pe + exp
-            cut = pm.bit_length() - workprec
-            if cut > 0:
-                pm = -(-pm >> cut) if rnd == "u" else pm >> cut
-                pe += cut
-            n -= 1
-            if not n:
-                return _normalize(sign, pm, pe, prec, rnd)
-        man, exp = man * man, exp + exp
-        cut = man.bit_length() - workprec
-        if cut > 0:
-            man = -(-man >> cut) if rnd == "u" else man >> cut
-            exp += cut
-        n //= 2
 
 
 # precision for bound arithmetic; bounds are always rounded upward
@@ -367,13 +327,7 @@ class Bounded(NamedTuple):
         return f"Bounded({to_str(self.val, 20)} ± {to_str(self.err, 3)})"
 
     def decimal(self, dps: int) -> str:
-        try:
-            return to_str(self.val, dps)
-        except ValueError:
-            # past 2^3500 to_str divides by a power of ten taken from the
-            # mantissa exponent alone, so a long mantissa leaves an integer
-            # part that to_str refuses (over 4300 digits); a short one does not
-            return to_str(mpf_pos(self.val, 4 * dps + 64, round_down), dps)
+        return to_str(self.val, dps)
 
     def err_decimal(self, dps: int = 3) -> str:
         return to_str(self.err, dps)
@@ -834,9 +788,9 @@ class PrimeLogTable:
 
 
 _TABLE = PrimeLogTable()
-# The logs that must not size _TABLE, the rows' table: ln2_const, the
-# printer's ln 2 and ln 10 and Brent-McMillan's ln n.  A floor depends on
-# its width alone, so which table serves it moves no value.
+# The logs that must not size _TABLE, the rows' table: ln2_const and
+# Brent-McMillan's ln n.  A floor depends on its width alone, so which
+# table serves it moves no value.
 _SIDE_LOGS = PrimeLogTable()
 
 # (D, {key: a}): the rational vector {key: a / D} as integers over one
@@ -972,92 +926,46 @@ def b_ln(x, p: int) -> Bounded:
 
 # --- decimal printing ----------------------------------------------------
 #
-# to_str is mpmath's to_str (mpmath.libmp.libmpf, 1.3) on Python ints, so
-# every decimal prints with mpmath's bytes.  |x| is read to n = dps + 3
-# digits, truncated: with bitprec = int(n log2 10) + 10 and
-# fixprec = max(bitprec - bitlen(x), 0), they are the digits of
-# floor(floor(|x| 2^fixprec) 10^fixdps / 2^fixprec), fixdps being fixprec
-# in decimal digits rounded to nearest.  Past 2^3500 (|exp + bc| > 3500) |x|
-# is first divided by 10^b, b = exp ln 2 / ln 10 truncated at
-# bitlen(|exp|) + 5 bits from ln 2 and ln 10 truncated to as many bits
-# (read from _SIDE_LOGS, so what is printed never sizes the rows' table);
-# 10^b (mpf_pow_int) and the quotient are truncated at bitprec bits.  b
-# comes from exp alone, not from bitlen(x), so a long mantissa keeps a
-# long integer part.  The digits round half up at digit dps, carrying
-# through nines, and print in fixed point when the leading digit's
-# exponent lies strictly between min(-(dps // 3), -5) and dps, else with
-# an exponent, trailing zeros stripped.
+# to_str prints |x| rounded half up to dps significant digits, from the
+# exact man 2^exp, in mpmath's layout: fixed point when the leading digit's
+# exponent k lies strictly between min(-(dps // 3), -5) and dps, else with
+# an exponent, trailing zeros stripped.  With s = dps - 1 - k, the digits
+# are q = floor(|x| 10^s) and lie in [10^(dps-1), 10^dps) exactly when k is
+# right; k comes from the bit length and is corrected by one step at a
+# time until they do.
 
-_LOG2_10 = math.log(10, 2)
-_STR_LIMIT = 10 ** 4300  # str() refuses these at CPython's default limit
-_STR_PIECE = 10 ** 600  # and every limit allows these (the least is 640)
-
-
-def _log_floor(vec: Dict[int, int], w: int) -> int:
-    """floor(2^w sum_q a_q ln q) for a_q >= 1.  The floors f_q at W = w + g
-    bits put 2^W times the sum in [s, s + e) with s = sum_q a_q f_q and
-    e = sum_q a_q, so its floor is s >> g once that equals (s + e - 1) >> g."""
-    e = sum(vec.values())
-    for g in escalation(f"floor(2^{w} ln)", 32, _CEILING_FACTOR * 32):
-        logs = _SIDE_LOGS.floor_logs(vec, w + g)
-        s = sum(a * logs[q] for q, a in vec.items())
-        if s >> g == (s + e - 1) >> g:
-            return s >> g
-
-
-def _ln2_ln10(prec: int):
-    """ln 2 and ln 10 truncated to prec >= 3 bits, as mpmath's mpf_ln2(prec)
-    and mpf_ln10(prec) give them."""
-    return (from_man_exp(_log_floor({2: 1}, prec), -prec),
-            from_man_exp(_log_floor({2: 1, 5: 1}, prec - 2), 2 - prec))
-
-
-def _digit_string(n: int, size: int) -> str:
-    """str(n) for n >= 0, split as mpmath's numeral splits it for a size of
-    250 digits and more.  A piece of over 4300 digits raises ValueError, as
-    str() does at CPython's default limit, whatever this interpreter's limit
-    is; a shorter one converts 600 digits at a time."""
-    if size < 250 or not n:
-        if n >= _STR_LIMIT:
-            raise ValueError("integer string conversion past 4300 digits")
-        hi, lo = divmod(n, _STR_PIECE)
-        return _digit_string(hi, 0) + str(lo).rjust(600, "0") if hi else str(lo)
-    half = (size + 1) // 2
-    hi, lo = divmod(n, 10 ** half)
-    return _digit_string(hi, half) + _digit_string(lo, half).rjust(half, "0")
+_LOG10_2 = math.log10(2)
 
 
 def to_str(x, dps: int) -> str:
-    """The decimal string of a raw value to dps >= 1 significant digits, as
-    mpmath's to_str prints it (see above).  Raises ValueError where mpmath's
-    does at CPython's default limit, on an integer part past 4300 digits."""
+    """The decimal string of a raw value rounded half up to dps >= 1
+    significant digits (see above).  Only the dps digits pass through
+    str(), so no int-to-str limit refuses any value."""
     sign, man, exp, bc = x
     if not man:
         return "0.0"
-    n = dps + 3
-    bitprec = int(n * _LOG2_10) + 10
-    b = 0
-    if abs(exp + bc) > 3500:
-        eprec = abs(exp).bit_length() + 5
-        ln2, ln10 = _ln2_ln10(eprec)
-        b = int(raw_to_fraction(mpf_div(mpf_mul(from_int(exp), ln2), ln10, eprec)))
-        ten_b = mpf_pow_int(from_int(10), b, bitprec)
-        _, man, exp, bc = mpf_div((0, man, exp, bc), ten_b, bitprec)
-    fixprec = max(bitprec - exp - bc, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = exp + fixprec
-    fixed = man << shift if shift >= 0 else man >> -shift
-    digits = _digit_string(fixed * 10 ** fixdps >> fixprec, n)
-    exponent = b + len(digits) - fixdps - 1
-    if len(digits) > dps and digits[dps] in "56789":
-        head = digits[:dps].rstrip("9")
-        if head:
-            digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
+    k = math.floor((exp + bc - 1) * _LOG10_2)  # 2^(exp+bc-1) <= |x|
+    while True:
+        s = dps - 1 - k
+        if s < 0:
+            num, den = man << max(exp, 0), 10 ** -s << max(-exp, 0)
+            q, r = divmod(num, den)
+            up = 2 * r >= den
+        elif exp < 0:
+            q = man * 10 ** s >> (-exp - 1)  # one bit below the last digit
+            q, up = q >> 1, q & 1
         else:
-            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
-    else:
-        digits = digits[:dps]
-    split = 1
+            q, up = man * 10 ** s << exp, 0
+        if q >= 10 ** dps:
+            k += 1
+        elif q < 10 ** (dps - 1):
+            k -= 1
+        else:
+            break
+    q += up
+    if q == 10 ** dps:
+        q, k = q // 10, k + 1
+    digits, exponent, split = str(q), k, 1
     if min(-(dps // 3), -5) < exponent < dps:
         if exponent < 0:
             digits = "0" * -exponent + digits
@@ -1224,6 +1132,18 @@ _BM_FOLD_GUARD = 40  # fixed-point bits of the fold beyond the enclosure's
 # about three times a fork_map's cost (see _FORK_LEAF_BITS); below it the
 # saving is of the order of that cost and of the spread between the CPUs.
 _FORK_BM_BITS = 10_000
+
+
+def _log_floor(vec: Dict[int, int], w: int) -> int:
+    """floor(2^w sum_q a_q ln q) for a_q >= 1.  The floors f_q at W = w + g
+    bits put 2^W times the sum in [s, s + e) with s = sum_q a_q f_q and
+    e = sum_q a_q, so its floor is s >> g once that equals (s + e - 1) >> g."""
+    e = sum(vec.values())
+    for g in escalation(f"floor(2^{w} ln)", 32, _CEILING_FACTOR * 32):
+        logs = _SIDE_LOGS.floor_logs(vec, w + g)
+        s = sum(a * logs[q] for q, a in vec.items())
+        if s >> g == (s + e - 1) >> g:
+            return s >> g
 
 
 def _bm_split(n2: int, a: int, b: int) -> Tuple[int, int, int, int, int, int]:

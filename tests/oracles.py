@@ -144,6 +144,50 @@ def bm_sums(n: int, K: int) -> tuple:
     return V, S, t, h
 
 
+def leading_digits(q: Fraction, dps: int) -> tuple:
+    """(k, num, den) for q != 0: 10^k <= |q| < 10^(k+1), and num / den is
+    |q| 10^(dps-1-k), which lies in [10^(dps-1), 10^dps)."""
+    q = Fraction(q)
+    num, den = abs(q.numerator), q.denominator
+
+    def scaled(e):  # (num 10^e, den) as integers
+        return (num * 10 ** e, den) if e >= 0 else (num, den * 10 ** -e)
+
+    k = (num.bit_length() - den.bit_length()) * 1233 >> 12  # 1233/4096 ~ log10 2
+    while True:
+        n, d = scaled(-k)
+        if n < d:
+            k -= 1
+        elif n >= 10 * d:
+            k += 1
+        else:
+            return (k,) + scaled(dps - 1 - k)
+
+
+def decimal_half_up(q: Fraction, dps: int) -> str:
+    """q rounded half up to dps significant digits, in mpmath's layout:
+    fixed point when the leading digit's exponent k has
+    min(-(dps // 3), -5) < k < dps, else d.ddd with e+k or e-k, trailing
+    zeros stripped.  Works on the exact numerator and denominator; only the
+    dps digits go through str(), so no int-to-str limit applies."""
+    q = Fraction(q)
+    if q == 0:
+        return "0.0"
+    k, n, d = leading_digits(q, dps)
+    m = (2 * n + d) // (2 * d)  # floor(n / d + 1/2)
+    if m == 10 ** dps:
+        m, k = m // 10, k + 1
+    digits = str(m)
+    if min(-(dps // 3), -5) < k < dps:
+        if k < 0:
+            text = "0." + "0" * (-k - 1) + digits.rstrip("0")
+        else:
+            text = digits[:k + 1] + "." + (digits[k + 1:].rstrip("0") or "0")
+    else:
+        text = f"{digits[0]}.{digits[1:].rstrip('0') or '0'}e{k:+d}"
+    return ("-" if q < 0 else "") + text
+
+
 def agreeing_bits(x: Fraction, y: Fraction, cap: int) -> int:
     """-log2 |x - y| to within one bit, or cap when x == y."""
     d = abs(Fraction(x) - Fraction(y))

@@ -1,12 +1,13 @@
 """mpnum's own dyadic arithmetic, certified pi and decimal printer, against
-mpmath.libmp.
+mpmath.libmp and the Fraction oracles.
 
 Every operation rounds its exact result correctly, so it must give the
 tuple mpmath's correctly rounded operation gives.  The one place mpmath is
 not correctly rounded is its far-apart shortcut in ``mpf_add`` (see
 ``_mpmath_add_misrounds``); there an exact rational rounding decides.
-``mpf_pow_int`` and ``to_str`` are ports, so they must match mpmath's
-exactly, directed roundings and all.
+``to_str`` rounds the exact value half up, so it must equal
+``oracles.decimal_half_up`` everywhere, and mpmath's ``to_str`` wherever
+mpmath's truncated reads decide the digit (see ``_expected``).
 """
 
 import sys
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import libmpf as ml
-from mpmath.libmp import mpf_ln2, mpf_ln10, mpf_pi
+from mpmath.libmp import mpf_pi
 
+import oracles
 from gammalab import mpnum as mn
 
 MODES = ("n", "u", "d")
@@ -176,7 +178,7 @@ def test_cmp_abs_shift_equal_mpmath(s, t, n):
 
 
 def test_constants_and_modes():
-    assert (mn.fzero, mn.fone, mn.round_down) == (ml.fzero, ml.fone, ml.round_down)
+    assert (mn.fzero, mn.fone) == (ml.fzero, ml.fone)
     with pytest.raises(ValueError):
         mn.from_man_exp(3, 0, 1, "f")
     with pytest.raises(ZeroDivisionError):
@@ -231,37 +233,25 @@ def test_pi_const_raises_when_its_bound_would_not_cover(monkeypatch):
         mn.pi_const(64)
 
 
-# --- powers and the decimal printer -----------------------------------------
+# --- the decimal printer -------------------------------------------------
 
 
-@given(raws_or_zero, st.one_of(st.integers(-4, 4), st.integers(-5000, 5000)),
-       precs, modes)
-@settings(max_examples=150, deadline=None)
-@example(ml.from_int(10), 1100, 140, "d")   # a printer's scale, past 2^3500
-@example(ml.from_int(10), -1100, 140, "d")
-@example(ml.from_int(10), 1100, 140, "u")
-@example(ml.from_int(3), 2, 2, "n")         # 9 -> 8: n = 2 rounds its exact square
-@example(ml.from_man_exp(1, -3), 700, 5, "n")  # a power of two stays exact
-def test_pow_int_equals_mpmath(s, n, prec, rnd):
-    if not s[1] and n < 0:
-        return
-    assert mn.mpf_pow_int(s, n, prec, rnd) == ml.mpf_pow_int(s, n, prec, rnd)
-
-
-def test_printer_logs_are_mpmaths_truncated_constants():
-    # every precision the printer asks for exponents up to 2^75; the side
-    # table, not the rows' one, holds them
-    shared = (mn._TABLE.builds, mn._TABLE.prec)
-    for prec in range(5, 81):
-        assert mn._ln2_ln10(prec) == (mpf_ln2(prec), mpf_ln10(prec)), prec
-    assert (mn._TABLE.builds, mn._TABLE.prec) == shared
-
-
-def _printed(to_str, x, dps):
+def _expected(x, dps):
+    """mpmath's string where its reads decide the rounding, else the
+    oracle's.  mpmath rounds half up from dps + 3 or more digits read
+    within about 3 units of the last one (truncated, and past 2^3500 scaled
+    by an approximate power of ten), so it agrees with the exact rounding
+    unless the dropped part lies within 1/100 of one half.  It also
+    refuses an integer part past str()'s digit limit."""
+    q = mn.raw_to_fraction(x)
+    if q:
+        _, n, d = oracles.leading_digits(q, dps)
+        if 50 * abs(2 * (n % d) - d) < d:
+            return oracles.decimal_half_up(q, dps)
     try:
-        return to_str(x, dps)
+        return ml.to_str(x, dps)
     except ValueError:
-        return ValueError
+        return oracles.decimal_half_up(q, dps)
 
 
 def _near(man, top):
@@ -288,9 +278,29 @@ printed = st.builds(lambda sign, man, top: _near(-man if sign else man, top),
 @example(_near(-3 ** 40, -3501), 40)
 @example(ml.from_man_exp((1 << 4000) - 1, -1), 40)  # scaled, with b = 0
 @example(ml.from_man_exp((1 << 4000) - 1, 4), 40)   # b = 1
-@example(ml.from_man_exp(7 * 10 ** 4400 + 1, -132), 40)  # past str()'s limit
+# 0.95 + 2^-76.3, which mpmath's 23-bit read prints as 0.9
+@example((0, 17944992634904651812045, -74, 74), 1)
 def test_to_str_equals_mpmath(x, dps):
-    assert _printed(mn.to_str, x, dps) == _printed(ml.to_str, x, dps)
+    assert mn.to_str(x, dps) == _expected(x, dps)
+
+
+# an integer part of 4,362 digits, past str()'s default limit
+_LONG = ml.from_man_exp(7 * 10 ** 4400 + 1, -132)
+
+
+@given(printed, st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+@example(ml.from_man_exp(5, -2), 2)               # 1.25: a tie rounds up
+@example(ml.from_man_exp(1, -3), 2)               # 0.125
+@example(ml.from_int(125), 2)                     # 1.25e+2: a tie of the divmod
+@example(ml.from_man_exp((10 << 60) - 1, -60), 15)  # 9.99..: a carry to 10.0
+@example(_near(3 ** 40, 3500), 40)
+@example(_near(3 ** 40, 3501), 40)
+@example(_near(-3 ** 40, -3500), 40)
+@example(_near(-3 ** 40, -3501), 40)
+@example(_LONG, 40)
+def test_to_str_equals_the_fraction_oracle(x, dps):
+    assert mn.to_str(x, dps) == oracles.decimal_half_up(mn.raw_to_fraction(x), dps)
 
 
 @pytest.mark.parametrize("x, dps, text", [
@@ -312,18 +322,17 @@ def test_to_str_literals(x, dps, text):
                                       ((1 << 5000) - 1, -13000)],
                          ids=["short", "long", "long-small", "ones-small"])
 def test_to_str_splits_long_digit_strings_as_mpmath_does(man, exp):
-    # from 250 digits mpmath's numeral converts in halves, so str()'s digit
-    # limit falls on the halves
+    # from 250 digits mpmath's numeral converts in halves; to_str hands
+    # str() its 300 digits whole, with the same bytes
     x = ml.from_man_exp(man, exp)
-    assert _printed(mn.to_str, x, 300) == _printed(ml.to_str, x, 300)
+    assert mn.to_str(x, 300) == _expected(x, 300)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int-to-str digit limit")
 def test_printed_digits_do_not_depend_on_the_str_digit_limit():
-    # a cell past 2^3500 whose integer part has 2,512 digits: to_str
-    # refuses only past 4300 digits, as str() does at CPython's default
-    # limit, so Bounded.decimal takes its fallback under no other limit
+    # a cell past 2^3500 whose integer part has 2,512 digits, and one of
+    # 4,362 digits: to_str hands str() only the digits it prints
     man = (97574967827503855712856800916350560018475 * 10 ** 2471 >> 5414) - 3
     cell = mn.Bounded(mn.from_man_exp(man, 5414), mn.fzero)
     saved = sys.get_int_max_str_digits()
@@ -332,8 +341,8 @@ def test_printed_digits_do_not_depend_on_the_str_digit_limit():
             sys.set_int_max_str_digits(limit)
             assert (cell.decimal(40)
                     == "9.757496782750385571285680091635056001847e+2511"), limit
-            assert mn._digit_string(10 ** 4300 - 1, 43) == "9" * 4300
-            with pytest.raises(ValueError):
-                mn._digit_string(10 ** 4300, 43)
+            assert (mn.to_str(_LONG, 40)
+                    == oracles.decimal_half_up(mn.raw_to_fraction(_LONG), 40)
+                    == "1.285696946211876961840805587586831210114e+4361"), limit
     finally:
         sys.set_int_max_str_digits(saved)

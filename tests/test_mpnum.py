@@ -239,6 +239,20 @@ def test_sondow_target_value():
     assert t.decimal(9).startswith("0.75539335")
 
 
+@pytest.mark.parametrize("p", [64, 1000])
+def test_sondow_threshold_leaves_the_rows_table_untouched(p, monkeypatch):
+    # its ln 2 comes from the side table, so it never sizes the rows' one
+    from gammalab.sequences import sondow_threshold
+
+    monkeypatch.setattr(mn, "_TABLE", mn.PrimeLogTable())
+    sondow_threshold.cache_clear()
+    try:
+        sondow_threshold(p)
+        assert (mn._TABLE.prec, mn._TABLE.builds) == (0, 0)
+    finally:
+        sondow_threshold.cache_clear()
+
+
 # --- Euler's constant ----------------------------------------------------------
 
 def test_gamma_digits_and_bound():
