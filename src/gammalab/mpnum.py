@@ -582,7 +582,7 @@ _GAMMA_MARGIN = 32  # bits of the gamma enclosure beyond a floor's
 _CEILING_FACTOR = 4
 _SIEVE_CAP = 1 << 20  # the largest trial divisor of PrimeLogTable.factor
 _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
-# floor_logs forks the leaves of m missing primes at P bits once m P reaches
+# _enter forks the leaves of m missing primes at P bits once m P reaches
 # _FORK_LEAF_BITS.  Measured on a 2-CPU x86 guest, Python 3.11: a fork_map
 # with one child costs about 3 ms (fork, pipes, reaping), and the leaves
 # cost 35-45 ns per bit-prime at P >= 2,400 bits, more as P grows (157
@@ -610,12 +610,17 @@ def _atanh_split(M: int, a: int, b: int) -> Tuple[int, int, int]:
     return Q1 * Q2, B1 * B2, T1 * B2 * Q2 + B1 * T2
 
 
+def _series_terms(m: int, p: int) -> int:
+    """The least J >= 1 with l (2J+1) >= 32 p, l = bitlen(m^32) - 1, so
+    that m^(2J+1) >= 2^p (see above)."""
+    l32 = (m ** 32).bit_length() - 1
+    return max(1, -(-(32 * p - l32) // (2 * l32)))
+
+
 def _two_atanh_split(m: int, p: int) -> Tuple[int, int]:
     """(t, 2) with t <= 2^p * 2 atanh(1/m) <= t + 2, for an integer m >= 3,
     from one binary split and one floor division (see above)."""
-    l32 = (m ** 32).bit_length() - 1
-    J = max(1, -(-(32 * p - l32) // (2 * l32)))
-    Q, B, T = _atanh_split(m * m, 0, J)
+    Q, B, T = _atanh_split(m * m, 0, _series_terms(m, p))
     return (m * T << (p + 1)) // (B * Q), 2
 
 
@@ -635,11 +640,12 @@ class PrimeLogTable:
     computing their largest n first, builds the table once.  The sieve keeps
     only primes, and doubles when it must reach further: to m for
     :meth:`primes_upto`, to min(sqrt k, ``_SIEVE_CAP``) to factor k.
-    ``builds`` and ``sieves`` count the rebuilds.  Entries are added one
-    prime at a time, each from entries already present; when enough are
-    missing, their atanh leaves are computed first, on ``WORKERS``
-    processes.  A rebuild drops every entry, so it costs only the primes
-    (and their q-1 and q+1 chains) asked for after it.
+    ``builds`` and ``sieves`` count the rebuilds.  A read first enters
+    every prime it lacks, with the primes of their q-1 and q+1 chains:
+    their atanh leaves first, on ``WORKERS`` processes when enough are
+    missing, then the entries in increasing q, each from entries already
+    present (:meth:`_enter`).  A rebuild drops every entry, so it costs
+    only the primes (and their chains) asked for after it.
 
     The table also keeps Euler's constant as an enclosure of 2^W gamma
     (:meth:`floor_gamma`), so a fresh table computes gamma afresh.
@@ -694,42 +700,37 @@ class PrimeLogTable:
         primes = self._sieve_upto(m)
         return primes[:bisect_right(primes, m)]
 
-    def _fork_leaves(self, primes: Iterable[int]) -> Dict[int, Tuple[int, int]]:
-        """{q: atanh leaf} for the primes of `primes` that the table lacks and
-        the primes their q-1 and q+1 chain through, computed on WORKERS
-        processes, once they are enough to pay for it (``_FORK_LEAF_BITS``);
-        else {}, and :meth:`_add` computes each leaf itself."""
-        if WORKERS < 2:
-            return {}
+    def _enter(self, primes: Iterable[int]) -> None:
+        """Enter the primes of `primes` that the table lacks, and the primes
+        their q-1 and q+1 chain through.  One walk records each missing
+        prime's chain; the atanh leaves are computed on WORKERS processes
+        once they are enough to pay for it (``_FORK_LEAF_BITS``); then the
+        entries are formed in increasing q, as every prime of a chain is
+        smaller than q (see above)."""
         logs = self._logs
+        chains: Dict[int, List[Tuple[int, int]]] = {}
         stack = [q for q in primes if q not in logs]
-        if len(stack) * self.prec < _FORK_LEAF_BITS:
-            return {}
-        need = set()
         while stack:
             q = stack.pop()
-            if q not in need and q not in logs:
-                need.add(q)
-                if q > 2:
-                    stack.extend(r for r, _ in self.factor(q - 1) + self.factor(q + 1))
+            if q not in chains and q not in logs:
+                chains[q] = self.factor(q - 1) + self.factor(q + 1) if q > 2 else []
+                stack.extend(r for r, _ in chains[q])
         P = self.prec
-        need = sorted(need)
-        return dict(zip(need, fork_map(lambda q: _prime_leaf(q, P), need, WORKERS)))
-
-    def _add(self, q: int, leaves: Dict[int, Tuple[int, int]]) -> None:
-        lo, width = leaves.get(q) or _prime_leaf(q, self.prec)
-        if q == 2:
-            self._logs[2] = (lo, width)
-            return
-        for r, k in self.factor(q - 1) + self.factor(q + 1):
-            if r not in self._logs:
-                self._add(r, leaves)
-            lo_r, width_r = self._logs[r]
-            lo += k * lo_r
-            width += k * width_r
-        # [lo, lo + width] encloses 2^P 2 ln q; halve it, rounding outward
-        half = lo >> 1
-        self._logs[q] = (half, ((lo + width + 1) >> 1) - half)
+        need = sorted(chains)
+        if WORKERS > 1 and len(need) * P >= _FORK_LEAF_BITS:
+            leaves = fork_map(lambda q: _prime_leaf(q, P), need, WORKERS)
+        else:
+            leaves = (_prime_leaf(q, P) for q in need)
+        for q, (lo, width) in zip(need, leaves):
+            if q > 2:
+                for r, k in chains[q]:
+                    lo_r, width_r = logs[r]
+                    lo += k * lo_r
+                    width += k * width_r
+                # [lo, lo + width] encloses 2^P 2 ln q; halve it, rounding outward
+                half = lo >> 1
+                lo, width = half, ((lo + width + 1) >> 1) - half
+            logs[q] = (lo, width)
 
     def _rebuild(self, prec: int) -> None:
         # entries come back on demand, from the primes asked for next
@@ -752,12 +753,10 @@ class PrimeLogTable:
                     self._rebuild(P)
                 shift = P - w
                 mask = (1 << shift) - 1
-                leaves = self._fork_leaves(primes)
+                self._enter(primes)
                 logs = self._logs
                 out = {}
                 for q in primes:
-                    if q not in logs:
-                        self._add(q, leaves)
                     lo, width = logs[q]
                     if ((lo & mask) + width) >> shift:
                         break  # the enclosure straddles a multiple of 2^shift
@@ -986,9 +985,9 @@ def to_str(x, dps: int) -> str:
 # alternating series of decreasing terms, so its partial sum over j < J is
 # within the first omitted term, 1 / ((2J+1) m^(2J+1)).  With M = -m^2 the
 # atanh split above sums sum_{j<J} 1 / ((2j+1) M^(j+1)) = -atan_J(1/m) / m,
-# so t = floor(-2^P m T / (B Q)) has t <= 2^P atan_J(1/m) < t + 1.  J is the
-# least with (2J+1) m^(2J+1) >= 2^P, so the omitted terms are at most 2^-P
-# and
+# so t = floor(-2^P m T / (B Q)) has t <= 2^P atan_J(1/m) < t + 1.  J is
+# sized as for atanh (_series_terms), so m^(2J+1) >= 2^P and the omitted
+# terms are at most 2^-P, and
 #
 #     t - 1 <= 2^P atan(1/m) <= t + 2.
 #
@@ -999,13 +998,7 @@ def to_str(x, dps: int) -> str:
 
 def _atan_floor(m: int, P: int) -> int:
     """t with t - 1 <= 2^P atan(1/m) <= t + 2, for an integer m >= 2."""
-    # start at or above the least J, then step down to it
-    J = max(1, math.ceil((P / math.log2(m) - 1) / 2))
-    while J > 1 and (2 * J - 1) * m ** (2 * J - 1) >= 1 << P:
-        J -= 1
-    while (2 * J + 1) * m ** (2 * J + 1) < 1 << P:
-        J += 1
-    Q, B, T = _atanh_split(-m * m, 0, J)
+    Q, B, T = _atanh_split(-m * m, 0, _series_terms(m, P))
     return (-m * T << P) // (B * Q)
 
 
@@ -1107,12 +1100,13 @@ def pi_const(p: int) -> Bounded:
 # as 5.7704 < 4 log2 e = 5.77078...
 #
 # Enclosure.  At G bits, x_lo = floor(2^G S_lo / V_hi) and
-# x_hi = ceil(2^G S_hi / V_lo) enclose 2^G S_K/V_K, l = floor(2^G ln n)
-# (_log_floor) has l <= 2^G ln n < l + 1, the tails are at most the
-# ceiling t of 2^G times their bound, and the Bessel term lies in (0, c]
-# with c = 2^max(0, G + bessel).  So
+# x_hi = ceil(2^G S_hi / V_lo) enclose 2^G S_K/V_K.  With n = prod q^a_q,
+# l = sum_q a_q floor(2^G ln q) (the table's floors) has
+# l <= 2^G ln n < l + e, e = sum_q a_q, as each floor loses less than 1.
+# The tails are at most the ceiling t of 2^G times their bound, and the
+# Bessel term lies in (0, c] with c = 2^max(0, G + bessel).  So
 #
-#     x_lo - t - l - 1 - c  <=  2^G gamma  <=  x_hi + t - l,
+#     x_lo - t - l - e - c  <=  2^G gamma  <=  x_hi + t - l,
 #
 # and shifting the ends outward by _BM_FOLD_GUARD bits gives lo and hi at B
 # bits.  _bm_params(B) makes 2^G times the tail bound near 2^(g-8) and c at
@@ -1132,18 +1126,6 @@ _BM_FOLD_GUARD = 40  # fixed-point bits of the fold beyond the enclosure's
 # about three times a fork_map's cost (see _FORK_LEAF_BITS); below it the
 # saving is of the order of that cost and of the spread between the CPUs.
 _FORK_BM_BITS = 10_000
-
-
-def _log_floor(vec: Dict[int, int], w: int) -> int:
-    """floor(2^w sum_q a_q ln q) for a_q >= 1.  The floors f_q at W = w + g
-    bits put 2^W times the sum in [s, s + e) with s = sum_q a_q f_q and
-    e = sum_q a_q, so its floor is s >> g once that equals (s + e - 1) >> g."""
-    e = sum(vec.values())
-    for g in escalation(f"floor(2^{w} ln)", 32, _CEILING_FACTOR * 32):
-        logs = _SIDE_LOGS.floor_logs(vec, w + g)
-        s = sum(a * logs[q] for q, a in vec.items())
-        if s >> g == (s + e - 1) >> g:
-            return s >> g
 
 
 def _bm_split(n2: int, a: int, b: int) -> Tuple[int, int, int, int, int, int]:
@@ -1248,9 +1230,11 @@ def _bm_enclosure(bits: int) -> Tuple[int, int]:
     x_lo = (S_lo << G) // V_hi
     x_hi = -(-(S_hi << G) // V_lo)
     t = -(-(2 * (K + 1).bit_length() * n * n * rho_hi << G) // ((K + 1) ** 2 * V_lo))
-    l = _log_floor(dict(_SIDE_LOGS.factor(n)), G)
+    vec = dict(_SIDE_LOGS.factor(n))
+    l = sum(map(mul, vec.values(), _SIDE_LOGS.floor_logs(vec, G).values()))
+    e = sum(vec.values())
     c = 1 << max(0, G + 2 - 57704 * n // 10000)
-    return (x_lo - t - l - 1 - c) >> _BM_FOLD_GUARD, -(-(x_hi + t - l) >> _BM_FOLD_GUARD)
+    return (x_lo - t - l - e - c) >> _BM_FOLD_GUARD, -(-(x_hi + t - l) >> _BM_FOLD_GUARD)
 
 
 def euler_gamma(p: int) -> Bounded:

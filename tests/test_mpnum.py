@@ -314,12 +314,26 @@ def test_gamma_floor_equals_mpmath(p):
 
 @pytest.mark.parametrize("bits", [96, 500, 1500])
 def test_bm_enclosure_holds_the_oracle_and_is_five_units_wide(bits):
-    # ln n is floor(2^bits ln n), within one unit, so the width is 2t + c + 2
-    # with the tails t and the Bessel term c sized to 1 by _bm_params
+    # the fold's ends, the tails, the Bessel term and the floors of ln n all
+    # lie well within the fold's guard bits, so the shifted ends stay close
     lo, hi = mn._bm_enclosure(bits)
     g, e = oracles.em_gamma(bits)
     assert lo <= (g - e) * 2 ** bits and (g + e) * 2 ** bits <= hi
     assert hi - lo <= 5
+
+
+@pytest.mark.parametrize("guard", [0, 4, 8])
+def test_bm_enclosure_holds_gamma_with_few_fold_guard_bits(guard, monkeypatch):
+    # with few guard bits the ends' last units count: ln n's floors lose up
+    # to one unit per prime factor of n, and the lower end must take them all
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mn, "_BM_FOLD_GUARD", guard)
+    with mpmath.workprec(1600):
+        ref = mn.raw_to_fraction(mpmath.mp.euler._mpf_)
+    slack = Fraction(1, 2 ** 1590)  # beyond ref's distance from gamma
+    for bits in range(64, 1501, 53):
+        lo, hi = mn._bm_enclosure(bits)
+        assert lo <= (ref - slack) * 2 ** bits and (ref + slack) * 2 ** bits <= hi, bits
 
 
 _BM_CUTS = {
@@ -591,7 +605,8 @@ def test_undecided_loop_raises_after_two_doublings(loop, monkeypatch):
     with pytest.raises(mn.PrecisionExhausted, match=re.escape(message)):
         call()
     assert time.perf_counter() - t0 < 1.0
-    assert len(attempts) == 3
+    # floor_logs enters both primes on each attempt, so count its precisions
+    assert len({args[-1] for args in attempts} if loop == "floor_logs" else attempts) == 3
 
 
 # --- policy ----------------------------------------------------------------------

@@ -363,13 +363,13 @@ def test_em_corr_enclosure_contains_oracle(n, pad, K, W):
 def test_corr_rounded_falls_back_to_exact_correction(monkeypatch):
     # an enclosure that decides nothing leaves the correction to the exact
     # sum, which must round the same way
-    rounded = {n: sq._corr_rounded(_kernel(n), n + 33, 12, 600, 700) for n in (1, 9, 40)}
+    rounded = {n: sq._corr_rounded(_kernel(n), n + 33, 12, 600) for n in (1, 9, 40)}
     monkeypatch.setattr(sq._EMKernel, "em_corr_enclosure",
                         lambda self, a, K, W: (-(1 << 10000), 1 << 10000, 1))
     for n, got in rounded.items():
         kern = _kernel(n)
         want = Bounded.from_ratio(*kern.em_corr(n + 33, 12), 600)
-        assert sq._corr_rounded(kern, n + 33, 12, 600, 700) == got == want, n
+        assert sq._corr_rounded(kern, n + 33, 12, 600) == got == want, n
 
 
 def _oracle_cutoff(n, eps):
@@ -409,7 +409,7 @@ def test_choose_cutoff_falls_back_to_exact_remainder(monkeypatch):
 
 
 def test_choose_cutoff_needs_no_exact_remainder(monkeypatch):
-    # the enclosures, retried once, decide every candidate of n = 1..120 at
+    # one enclosure per candidate decides every candidate of n = 1..120 at
     # the default policy; an exact search makes 503 tree sums here
     calls = []
     exact_remainder = sq._EMKernel.em_remainder
@@ -439,12 +439,13 @@ def _count_calls(monkeypatch, name):
 
 def test_choose_cutoff_refuses_by_the_lower_bound(monkeypatch):
     # the lower bound refuses most candidates without a sum over k; an
-    # enclosure per candidate made 526 here (503 candidates, 23 retries)
+    # enclosure per candidate made 526 here (503 candidates, 23 retries),
+    # and with no retry left the count repeats exactly
     calls = _count_calls(monkeypatch, "em_remainder_enclosure")
     pol = PrecisionPolicy()
     for n in range(1, 121):
         sq._choose_cutoff(n, sq.default_series_eps(n, pol), _kernel(n))
-    assert len(calls) <= 151
+    assert len(calls) == 149
 
 
 def test_choose_cutoff_sizes_the_kept_enclosure_from_the_lower_bound(monkeypatch):
@@ -455,6 +456,19 @@ def test_choose_cutoff_sizes_the_kept_enclosure_from_the_lower_bound(monkeypatch
         for n in (1, 2, 3, 10, 30):
             assert sq._choose_cutoff(n, eps, _kernel(n)) == _oracle_cutoff(n, eps), (n, eps)
     assert calls == []
+
+
+def test_corr_enclosure_sized_from_the_leading_term(monkeypatch):
+    # sized from eps, the correction's enclosure floored every term to 0 at
+    # the large eps, and its one retry fell short: 25 enclosures and 2
+    # exact corrections here; sized from g(a)/12, one enclosure decides each
+    exact_corr = _count_calls(monkeypatch, "em_corr")
+    enclosures = _count_calls(monkeypatch, "em_corr_enclosure")
+    rows = [(n, eps) for eps in (Fraction(1, 10 ** 20), Fraction(10 ** 78), Fraction(10 ** 400))
+            for n in (1, 2, 3, 10, 30)]
+    for n, eps in rows:
+        sq.I_series(n, eps)
+    assert exact_corr == [] and len(enclosures) == len(rows)
 
 
 class _OracleKernel(sq._EMKernel):
