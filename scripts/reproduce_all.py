@@ -11,22 +11,23 @@ import sys
 from gammalab import cli
 
 
+# data file -> the command that writes it
+STEPS = {
+    "verify.json": ["verify", "--n-max", "200"],
+    "table.csv": ["table", "--n", "1..20", "--format", "csv"],
+    "table.json": ["table", "--n", "1..20", "--format", "json"],
+    "criterion.csv": ["criterion", "--n", "1..60", "--format", "csv"],
+    "asym.json": ["asym", "--format", "json"],
+    "gamma.txt": ["gamma", "--digits", "60"],
+}
+
+
 def main() -> int:
     out = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "out")
     out.mkdir(parents=True, exist_ok=True)
 
-    steps = [
-        ["verify", "--n-max", "200", "--out", str(out / "verify.json")],
-        ["table", "--n", "1..20", "--format", "csv",
-         "--out", str(out / "table.csv")],
-        ["table", "--n", "1..20", "--format", "json",
-         "--out", str(out / "table.json")],
-        ["criterion", "--n", "1..60", "--format", "csv",
-         "--out", str(out / "criterion.csv")],
-        ["asym", "--format", "json", "--out", str(out / "asym.json")],
-        ["gamma", "--digits", "60", "--out", str(out / "gamma.txt")],
-    ]
-    for step in steps:
+    for name, args in STEPS.items():
+        step = args + ["--out", str(out / name)]
         print(f"$ gammalab {' '.join(step)}")
         code = cli.main(step)
         if code != 0:

@@ -274,12 +274,14 @@ def _write_manifest(out_path: str, args, extra: Dict) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise OSError unless path is not empty, names no directory and lies in
-    a writable directory, so that a bad --out fails before any work."""
+    """Raise OSError unless path is not empty, neither it nor its manifest
+    names a directory, and it lies in a writable directory, so that a bad
+    --out fails before any work."""
     if not path:
         raise OSError("--out is empty")
-    if os.path.isdir(path):
-        raise OSError(f"--out {path} is a directory")
+    for f in (path, path + ".manifest.json"):
+        if os.path.isdir(f):
+            raise OSError(f"--out {f} is a directory")
     d = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(d):
         raise OSError(f"--out directory {d} does not exist")

@@ -159,23 +159,15 @@ def closed_form_floor(n: int) -> int:
     return 6 * n + 64
 
 
-def I_closed_form(n: int, p: int, l_n: Optional[Bounded] = None,
-                  a_n: Optional[Fraction] = None) -> Bounded:
-    """I_n = C(2n,n) gamma + L_n - A_n (closed form; the cross-check route).
-
-    ``l_n`` is L_n at precision p and ``a_n`` is A_n when the caller
-    already has them.
-    """
+def I_closed_form(n: int, p: int, l_n: Bounded, a_n: Fraction) -> Bounded:
+    """I_n = C(2n,n) gamma + L_n - A_n (closed form; the cross-check route),
+    from ``l_n``, L_n at precision p, and ``a_n``, A_n exactly."""
     if n < 1:
         raise ValueError("n >= 1 required")
     if p < closed_form_floor(n):
         raise PrecisionInsufficient(
             f"closed form at n={n} needs >= {closed_form_floor(n)} bits")
     g = b_mul_int(euler_gamma(p), math.comb(2 * n, n), p)
-    if l_n is None:
-        l_n = L_from_factorial_logs(n, p)
-    if a_n is None:
-        a_n = exact.A_exact(n)
     return b_sub(b_add(g, l_n, p), Bounded.from_fraction(a_n, p), p)
 
 
@@ -196,17 +188,12 @@ class TailBound(NamedTuple):
     remainder: Fraction
 
 
-def series_term(n: int, v: int, p: int,
-                res: Optional[Tuple[int, List[int]]] = None,
-                cs: Optional[List[int]] = None) -> Bounded:
-    """f(v) = integral_v^infty (n!/(x...(x+n)))^2 dx, in closed form.
-
-    ``res`` (:func:`exact.residue_numerators`) and ``cs`` are the scaled
-    residue and square weights of n when the caller already has them.
-    """
-    if cs is None:
-        cs = exact.scaled_square_weights(n)
-    d, nums = res if res is not None else exact.residue_numerators(n)
+def series_term(n: int, v: int, p: int, res: Tuple[int, List[int]],
+                cs: List[int]) -> Bounded:
+    """f(v) = integral_v^infty (n!/(x...(x+n)))^2 dx, in closed form, from
+    ``res = exact.residue_numerators(n)`` and
+    ``cs = exact.scaled_square_weights(n)``."""
+    d, nums = res
     rat = _tree_sum([(c, v + k) for k, c in enumerate(cs)])
     logs = _range_log_pair(d, v, nums)
     return b_sub(Bounded.from_ratio(*rat, p), _prime_dot(logs, p), p)
@@ -447,20 +434,19 @@ def _remainder_within(target: Fraction, kern: _EMKernel, a: int, K: int,
     return None
 
 
-def _corr_rounded(kern: _EMKernel, a: int, K: int, p: int) -> Bounded:
+def _corr_rounded(kern: _EMKernel, a: int, K: int, Q: int, p: int) -> Bounded:
     """``Bounded.from_ratio(*kern.em_corr(a, K), p)``, decided from one
     :meth:`_EMKernel.em_corr_enclosure`, else from the exact correction.
 
     The enclosure is (n+1) / (den dq 2^W) wide.  Its W makes that at most
     2^-(p + _ENCLOSE_GUARD) g(a)/12, where g(a)/12 = 1/(12 Q^2), with Q of
-    :meth:`_EMKernel.lower_factors`, is the correction's leading term
+    :meth:`_EMKernel.lower_factors` at a, is the correction's leading term
     B_2/2! g(a): the correction measured at least 0.972 g(a)/12 over
     n <= 400 and every pad and K of the cutoff grid (least at n = 400,
     pad 32, K = 6).  The enclosure is then far narrower than the
     correction's p-bit rounding step, and only a value near a rounding
     boundary falls to the exact sum.  The sizing affects speed only.
     """
-    Q = kern.lower_factors(a)[1]
     dq = _corr_coefficients(K)[2]
     W = max(0, p + _ENCLOSE_GUARD + (12 * len(kern.cs)).bit_length()
             + 2 * Q.bit_length() - (kern.den * dq).bit_length() + 1)
@@ -469,10 +455,10 @@ def _corr_rounded(kern: _EMKernel, a: int, K: int, p: int) -> Bounded:
 
 
 def _choose_cutoff(n: int, eps: Fraction,
-                   kern: _EMKernel) -> Tuple[int, int, Fraction]:
+                   kern: _EMKernel) -> Tuple[int, int, Fraction, int]:
     """The first (V, K) of the _EM_PADS x _EM_TERMS grid, in that order,
-    whose remainder is at most eps/4, and that remainder rounded up to a
-    48-bit dyadic.
+    whose remainder is at most eps/4, that remainder rounded up to a 48-bit
+    dyadic, and the Q of ``kern.lower_factors(V + 1)``.
 
     Each pad forms the factors of the remainder's lower bound once; every
     K whose bound exceeds eps/4 is then refused without a sum over k (see
@@ -485,7 +471,7 @@ def _choose_cutoff(n: int, eps: Fraction,
         for K in _EM_TERMS:
             up = _remainder_within(target, kern, v_cut + 1, K, factors)
             if up is not None:
-                return v_cut, K, raw_to_fraction(up)
+                return v_cut, K, raw_to_fraction(up), factors[1]
     raise PrecisionExhausted(
         f"no Euler-Maclaurin configuration reaches eps={_log2_str(eps)} at n={n}")
 
@@ -520,8 +506,7 @@ def I_series(
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    res = exact.residue_numerators(n)
-    d, nums = res
+    d, nums = res = exact.residue_numerators(n)
     cs = exact.scaled_square_weights(n)
     kern = _EMKernel(d, nums, cs)
     if sum(nums) != 0:
@@ -538,7 +523,7 @@ def I_series(
                        max(policy.base_bits, 2 * n - _log2_fraction(eps) + 64),
                        policy.max_bits)
     first = next(steps)
-    v_cut, em_terms, remainder = _choose_cutoff(n, eps, kern)
+    v_cut, em_terms, remainder, Q = _choose_cutoff(n, eps, kern)
     a = v_cut + 1
 
     # exact pieces, independent of working precision
@@ -565,7 +550,7 @@ def I_series(
         integral = b_sub(integral, _prime_dot(int_logs, p), p)
 
         tail = b_add(integral, b_mul(f_a, Bounded.from_ratio(1, 2, p + 8), p), p)
-        tail = b_add(tail, _corr_rounded(kern, a, em_terms, p), p)
+        tail = b_add(tail, _corr_rounded(kern, a, em_terms, Q, p), p)
         total = b_add(main, tail, p)
         total = Bounded(total.val, _up_add(total.err, _fraction_to_raw_up(remainder)))
 

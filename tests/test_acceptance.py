@@ -82,7 +82,7 @@ def test_criterion_05_L_cross_method():
 def test_criterion_06_I_cross_method():
     for n in range(1, 21):
         p = sq.closed_form_floor(n) + 160
-        ic = sq.I_closed_form(n, p)
+        ic = sq.I_closed_form(n, p, sq.L_from_factorial_logs(n, p), exact.A_exact(n))
         iser, _ = sq.I_series(n)
         assert mn.agrees(ic, iser), n
     p = 256

@@ -150,6 +150,12 @@ def test_aitken_geometric_series():
     assert lim == pytest.approx(1.0, abs=1e-12)
 
 
+def test_aitken_overflow_flagged():
+    # d2^2 overflows, so the extrapolated limit is not finite
+    lim, degenerate = asy.aitken_limit([0.0, 1e200, 2.0000000000001e200])
+    assert lim == 2.0000000000001e200 and degenerate
+
+
 def test_aitken_needs_three_points():
     with pytest.raises(ValueError):
         asy.aitken_limit([1.0, 2.0])
@@ -170,6 +176,10 @@ def test_report_structure_and_flags():
     rep2 = asy.convergence_report("central_binom")
     assert not rep2.report_only
     assert rep2.improving
+    # one row: nothing to compare or extrapolate, so its ratio stands
+    rep3 = asy.convergence_report("lcm_growth", (5,))
+    assert rep3.improving and rep3.aitken_degenerate
+    assert rep3.aitken == rep3.rows[0].ratio
 
 
 def test_report_rejects_unknown_or_empty():

@@ -434,6 +434,18 @@ def test_one_gamma_split_and_no_exact_correction_per_run(args, splits, tmp_path,
     assert mn._TABLE.builds == 1
 
 
+def test_one_lower_bound_factoring_per_row(tmp_path, monkeypatch):
+    # the correction reads the Q that the cutoff search formed for the
+    # chosen pad; computing it again made 240 calls here
+    calls = []
+    lower_factors = sequences._EMKernel.lower_factors
+    monkeypatch.setattr(sequences._EMKernel, "lower_factors",
+                        lambda self, a: calls.append(a) or lower_factors(self, a))
+    assert run(["table", "--n", "1..120", "--jobs", "1",
+                "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(calls) == 120
+
+
 @pytest.mark.parametrize("args, guard", [
     (["criterion", "--n", "1..30", "--max-bits", "256"], mn._DOT_GUARD),
     (["table", "--n", "1..3", "--frac-bits", "800", "--max-bits", "900"],
@@ -771,6 +783,22 @@ def test_empty_out_fails_before_any_work(args, module, work, tmp_path, capsys,
     captured = capsys.readouterr()
     assert (captured.err, captured.out) == ("error: --out is empty\n", "")
     assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@_FIRST_WORK
+def test_manifest_naming_a_directory_fails_before_any_work(args, module, work, tmp_path,
+                                                           capsys, monkeypatch):
+    # the manifest is written beside --out, so a directory in its place
+    # fails the run before any work, as a directory at --out does
+    calls = _record_calls(module, work, monkeypatch)
+    out = tmp_path / "x.out"
+    manifest = tmp_path / "x.out.manifest.json"
+    manifest.mkdir()
+    assert run(args + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(manifest) in captured.err
+    assert captured.out == ""
+    assert calls == [] and list(tmp_path.rglob("*")) == [manifest]
 
 
 def test_out_naming_a_directory_fails_before_any_row(tmp_path, capsys,

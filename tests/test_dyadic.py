@@ -317,6 +317,16 @@ def test_to_str_literals(x, dps, text):
     assert mn.to_str(x, dps) == ml.to_str(x, dps) == text
 
 
+@pytest.mark.parametrize("log10_2", [0.29, 0.31])
+def test_to_str_corrects_a_wrong_exponent_estimate(log10_2, monkeypatch):
+    # k comes from a float log10(2) and is corrected a step at a time, so an
+    # estimate some steps off either way prints the same digits
+    monkeypatch.setattr(mn, "_LOG10_2", log10_2)
+    for x in (ml.from_man_exp(3 ** 40, -64), ml.from_man_exp(1, 3000),
+              ml.from_man_exp(7, -3000), ml.from_int(10 ** 40)):
+        assert mn.to_str(x, 30) == oracles.decimal_half_up(mn.raw_to_fraction(x), 30)
+
+
 @pytest.mark.parametrize("man, exp", [(3 ** 40, -64), (7 * 10 ** 4400 + 1, -132),
                                       (7 * 10 ** 4400 + 1, -15000),
                                       ((1 << 5000) - 1, -13000)],

@@ -41,6 +41,11 @@ rationals = st.fractions(
 
 # --- containment of exact results -------------------------------------------
 
+def test_bounded_repr():
+    assert repr(Bounded.from_fraction(Fraction(1, 3), 64)) == (
+        "Bounded(0.33333333333333333334 ± 1.81e-20)")
+
+
 @given(rationals, rationals, st.sampled_from([64, 128, 192]))
 @settings(max_examples=60, deadline=None)
 def test_add_mul_containment(a, b, p):
@@ -397,22 +402,32 @@ def test_bm_blocks_on_the_pool_fold_to_the_same_enclosure(monkeypatch):
     _no_child_left()
 
 
+def _smooth(m):
+    for q in (2, 3, 5, 7):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
 @given(st.integers(64, 70_000))
 @example(64)
 @example(5111)  # the split of gamma --digits 1500
 @example(70_000)
 @settings(max_examples=40, deadline=None)
 def test_bm_params_take_a_7_smooth_n_and_the_linear_scans_K(w):
-    def smooth(m):
-        for q in (2, 3, 5, 7):
-            while m % q == 0:
-                m //= q
-        return m == 1
-
     n, K = mn._bm_params(w)
     least = -(-(w + 2) * 10000 // 57704)  # floor(5.7704 n) >= w + 2 from here
-    assert [m for m in range(least, n + 1) if smooth(m)] == [n]
+    assert [m for m in range(least, n + 1) if _smooth(m)] == [n]
     assert K == oracles.bm_cutoff_scan(n, w)
+
+
+def test_bm_cutoff_lies_below_4n_at_the_widest_w_of_each_n():
+    # _bm_params searches K on [3n, 4n] alone: at each 7-smooth n, the
+    # widest w that picks it asks the most of K
+    for n in filter(_smooth, range(12, 10_000)):
+        w = 57704 * n // 10000 - 2
+        K = oracles.bm_cutoff_scan(n, w)
+        assert K < 4 * n and mn._bm_params(w) == (n, K), n
 
 
 def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):

@@ -177,7 +177,8 @@ def test_series_term_quadrature_oracle():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.prec = 220
     for n, v in [(1, 2), (1, 9), (2, 3), (4, 6)]:
-        term = sq.series_term(n, v, 192)
+        term = sq.series_term(n, v, 192, exact.residue_numerators(n),
+                              exact.scaled_square_weights(n))
         quad = mpmath.quad(
             lambda x: (mpmath.factorial(n) / mpmath.rf(x, n + 1)) ** 2,
             [v, mpmath.inf])
@@ -187,11 +188,11 @@ def test_series_term_quadrature_oracle():
 def test_series_partial_sum_oracle():
     # folded main sum == direct term-by-term sum (exact bookkeeping)
     n, V, p = 3, 40, 192
-    acc = sq.series_term(n, n + 1, p)
-    for v in range(n + 2, V + 1):
-        acc = mn.b_add(acc, sq.series_term(n, v, p), p)
     cs = exact.scaled_square_weights(n)
     d, nums = exact.residue_numerators(n)
+    acc = sq.series_term(n, n + 1, p, (d, nums), cs)
+    for v in range(n + 2, V + 1):
+        acc = mn.b_add(acc, sq.series_term(n, v, p, (d, nums), cs), p)
     folded_rat = sum(
         (cs[k] * (exact.harmonic(V + k) - exact.harmonic(n + k))
          for k in range(n + 1)), Fraction(0))
@@ -221,11 +222,11 @@ def test_I_series_against_closed_values():
 def test_I_cross_method_and_floor():
     for n in (1, 2, 5, 8):
         p = sq.closed_form_floor(n) + 128
-        ic = sq.I_closed_form(n, p)
+        ic = sq.I_closed_form(n, p, sq.L_from_factorial_logs(n, p), exact.A_exact(n))
         iser, _ = sq.I_series(n)
         assert mn.agrees(ic, iser), n
     with pytest.raises(mn.PrecisionInsufficient):
-        sq.I_closed_form(10, 64)
+        sq.I_closed_form(10, 64, sq.L_from_factorial_logs(10, 64), exact.A_exact(10))
 
 
 def test_I_positivity_and_monotonicity():
@@ -360,16 +361,20 @@ def test_em_corr_enclosure_contains_oracle(n, pad, K, W):
     assert Fraction(lo, den) <= oracles.em_corr(a, K, asw, cs) < Fraction(hi, den)
 
 
+def _corr_rounded(kern, a, K, p):
+    return sq._corr_rounded(kern, a, K, kern.lower_factors(a)[1], p)
+
+
 def test_corr_rounded_falls_back_to_exact_correction(monkeypatch):
     # an enclosure that decides nothing leaves the correction to the exact
     # sum, which must round the same way
-    rounded = {n: sq._corr_rounded(_kernel(n), n + 33, 12, 600) for n in (1, 9, 40)}
+    rounded = {n: _corr_rounded(_kernel(n), n + 33, 12, 600) for n in (1, 9, 40)}
     monkeypatch.setattr(sq._EMKernel, "em_corr_enclosure",
                         lambda self, a, K, W: (-(1 << 10000), 1 << 10000, 1))
     for n, got in rounded.items():
         kern = _kernel(n)
         want = Bounded.from_ratio(*kern.em_corr(n + 33, 12), 600)
-        assert sq._corr_rounded(kern, n + 33, 12, 600) == got == want, n
+        assert _corr_rounded(kern, n + 33, 12, 600) == got == want, n
 
 
 def _oracle_cutoff(n, eps):
@@ -380,6 +385,13 @@ def _oracle_cutoff(n, eps):
             if rem <= eps / 4:
                 return n + pad, K, mn.raw_to_fraction(mn._fraction_to_raw_up(rem))
     return None
+
+
+def _check_cutoff(n, eps, kern, want):
+    # the chosen (V, K) and remainder, and the Q of the lower bound at V + 1
+    got = sq._choose_cutoff(n, eps, kern)
+    assert got[:3] == want, (n, eps)
+    assert got[3] == kern.lower_factors(got[0] + 1)[1], (n, eps)
 
 
 def test_choose_cutoff_equals_oracle_search():
@@ -394,7 +406,7 @@ def test_choose_cutoff_equals_oracle_search():
             with pytest.raises(mn.PrecisionExhausted):
                 sq._choose_cutoff(n, eps, kern)
         else:
-            assert sq._choose_cutoff(n, eps, kern) == want, (n, eps)
+            _check_cutoff(n, eps, kern, want)
 
 
 def test_choose_cutoff_falls_back_to_exact_remainder(monkeypatch):
@@ -405,7 +417,7 @@ def test_choose_cutoff_falls_back_to_exact_remainder(monkeypatch):
     pol = PrecisionPolicy()
     for n in (1, 9, 30, 120):
         eps = sq.default_series_eps(n, pol)
-        assert sq._choose_cutoff(n, eps, _kernel(n)) == _oracle_cutoff(n, eps), n
+        _check_cutoff(n, eps, _kernel(n), _oracle_cutoff(n, eps))
 
 
 def test_choose_cutoff_needs_no_exact_remainder(monkeypatch):
@@ -454,7 +466,7 @@ def test_choose_cutoff_sizes_the_kept_enclosure_from_the_lower_bound(monkeypatch
     calls = _count_calls(monkeypatch, "em_remainder")
     for eps in (Fraction(1, 10 ** 20), Fraction(10 ** 78), Fraction(10 ** 400)):
         for n in (1, 2, 3, 10, 30):
-            assert sq._choose_cutoff(n, eps, _kernel(n)) == _oracle_cutoff(n, eps), (n, eps)
+            _check_cutoff(n, eps, _kernel(n), _oracle_cutoff(n, eps))
     assert calls == []
 
 
@@ -696,7 +708,7 @@ def test_build_record_computes_L_once(monkeypatch):
     rec = sq.build_record(3)
     assert calls == [("A_exact", 3), ("L_vector", 3), ("_log_S_vector", 3)]
     p = rec.precision_bits
-    direct = sq.I_closed_form(3, p)
+    direct = sq.I_closed_form(3, p, sq.L_from_factorial_logs(3, p), real_a(3))
     assert (rec.I_closed.val, rec.I_closed.err) == (direct.val, direct.err)
 
 
