@@ -26,7 +26,8 @@ REPRODUCE = pathlib.Path(__file__).with_name("reproduce_all.py")
 # long mantissas (3000), both ends of the series budget (an eps of 1e+78
 # or 1e+400 lies far above the Euler-Maclaurin correction, whose enclosure
 # it cannot size), flagged precision_exhausted rows (max-bits 256), a pool
-# run, chosen laws at chosen points as CSV, and a range of one n
+# run, chosen laws at chosen points as CSV, a range of one n, and a gamma
+# wide enough to split its Brent-McMillan blocks on the pool (about 1 s)
 COMMANDS = {
     "table_398_401.csv": ["table", "--n", "398..401", "--jobs", "2"],
     "table_900_905.csv": ["table", "--n", "900..905", "--jobs", "2"],
@@ -38,6 +39,8 @@ COMMANDS = {
     "criterion_1_460.csv": ["criterion", "--n", "1..460", "--jobs", "2"],
     "criterion_3000.csv": ["criterion", "--n", "3000..3000"],
     "gamma_5000.txt": ["gamma", "--digits", "5000"],
+    "gamma_20000.txt": ["gamma", "--digits", "20000", "--max-bits", "131072",
+                        "--jobs", "2"],
     "verify_60.json": ["verify", "--n-max", "60"],
     "asym_laws_points.csv": ["asym", "--laws", "i_decay,l_log_model,lcm_growth",
                              "--points", "5,10,20"],

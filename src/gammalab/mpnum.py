@@ -11,16 +11,16 @@ arithmetic is done at coarse precision with *upward* rounding, so for each
 :class:`Bounded` the true real number lies in ``[value - err, value + err]``.
 
 No transcendental is taken on trust.  Every logarithm is the log of a
-rational: an exact vector over the primes dotted with a fixed-point table
-of ``ln q`` with an explicit bound per entry (:class:`PrimeLogTable`).
-``pi`` comes from Machin's formula with its alternating-series bound
-(:func:`pi_const`), and Euler's constant from Brent-McMillan binary
-splitting with a proven bound on its tails (:func:`euler_gamma`), which
-the test suite checks against an independent Euler-Maclaurin oracle.  The
-split runs in blocks of terms, each split exactly and rounded to fixed
-point both ways, on several processes once it is wide; the blocks are
-folded once from the floors and once from the ceilings, and since every
-step is monotone the two folds enclose the sums.
+rational: an exact vector over the primes dotted with certified floors of
+``2^w ln q`` (:class:`PrimeLogTable`, and for the constants
+:func:`_small_log_floors`).  ``pi`` comes from Machin's formula with its
+alternating-series bound (:func:`pi_const`), and Euler's constant from
+Brent-McMillan binary splitting with a proven bound on its tails
+(:func:`euler_gamma`), which the test suite checks against an independent
+Euler-Maclaurin oracle.  The split runs in blocks of terms, each split
+exactly and rounded to fixed point both ways, on several processes once
+it is wide; the blocks are folded once from the floors and once from the
+ceilings, and since every step is monotone the two folds enclose the sums.
 """
 
 from __future__ import annotations
@@ -571,17 +571,15 @@ def fork_map(fn, items: Sequence, k: int) -> List:
 # the tail (halved from 2), plus at most one for the halving.
 
 _DOT_GUARD = 16     # working bits of a dot product beyond those asked for
-_FLOOR_MARGIN = 32  # table bits beyond a dot's working bits
-_GAMMA_MARGIN = 32  # bits of the gamma enclosure beyond a floor's
-# floor_logs, floor_gamma, b_ln and pi_const stop at _CEILING_FACTOR times
-# their first attempt, which spares 16 bits or more below the floor or
-# rounding it decides.  A doubling at least doubles that, P - w to 2P - w (a
+_FLOOR_MARGIN = 32  # bits of an enclosure beyond the floors read from it
+# Every floor read, b_ln and pi_const stop at _CEILING_FACTOR times their
+# first attempt, which spares 16 bits or more below the floor or rounding
+# it decides.  A doubling at least doubles that, P - w to 2P - w (a
 # floor's shift w + 32 becomes w + 64), so a third attempt fails only on a run
 # of 64 or more equal bits of ln q, gamma, pi or ln x, or an x so near 1 that
 # ln x cancels as many.  The ceiling changes no value; it makes a hang raise.
 _CEILING_FACTOR = 4
 _SIEVE_CAP = 1 << 20  # the largest trial divisor of PrimeLogTable.factor
-_SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many lengths
 # _enter forks the leaves of m missing primes at P bits once m P reaches
 # _FORK_LEAF_BITS.  Measured on a 2-CPU x86 guest, Python 3.11: a fork_map
 # with one child costs about 3 ms (fork, pipes, reaping), and the leaves
@@ -591,8 +589,7 @@ _SLICE_SPAN = 8  # _range_log_pair factors ranges whose end passes this many len
 # below it the saving is of the order of the fork and of the spread between
 # the guest's CPUs.  The benchmark's tables stay under it: `criterion --n
 # 1..460` enters 157 primes at 2,420 bits (0.38 M), `table --n 400..401` 145
-# at 2,641 (0.38 M), `table --n 1..120` 58 at 953 (0.06 M), and `gamma
-# --digits 1500`'s split 3 at 5,215 (0.02 M).
+# at 2,641 (0.38 M) and `table --n 1..120` 58 at 953 (0.06 M).
 _FORK_LEAF_BITS = 1_000_000
 
 
@@ -624,10 +621,28 @@ def _two_atanh_split(m: int, p: int) -> Tuple[int, int]:
     return (m * T << (p + 1)) // (B * Q), 2
 
 
-def _prime_leaf(q: int, p: int) -> Tuple[int, int]:
-    """The atanh leaf of prime q's entry at p bits: 2 atanh(1/3) = ln 2 for
-    q = 2, else 2 atanh(1/(2q^2-1)), by _two_atanh_split."""
-    return _two_atanh_split(3 if q == 2 else 2 * q * q - 1, p)
+# ln 2, 3, 5 and 7 from four atanh values (Johansson, arXiv:2207.02501).
+# L_x = 2 atanh(1/x) = ln((x+1)/(x-1)) at x = 251, 449, 4801 and 8749 is the
+# log of 126/125 = 2 3^2 7 / 5^3, 225/224 = 3^2 5^2 / (2^5 7),
+# 2401/2400 = 7^4 / (2^5 3 5^2) and 4375/4374 = 5^4 7 / (2 3^7).  This
+# exponent matrix has determinant -1, so ln q = sum_x c_qx L_x with integer
+# c_qx, the rows of its inverse (_SMALL_LOGS).  From t_x <= 2^P L_x <=
+# t_x + e_x, lo = sum_x (c_qx t_x + min(0, c_qx e_x)) <= 2^P ln q <= hi, the
+# same sum with max, so floor(2^w ln q) is lo >> (P - w) when hi's agrees.
+
+_SMALL_LOGS = {2: (72, 27, -19, 31), 3: (114, 43, -30, 49),
+               5: (167, 63, -44, 72), 7: (202, 76, -53, 87)}
+
+
+def _small_log_floors(w: int) -> Dict[int, int]:
+    """{q: floor(2^w ln q)} for q = 2, 3, 5 and 7, exactly (see above)."""
+    P = w + _FLOOR_MARGIN
+    for P in escalation(f"floor(2^{w} ln q) for q <= 7", P, _CEILING_FACTOR * P):
+        leaves = [_two_atanh_split(x, P) for x in (251, 449, 4801, 8749)]
+        ends = {q: [sum(c * t + f(0, c * e) for c, (t, e) in zip(cs, leaves)) >> (P - w)
+                    for f in (min, max)] for q, cs in _SMALL_LOGS.items()}
+        if all(lo == hi for lo, hi in ends.values()):
+            return {q: lo for q, (lo, _) in ends.items()}
 
 
 class PrimeLogTable:
@@ -637,15 +652,12 @@ class PrimeLogTable:
     doubles only when a dot asks for more or when an entry straddles a
     multiple of the floor it must certify, twice per read at most.  A run
     that asks for its widest dot first, as the row subcommands do by
-    computing their largest n first, builds the table once.  The sieve keeps
-    only primes, and doubles when it must reach further: to m for
-    :meth:`primes_upto`, to min(sqrt k, ``_SIEVE_CAP``) to factor k.
-    ``builds`` and ``sieves`` count the rebuilds.  A read first enters
-    every prime it lacks, with the primes of their q-1 and q+1 chains:
-    their atanh leaves first, on ``WORKERS`` processes when enough are
-    missing, then the entries in increasing q, each from entries already
-    present (:meth:`_enter`).  A rebuild drops every entry, so it costs
-    only the primes (and their chains) asked for after it.
+    computing their largest n first, builds the table once.  A read enters
+    the primes it lacks, with their chains (:meth:`_enter`), so a rebuild,
+    which drops every entry, costs only the primes asked for after it.  The
+    sieve keeps only primes, and doubles when it must reach further: to m
+    for :meth:`primes_upto`, to min(sqrt k, ``_SIEVE_CAP``) to factor k.
+    ``builds`` and ``sieves`` count the rebuilds.
 
     The table also keeps Euler's constant as an enclosure of 2^W gamma
     (:meth:`floor_gamma`), so a fresh table computes gamma afresh.
@@ -715,12 +727,11 @@ class PrimeLogTable:
             if q not in chains and q not in logs:
                 chains[q] = self.factor(q - 1) + self.factor(q + 1) if q > 2 else []
                 stack.extend(r for r, _ in chains[q])
-        P = self.prec
         need = sorted(chains)
-        if WORKERS > 1 and len(need) * P >= _FORK_LEAF_BITS:
-            leaves = fork_map(lambda q: _prime_leaf(q, P), need, WORKERS)
-        else:
-            leaves = (_prime_leaf(q, P) for q in need)
+        ms = [3 if q == 2 else 2 * q * q - 1 for q in need]  # 2 atanh(1/3) = ln 2
+        leaves = (fork_map(lambda m: _two_atanh_split(m, self.prec), ms, WORKERS)
+                  if WORKERS > 1 and len(ms) * self.prec >= _FORK_LEAF_BITS
+                  else (_two_atanh_split(m, self.prec) for m in ms))
         for q, (lo, width) in zip(need, leaves):
             if q > 2:
                 for r, k in chains[q]:
@@ -742,8 +753,8 @@ class PrimeLogTable:
         """{q: floor(2^w ln q)} for primes q, exactly, in the order of primes.
 
         With s = P - w, floor(2^w ln q) is lo_q >> s unless the enclosure
-        crosses a multiple of 2^s, that is unless
-        ((lo_q mod 2^s) + width_q) >> s is nonzero.
+        crosses a multiple of 2^s, that is unless (lo_q + width_q) >> s
+        differs.  A read of primes all present enters none.
         """
         with self._lock:
             P = self.prec
@@ -752,15 +763,15 @@ class PrimeLogTable:
                 if P != self.prec:
                     self._rebuild(P)
                 shift = P - w
-                mask = (1 << shift) - 1
-                self._enter(primes)
                 logs = self._logs
+                if not all(q in logs for q in primes):
+                    self._enter(primes)
                 out = {}
                 for q in primes:
                     lo, width = logs[q]
-                    if ((lo & mask) + width) >> shift:
-                        break  # the enclosure straddles a multiple of 2^shift
                     out[q] = lo >> shift
+                    if (lo + width) >> shift != out[q]:
+                        break  # the enclosure straddles a multiple of 2^shift
                 else:
                     return out
 
@@ -771,13 +782,13 @@ class PrimeLogTable:
         floor(2^w gamma) = floor(2^W gamma) >> (W - w), and lo <= floor(2^W
         gamma) <= hi, so it is lo >> (W - w) when that equals hi >> (W - w).
         Otherwise one Brent-McMillan split makes a new enclosure at
-        max(w + _GAMMA_MARGIN, 2W), which is 2W once W >= w, the way
+        max(w + _FLOOR_MARGIN, 2W), which is 2W once W >= w, the way
         floor_logs doubles.  A run that asks first at its largest w makes one
         split.
         """
         with self._lock:
             W = self._gamma[0]
-            W = W if W > w else max(w + _GAMMA_MARGIN, 2 * W)
+            W = W if W > w else max(w + _FLOOR_MARGIN, 2 * W)
             for W in escalation(f"floor(2^{w} gamma)", W, _CEILING_FACTOR * W):
                 if W != self._gamma[0]:
                     self._gamma = (W,) + _bm_enclosure(W)
@@ -787,10 +798,6 @@ class PrimeLogTable:
 
 
 _TABLE = PrimeLogTable()
-# The logs that must not size _TABLE, the rows' table: ln2_const and
-# Brent-McMillan's ln n.  A floor depends on its width alone, so which
-# table serves it moves no value.
-_SIDE_LOGS = PrimeLogTable()
 
 # (D, {key: a}): the rational vector {key: a / D} as integers over one
 # denominator D, not necessarily the least; zero entries are left out.
@@ -805,13 +812,12 @@ def _range_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
     hi = lo + len(weights) - 1 the weight of q is
     sum_e sum(weights[-lo % q^e :: q^e]) for q^e <= hi: one slice sum in C
     per prime power, and no integer is factored.  That visits every prime
-    up to hi, so a single integer, a range whose hi is more than
-    ``_SLICE_SPAN`` times its length (more primes than integers), or one
-    reaching ``_SIEVE_CAP`` is factored one integer at a time instead.
+    up to hi, so a single integer, or a range reaching ``_SIEVE_CAP``, is
+    factored one integer at a time instead.
     """
     hi = lo + len(weights) - 1
     acc: Dict[int, int] = {}
-    if len(weights) <= 1 or hi >= _SIEVE_CAP or hi > _SLICE_SPAN * len(weights):
+    if len(weights) <= 1 or hi >= _SIEVE_CAP:
         for x, a in enumerate(weights, lo):
             if a:
                 for q, e in _TABLE.factor(x):
@@ -845,11 +851,9 @@ def _factorial_log_pair(den: int, lo: int, weights: Sequence[int]) -> IntVec:
     return _range_log_pair(den, lo + first + 1, suffix)
 
 
-def _prime_dot(vec: IntVec, p: int, g: int = 1,
-               table: Optional[PrimeLogTable] = None) -> Bounded:
+def _prime_dot(vec: IntVec, p: int, g: int = 1) -> Bounded:
     """sum_q (g a_q / D) ln q for a prime vector (D, {q: a_q}) times a
-    common integer factor g >= 1, rounded to p bits, with the floors read
-    from ``table`` (the shared one by default).
+    common integer factor g >= 1, rounded to p bits.
 
     With f_q = floor(2^w ln q), each 2^w ln q - f_q lies in [0, 1), so
     s = g sum_q a_q f_q is within e = g sum_q |a_q| of
@@ -865,12 +869,11 @@ def _prime_dot(vec: IntVec, p: int, g: int = 1,
     c = math.gcd(g, den)
     g, den = g // c, den // c
     w = p + _DOT_GUARD
-    logs = (table or _TABLE).floor_logs(ints, w) if ints else {}
+    logs = _TABLE.floor_logs(ints, w) if ints else {}
     s = g * sum(map(mul, ints.values(), logs.values()))
     e = g * sum(map(abs, ints.values()))
     v = _raw_ratio(s, den << w, p, "n")
-    err = _up_add(_ratio_to_raw_up(e, den << w), _rnd_bound(v, p))
-    return Bounded(v, err)
+    return Bounded(v, _up_add(_ratio_to_raw_up(e, den << w), _rnd_bound(v, p)))
 
 
 def ln_int(k: int, p: int) -> Bounded:
@@ -885,8 +888,10 @@ def ln_int(k: int, p: int) -> Bounded:
 
 
 def ln2_const(p: int) -> Bounded:
-    """ln 2, read from the side table, so that it never sizes the rows'."""
-    return _prime_dot((1, {2: 1}), p, table=_SIDE_LOGS)
+    """ln 2 as _prime_dot reads it, from _small_log_floors, not the table."""
+    w = p + _DOT_GUARD
+    v = _raw_ratio(_small_log_floors(w)[2], 1 << w, p, "n")
+    return Bounded(v, _up_add(_ratio_to_raw_up(1, 1 << w), _rnd_bound(v, p)))
 
 
 def b_ln(x, p: int) -> Bounded:
@@ -1101,7 +1106,7 @@ def pi_const(p: int) -> Bounded:
 #
 # Enclosure.  At G bits, x_lo = floor(2^G S_lo / V_hi) and
 # x_hi = ceil(2^G S_hi / V_lo) enclose 2^G S_K/V_K.  With n = prod q^a_q,
-# l = sum_q a_q floor(2^G ln q) (the table's floors) has
+# l = sum_q a_q floor(2^G ln q) (_small_log_floors) has
 # l <= 2^G ln n < l + e, e = sum_q a_q, as each floor loses less than 1.
 # The tails are at most the ceiling t of 2^G times their bound, and the
 # Bessel term lies in (0, c] with c = 2^max(0, G + bessel).  So
@@ -1113,7 +1118,7 @@ def pi_const(p: int) -> Bounded:
 # most 2^g, g = _BM_FOLD_GUARD, and x_hi - x_lo is a few units (at most 5
 # over 99 widths from 64 to 12,000 bits), so the fine ends lie less than
 # 2^(g+1) apart and hi - lo is at most 3 (1 or 2 over those widths); a
-# floor _GAMMA_MARGIN bits coarser straddles it with odds near 2^-30.
+# floor _FLOOR_MARGIN bits coarser straddles it with odds near 2^-30.
 
 _BM_GUARD = 32  # working bits beyond those asked for
 _BM_FOLD_GUARD = 40  # fixed-point bits of the fold beyond the enclosure's
@@ -1143,7 +1148,7 @@ def _bm_params(w: int) -> Tuple[int, int]:
     """(n, K) with the Bessel term below 2^-w and the tails near 2^-(w+8).
 
     n is the least 7-smooth integer with floor(5.7704 n) >= w + 2, so ln n
-    needs the table entries of 2, 3, 5 and 7 alone.  K is the least from 3n
+    needs ln 2, 3, 5 and 7 alone (_small_log_floors).  K is the least from 3n
     whose tail bound is estimated below 2^-(w+8), with V_K >= t_n and
     log2 t_k from lgamma; the tail bound actually used is recomputed from
     the fold.  From 3n on the estimate falls by more than 3 bits a step
@@ -1152,7 +1157,7 @@ def _bm_params(w: int) -> Tuple[int, int]:
     the root of a (ln a - 1) = 1 that balances the tails against e^{-4n}.
     """
     n = -(-(w + 2) * 10000 // 57704)
-    while any(q > 7 for q, _ in _SIDE_LOGS.factor(n)):
+    while any(q > 7 for q, _ in _TABLE.factor(n)):
         n += 1
     ln_n = math.log(n)
 
@@ -1217,11 +1222,6 @@ def _bm_enclosure(bits: int) -> Tuple[int, int]:
     """(lo, hi) with lo <= 2^bits gamma <= hi, from the blocks' fold (see
     above).  The blocks are split on WORKERS processes from
     ``_FORK_BM_BITS`` on, else in this process.
-
-    ln n is read from _SIDE_LOGS: bits is _BM_GUARD + _GAMMA_MARGIN above
-    the precision asked of gamma, so on the rows' table ln n would be the
-    widest request of a row that asks for gamma, and would size that table
-    for it.
     """
     n, K = _bm_params(bits)
     G = bits + _BM_FOLD_GUARD
@@ -1232,9 +1232,9 @@ def _bm_enclosure(bits: int) -> Tuple[int, int]:
     x_lo = (S_lo << G) // V_hi
     x_hi = -(-(S_hi << G) // V_lo)
     t = -(-(2 * (K + 1).bit_length() * n * n * rho_hi << G) // ((K + 1) ** 2 * V_lo))
-    vec = dict(_SIDE_LOGS.factor(n))
-    l = sum(map(mul, vec.values(), _SIDE_LOGS.floor_logs(vec, G).values()))
-    e = sum(vec.values())
+    vec, floors = _TABLE.factor(n), _small_log_floors(G)
+    l = sum(a * floors[q] for q, a in vec)
+    e = sum(a for _, a in vec)
     c = 1 << max(0, G + 2 - 57704 * n // 10000)
     return (x_lo - t - l - e - c) >> _BM_FOLD_GUARD, -(-(x_hi + t - l) >> _BM_FOLD_GUARD)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from mpmath.libmp import from_man_exp
 
-from gammalab import cli, exact, sequences
+from gammalab import cli, exact, sequences, verify
 from gammalab import mpnum as mn
 
 
@@ -93,6 +93,68 @@ def test_verify_integrality_fault_injection(monkeypatch, capsys):
     assert run(["verify", "--n-max", "6"]) == 1
     text = capsys.readouterr().out
     assert "FAIL integrality_d2n_A" in text and "n=4" in text
+
+
+def _bumped(row, changes):
+    row = list(row)
+    for k, delta in changes.items():
+        row[k] += delta
+    return row
+
+
+# exact.<name> planted to break one identity at one n, through the exact
+# namespace that verify dispatches through: (name, fake from the real
+# function, suite, the first failure it must report, rows checked before it)
+_PLANTED_FAULTS = {
+    "central binomial": (
+        "binomial", lambda real: lambda n, k: real(n, k) + ((n, k) == (6, 3)),
+        "central_binomial_sum", "sum C(n,j)^2 != C(2n,n) at n=3", 2),
+    "centered zero sum": (
+        "tail_log_coefficient", lambda real: lambda n: real(n) + (n == 4),
+        "tail_log_zero_sums", "centered zero-sum nonzero at n=4", 3),
+    "reduced zero sum": (
+        "tail_log_coefficient_reduced", lambda real: lambda n: real(n) + (n == 4),
+        "tail_log_zero_sums", "reduced zero-sum nonzero at n=4", 3),
+    # row 5 past the entries [0..2] that the low-order residuals read
+    "Stirling row sum": (
+        "stirling1_row", lambda real: lambda m: _bumped(real(m), {3: 1} if m == 5 else {}),
+        "stirling_low_order", "Stirling row sum != m! at m=5", 5),
+    "Stirling endpoints": (
+        "stirling1_row",
+        lambda real: lambda m: _bumped(real(m), {3: 1, 5: -1} if m == 5 else {}),
+        "stirling_low_order", "Stirling row endpoints wrong at m=5", 5),
+    "coefficient symmetry": (
+        "partial_fraction_coeffs",
+        lambda real: lambda n: real(n)._replace(b=tuple(_bumped(real(n).b, {0: 1})))
+        if n == 4 else real(n),
+        "partial_fraction_structure", "coefficient symmetry broken at n=4, k=0", 4),
+    "sampled residual": (
+        "partial_fraction_residual", lambda real: lambda n, x: real(n, x) + (n == 4),
+        "partial_fraction_sampled", "decomposition residual nonzero at n=4, x=", 3),
+    # the weights still cancel, as L_vector's log-factorial sum requires
+    "scaled residues": (
+        "residue_numerators",
+        lambda real: lambda n: (real(n)[0],
+                                _bumped(real(n)[1], {0: 1, 1: -1} if n == 4 else {})),
+        "scaled_coefficient_coherence", "scaled residues incoherent at n=4", 4),
+    "scaled square weights": (
+        "scaled_square_weights",
+        lambda real: lambda n: _bumped(real(n), {0: 1} if n == 4 else {}),
+        "scaled_coefficient_coherence", "scaled square weights incoherent at n=4", 4),
+    # d_8 = 1 leaves d_8 A_4 a non-integer
+    "integrality": (
+        "lcm_upto", lambda real: lambda m: 1 if m == 8 else real(m),
+        "integrality_d2n_A", "d_{2n} * A_n not an integer at n=4: ", 3),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PLANTED_FAULTS))
+def test_verify_reports_each_planted_fault(fault, monkeypatch):
+    name, fake, suite, failure, checked = _PLANTED_FAULTS[fault]
+    monkeypatch.setattr(exact, name, fake(getattr(exact, name)))
+    got = {r.name: r for r in verify.run_exact_suite(6)}[suite]
+    assert got.failure is not None and got.failure.startswith(failure), got
+    assert got.checked == checked
 
 
 def test_verify_raising_check_fails_its_suite_only(monkeypatch, capsys, tmp_path):
@@ -449,7 +511,7 @@ def test_one_lower_bound_factoring_per_row(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args, guard", [
     (["criterion", "--n", "1..30", "--max-bits", "256"], mn._DOT_GUARD),
     (["table", "--n", "1..3", "--frac-bits", "800", "--max-bits", "900"],
-     mn._BM_GUARD + mn._GAMMA_MARGIN),
+     mn._BM_GUARD + mn._FLOOR_MARGIN),
 ])
 def test_reservation_stays_under_max_bits(args, guard, tmp_path, monkeypatch):
     # criterion rows from n = 27 on ask for more than 256 bits, and the

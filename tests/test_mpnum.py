@@ -440,18 +440,18 @@ def test_gamma_store_splits_once_and_recomputes_on_a_straddle(monkeypatch):
     monkeypatch.setattr(mn, "_bm_enclosure",
                         lambda bits: splits.append(bits) or enclosure(bits))
     first = [table.floor_gamma(w) for w in ws]
-    W = 1000 + mn._GAMMA_MARGIN
+    W = 1000 + mn._FLOOR_MARGIN
     assert splits == [W] and table._gamma[0] == W
     assert first == fresh
     # widen the kept enclosure until it straddles at w = 1000: still true,
     # but undecided, so the store recomputes at 2W
     _, lo, hi = table._gamma
-    table._gamma = (W, lo - (1 << mn._GAMMA_MARGIN), hi)
+    table._gamma = (W, lo - (1 << mn._FLOOR_MARGIN), hi)
     assert table.floor_gamma(1000) == first[0]
     assert splits == [W, 2 * W]
     # asking beyond the enclosure recomputes at w + margin if that is more
     assert table.floor_gamma(5000) == fresh_5000
-    assert table._gamma[0] == 5000 + mn._GAMMA_MARGIN
+    assert table._gamma[0] == 5000 + mn._FLOOR_MARGIN
 
 
 def test_gamma_bessel_term_bound():
@@ -850,6 +850,110 @@ def test_two_atanh_recip_against_fraction_oracle():
         assert e <= 2
 
 
+# the atanh arguments of _small_log_floors, in the order of its coefficients
+_SMALL_LOG_XS = (251, 449, 4801, 8749)
+
+
+def _exponents(x):
+    # the exponents of 2, 3, 5 and 7 in (x+1)/(x-1) = exp(2 atanh(1/x))
+    r = Fraction(x + 1, x - 1)
+    up, down = oracles.factor_oracle(r.numerator), oracles.factor_oracle(r.denominator)
+    assert set(up) | set(down) <= {2, 3, 5, 7}, x
+    return [up.get(q, 0) - down.get(q, 0) for q in (2, 3, 5, 7)]
+
+
+def test_small_log_coefficients_invert_the_four_ratios():
+    # ln q = sum_x c_qx L_x holds exactly when sum_x c_qx (exponents of x)
+    # is the unit vector of q
+    rows = [_exponents(x) for x in _SMALL_LOG_XS]
+    assert list(mn._SMALL_LOGS) == [2, 3, 5, 7]
+    for i, (q, cs) in enumerate(mn._SMALL_LOGS.items()):
+        got = [sum(c * row[j] for c, row in zip(cs, rows)) for j in range(4)]
+        assert got == [int(i == j) for j in range(4)], q
+
+
+@pytest.mark.parametrize("w", [64, 200, 1000, 5111, 20040, 66640])
+def test_small_log_floors_equal_the_table_and_the_oracle(w):
+    got = mn._small_log_floors(w)
+    assert got == mn.PrimeLogTable().floor_logs([2, 3, 5, 7], w)
+    for q, (x, e) in oracles.term_by_term_prime_logs(7, w + 32).items():
+        assert (x - e) >> 32 == (x + e) >> 32 == got[q], q  # the oracle decides
+
+
+def _planted_leaves(monkeypatch, w, plant):
+    """Make the first attempt of _small_log_floors(w) read leaves whose
+    coefficient sum for q is plant(F, s, below, above), with F the true
+    floor of 2^w ln q times 2^s, s = P - w, and below and above the
+    offsets of the enclosure's ends from that sum; later attempts read true
+    leaves.  Returns the precisions the leaves were asked at."""
+    s = mn._FLOOR_MARGIN
+    want = mn._small_log_floors(w)
+    target = {q: plant(want[q] << s, s, sum(2 * c for c in cs if c < 0),
+                       sum(2 * c for c in cs if c > 0))
+              for q, cs in mn._SMALL_LOGS.items()}
+    # sum_x c_qx t_x = target[q] for t_x = sum_q (exponent of q in x) target[q]
+    planted = {x: sum(a * target[q] for a, q in zip(_exponents(x), (2, 3, 5, 7)))
+               for x in _SMALL_LOG_XS}
+    asked, real = [], mn._two_atanh_split
+
+    def fake(x, P):
+        asked.append(P)
+        return (planted[x], 2) if P == w + s else real(x, P)
+
+    monkeypatch.setattr(mn, "_two_atanh_split", fake)
+    return asked
+
+
+# the sum that puts one end of each enclosure at the edge of the true
+# floor's span [F, F + 2^s): the first two decide, the last two cross it
+# by one unit
+_EDGES = {
+    "low end on the floor": lambda F, s, below, above: F - below,
+    "high end below the next": lambda F, s, below, above: F + (1 << s) - 1 - above,
+    "low end one below": lambda F, s, below, above: F - 1 - below,
+    "high end on the next": lambda F, s, below, above: F + (1 << s) - above,
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_EDGES))
+def test_small_log_floors_decide_by_the_coefficient_signs(edge, monkeypatch):
+    # each end takes the top of L_x's enclosure where c_qx < 0 and its
+    # bottom where c_qx > 0; an end one unit past the span straddles, and
+    # the helper widens once to true leaves
+    w, P = 200, 200 + mn._FLOOR_MARGIN
+    want = mn._small_log_floors(w)
+    asked = _planted_leaves(monkeypatch, w, _EDGES[edge])
+    assert mn._small_log_floors(w) == want
+    widened = edge in ("low end one below", "high end on the next")
+    assert asked == [P] * 4 + [2 * P] * 4 * widened
+
+
+def test_small_log_floors_raise_on_a_persistent_straddle(monkeypatch):
+    asked = []
+    monkeypatch.setattr(mn, "_two_atanh_split",
+                        lambda x, P: asked.append(P) or (0, 1 << P))
+    with pytest.raises(mn.PrecisionExhausted,
+                       match=re.escape("floor(2^64 ln q) for q <= 7 needs 768 bits, "
+                                       "ceiling is 384")):
+        mn._small_log_floors(64)
+    assert asked == [96] * 4 + [192] * 4 + [384] * 4
+
+
+def test_a_read_of_present_primes_enters_nothing(monkeypatch):
+    # a second read of primes the table holds computes no atanh leaf and
+    # factors no q-1 or q+1
+    table = mn.PrimeLogTable()
+    primes = [2, 3, 97, 1009]
+    first = table.floor_logs(primes, 200)
+    calls, enter = [], table._enter
+    monkeypatch.setattr(table, "_enter", lambda qs: calls.append(("enter", qs)) or enter(qs))
+    monkeypatch.setattr(table, "factor", lambda k: calls.append(("factor", k)))
+    monkeypatch.setattr(mn, "_two_atanh_split", lambda *a: calls.append(("leaf", a)))
+    assert table.floor_logs(primes, 200) == first
+    assert table.floor_logs(primes[1:3], 150) == {q: first[q] >> 50 for q in primes[1:3]}
+    assert calls == []
+
+
 @given(st.integers(1, 10 ** 5), st.sampled_from([64, 192, 700, 2600]))
 @settings(max_examples=40, deadline=None)
 def test_ln_int_contains_mpmath(k, p):
@@ -885,9 +989,10 @@ def test_ln_int_beyond_the_sieve(monkeypatch):
             mn.ln_int(k, 200)
 
 
-def test_src_builds_only_the_rows_and_the_side_log_tables():
-    # every log reads _TABLE, or _SIDE_LOGS when it must not size the rows'
-    # table; no code path builds a throwaway table of its own
+def test_src_builds_only_the_rows_table():
+    # every log reads _TABLE, apart from the constants' ln 2, 3, 5 and 7,
+    # which _small_log_floors reads from four fixed atanh values; no code
+    # path builds a table of its own
     import ast
 
     built = []
@@ -899,7 +1004,7 @@ def test_src_builds_only_the_rows_and_the_side_log_tables():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and "PrimeLogTable" in (getattr(node.func, "id", None),
                                           getattr(node.func, "attr", None))]
-    assert sorted(built) == [("mpnum.py", ["_SIDE_LOGS"]), ("mpnum.py", ["_TABLE"])]
+    assert built == [("mpnum.py", ["_TABLE"])]
 
 
 def test_ln_int_factors_primes_past_the_sieve_cap(monkeypatch):
@@ -1019,7 +1124,7 @@ _signed_weights = st.lists(st.one_of(st.just(0), st.integers(-10 ** 12, 10 ** 12
        _signed_weights, st.integers(1, 10 ** 6))
 @example(lo=2, weights=[7, 0, -3] * 60, den=6)         # prime-power slices
 @example(lo=100, weights=[1, -1] * 20, den=1)          # hi = 3.4 lengths: slices
-@example(lo=10 ** 4, weights=[5, 0, 0, -2], den=1)     # hi far above length: factored
+@example(lo=10 ** 4, weights=[5, 0, 0, -2], den=1)     # hi far above length: slices
 @example(lo=mn._SIEVE_CAP - 3, weights=[1, 2, 0, 3, -4, 5], den=3)  # across the cap
 @settings(max_examples=60, deadline=None)
 def test_range_log_pair_equals_factorisation_oracle(lo, weights, den):
@@ -1043,10 +1148,10 @@ def test_range_log_pair_factors_only_where_the_shape_calls_for_it(monkeypatch):
     monkeypatch.setattr(table, "factor", lambda k: factored.append(k) or factor(k))
     mn._range_log_pair(1, 401, list(range(1, 401)))  # the shape of log S_400
     mn._range_log_pair(1, 2, [1] * 7)                # hi = 8 / 7 lengths
+    mn._range_log_pair(1, 10 ** 4, [1, 0, 2])        # hi far above the length
     assert factored == []
     mn._range_log_pair(1, 12, [1])                   # one integer, as in ln_int
-    mn._range_log_pair(1, 10 ** 4, [1, 0, 2])        # hi far above the length
-    assert factored == [12, 10 ** 4, 10 ** 4 + 2]
+    assert factored == [12]
     factored.clear()
     monkeypatch.setattr(mn, "_SIEVE_CAP", 1000)
     mn._range_log_pair(1, 500, [1] * 501)            # reaches the cap

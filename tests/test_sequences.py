@@ -277,6 +277,22 @@ def test_I_series_rejects_bad_eps():
         sq.I_series(0)
 
 
+@pytest.mark.parametrize("name, fake, message", [
+    pytest.param("residue_numerators",
+                 lambda real: lambda n: (real(n)[0], [real(n)[1][0] + 1] + real(n)[1][1:]),
+                 "residue weights do not cancel at n=3", id="residues"),
+    # d C(n,0)^2 more on ln a, the residue weights untouched
+    pytest.param("scaled_square_weights",
+                 lambda real: lambda n: [real(n)[0] + 1] + real(n)[1:],
+                 "integral log weights do not cancel at n=3", id="integral"),
+])
+def test_I_series_refuses_weights_that_do_not_cancel(name, fake, message, monkeypatch):
+    # planted through the exact namespace, as verify's faults are
+    monkeypatch.setattr(exact, name, fake(getattr(exact, name)))
+    with pytest.raises(exact.IdentityViolation, match=f"^{message}$"):
+        sq.I_series(3)
+
+
 # --- Euler-Maclaurin kernel -------------------------------------------------------
 
 def _weights(n):
@@ -717,9 +733,9 @@ def test_build_record_computes_L_once(monkeypatch):
 def test_precision_plan_covers_every_stage(n, frac_bits, monkeypatch):
     # a stage's first dot product is its widest, so a fresh table sized by
     # that request serves every later one without a rebuild; build_record
-    # runs I_series first for this.  pi / (6 ln 2) reads ln 2 from the side
-    # table, so a threshold wider than the row (n = 1 at frac_bits 256)
-    # does not rebuild the shared one.
+    # runs I_series first for this.  pi / (6 ln 2) reads ln 2 from
+    # _small_log_floors, not the table, so a threshold wider than the row
+    # (n = 1 at frac_bits 256) does not rebuild it.
     policy = PrecisionPolicy(frac_bits=frac_bits)
     for stage in (sq.build_record, sq.criterion_point):
         table = mn.PrimeLogTable()
